@@ -71,8 +71,8 @@ int main() {
         std::printf("\n");
     }
     std::printf("\n");
-    bench::paperVsMeasured("phase logic noise immunity tunable via SYNC",
-                           "claimed (Sec. 1)", "yes: loss rate drops with SYNC at every c");
+    bench::paperVsMeasured("phase logic noise immunity tunable via SYNC", "claimed (Sec. 1)",
+                           "yes: loss rate drops with SYNC until the bit randomizes (~0.5)");
     std::printf("\n");
     bench::showChart(chart, "ablation_noise");
     return 0;

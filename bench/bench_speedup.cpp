@@ -140,145 +140,52 @@ void reportSweepSpeedup() {
                 std::thread::hardware_concurrency());
 }
 
-// One-shot batched-vs-scalar Monte-Carlo table: the PR's headline number.
-// Same hold-error workload at the same thread count; the batched engine
-// replaces per-trial spline lookups + std::normal_distribution with one
-// packed-polynomial pass over the g table per step and a ziggurat normal per
-// lane (DESIGN.md §13).
-void reportBatchSpeedup() {
-    const auto& d = bench::design100();
-    const core::Gae gae(d.model, d.f1, {d.sync()});
-    const double start = gae.stableEquilibria()[0].dphi;
-    const std::size_t trials = smokeMode() ? 128 : 1024;
-    const double span = 60.0 / d.f1;
-    const double c = 2e-7;
-    std::size_t errors = 0;
-    const auto wallMs = [&](std::size_t batch, unsigned threads) {
-        core::StochasticGaeOptions opt;
-        opt.seed = 7;
-        opt.threads = threads;
-        opt.batch = batch;
+// One-shot SIMD kernel tier table (DESIGN.md §18): the batched spline
+// evaluation on the scalar loops and on the process-wide tier (the detected
+// one unless PHLOGON_SIMD=0), compared through evalManyAffine's tier
+// argument.  The contract makes this a pure wall-clock comparison: both
+// produce bit-identical results.  The Monte-Carlo engine end to end is
+// measured by perfbench's hold_error_mc workload.
+void reportSimdSpeedup() {
+    using num::simd::Tier;
+    const Tier tier = num::simd::resolveTier();
+    std::printf("SIMD kernel tier: scalar kernels vs the process-wide tier (%s%s):\n",
+                num::simd::tierName(tier),
+                tier == Tier::Scalar ? " — no vector tier in use, expect x1.0" : "");
+
+    // Batched spline evaluation — the GAE RHS primitive (gather + Horner
+    // over the packed per-segment cubics).
+    const std::size_t knots = 1024;
+    num::Vec s(knots);
+    for (std::size_t i = 0; i < knots; ++i) {
+        const double u = static_cast<double>(i) / static_cast<double>(knots);
+        s[i] = std::sin(2.0 * std::numbers::pi * u) + 0.3 * std::cos(6.0 * std::numbers::pi * u);
+    }
+    const num::PeriodicCubicSpline spline(s);
+    const num::PackedPeriodicSpline packed(spline);
+    const std::size_t lanes = 4096;
+    num::Vec t(lanes), out(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) t[l] = 0.6180339887498949 * static_cast<double>(l);
+    const std::size_t reps = smokeMode() ? 1000 : 10000;
+    const auto evalMs = [&](Tier tr) {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto r = core::holdErrorProbability(gae, c, start, span, trials, opt);
-        errors = r.errors;
-        benchmark::DoNotOptimize(errors);
+        for (std::size_t r = 0; r < reps; ++r)
+            packed.evalManyAffine(t.data(), out.data(), lanes, 1.7, -0.3, tr);
+        benchmark::DoNotOptimize(out.data());
         return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
     };
-    wallMs(64, 1);  // warm up (touches the packed table + ziggurat init)
-    const unsigned threads = std::max(4u, num::defaultThreadCount());
-    std::printf("Batched Monte-Carlo engine: %zu-trial hold-error experiment (60 cycles,\n",
-                trials);
-    std::printf("c = %.0e), scalar per-trial path vs SoA batch = 64 trials/slot:\n", c);
-    double scalar1 = 0.0, scalarT = 0.0;
-    for (const unsigned t : {1u, threads}) {
-        const double sMs = wallMs(0, t);
-        const std::size_t sErr = errors;
-        const double bMs = wallMs(64, t);
-        std::printf("  %u thread(s): scalar %8.2f ms (%zu errs) | batched %8.2f ms (%zu errs)"
-                    "  -> speedup x%.2f\n",
-                    t, sMs, sErr, bMs, errors, sMs / bMs);
-        jsonOut().addRow("batchSpeedup", {{"threads", t},
-                                          {"scalarMs", sMs},
-                                          {"batchedMs", bMs},
-                                          {"speedup", sMs / bMs}});
-        (t == 1 ? scalar1 : scalarT) = sMs / bMs;
-    }
-    std::printf("  (engines are distinct RNG configurations — counts differ; each is\n");
-    std::printf("   bitwise stable across threads and batch size)\n\n");
-    benchmark::DoNotOptimize(scalar1 + scalarT);
-}
-
-// One-shot SIMD kernel tier table (DESIGN.md §18): the same batched
-// primitives with the opt-in vector kernels off and on.  Off is the
-// bitwise-golden default; on resolves to the widest tier the CPU supports
-// (PHLOGON_SIMD=0|1|auto overrides).  The contract makes this a pure
-// wall-clock comparison: both paths produce bit-identical results.
-void reportSimdSpeedup() {
-    using num::simd::Tier;
-    const Tier tier = num::simd::resolveTier(true);
-    std::printf("SIMD kernel tier: scalar kernels vs opt-in vector kernels (resolved\n");
-    std::printf("tier with simd=true: %s%s):\n", num::simd::tierName(tier),
-                tier == Tier::Scalar ? " — no vector tier available, expect x1.0" : "");
-
-    // 1. Batched spline evaluation — the GAE RHS primitive (gather + Horner
-    //    over the packed per-segment cubics).
-    {
-        const std::size_t knots = 1024;
-        num::Vec s(knots);
-        for (std::size_t i = 0; i < knots; ++i) {
-            const double u = static_cast<double>(i) / static_cast<double>(knots);
-            s[i] = std::sin(2.0 * std::numbers::pi * u) +
-                   0.3 * std::cos(6.0 * std::numbers::pi * u);
-        }
-        const num::PeriodicCubicSpline spline(s);
-        const num::PackedPeriodicSpline packed(spline);
-        const std::size_t lanes = 4096;
-        num::Vec t(lanes), out(lanes);
-        for (std::size_t l = 0; l < lanes; ++l)
-            t[l] = 0.6180339887498949 * static_cast<double>(l);
-        const std::size_t reps = smokeMode() ? 1000 : 10000;
-        const auto evalMs = [&](Tier tr) {
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t r = 0; r < reps; ++r)
-                packed.evalManyAffine(t.data(), out.data(), lanes, 1.7, -0.3, tr);
-            benchmark::DoNotOptimize(out.data());
-            return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                             t0)
-                .count();
-        };
-        evalMs(tier);  // warm up (table + instruction caches)
-        const double scalarMs = evalMs(Tier::Scalar);
-        const double simdMs = evalMs(tier);
-        std::printf("  spline evalManyAffine (%zu lanes x %zu reps): scalar %8.2f ms | "
-                    "%s %8.2f ms  -> speedup x%.2f\n",
-                    lanes, reps, scalarMs, num::simd::tierName(tier), simdMs,
-                    scalarMs / simdMs);
-        jsonOut().addRow("simdSpeedup", {{"workload", 0},
-                                         {"tier", static_cast<double>(tier)},
-                                         {"scalarMs", scalarMs},
-                                         {"simdMs", simdMs},
-                                         {"speedup", scalarMs / simdMs}});
-    }
-
-    // 2. Monte-Carlo hold-error — the end-to-end stochastic workload
-    //    (packed-spline RHS + ziggurat batch fill + Euler-Maruyama update).
-    {
-        const auto& d = bench::design100();
-        const core::Gae gae(d.model, d.f1, {d.sync()});
-        const double start = gae.stableEquilibria()[0].dphi;
-        const std::size_t trials = smokeMode() ? 128 : 512;
-        core::StochasticGaeOptions opt;
-        opt.seed = 7;
-        opt.batch = 64;
-        opt.threads = 1;
-        std::size_t errors = 0;
-        const auto wallMs = [&](bool simdOn) {
-            opt.simd = simdOn;
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto r =
-                core::holdErrorProbability(gae, 2e-7, start, 60.0 / d.f1, trials, opt);
-            errors = r.errors;
-            benchmark::DoNotOptimize(errors);
-            return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                             t0)
-                .count();
-        };
-        wallMs(true);  // warm up
-        const double offMs = wallMs(false);
-        const std::size_t offErr = errors;
-        const double onMs = wallMs(true);
-        std::printf("  MC hold-error (%zu trials, batch 64):             scalar %8.2f ms | "
-                    "%s %8.2f ms  -> speedup x%.2f\n",
-                    trials, offMs, num::simd::tierName(tier), onMs, offMs / onMs);
-        std::printf("  (error counts identical by the bitwise contract: %zu == %zu)\n\n",
-                    offErr, errors);
-        jsonOut().addRow("simdSpeedup", {{"workload", 1},
-                                         {"tier", static_cast<double>(tier)},
-                                         {"scalarMs", offMs},
-                                         {"simdMs", onMs},
-                                         {"speedup", offMs / onMs}});
-    }
+    evalMs(tier);  // warm up (table + instruction caches)
+    const double scalarMs = evalMs(Tier::Scalar);
+    const double simdMs = evalMs(tier);
+    std::printf("  spline evalManyAffine (%zu lanes x %zu reps): scalar %8.2f ms | "
+                "%s %8.2f ms  -> speedup x%.2f\n\n",
+                lanes, reps, scalarMs, num::simd::tierName(tier), simdMs, scalarMs / simdMs);
+    jsonOut().addRow("simdSpeedup", {{"workload", 0},
+                                     {"tier", static_cast<double>(tier)},
+                                     {"scalarMs", scalarMs},
+                                     {"simdMs", simdMs},
+                                     {"speedup", scalarMs / simdMs}});
 }
 
 // One-shot fabric-scaling table: the netlist->phase compiler lowers an
@@ -322,27 +229,21 @@ void reportFabricScaling() {
     std::printf("   see tests/logic/test_fabric_batch_parity.cpp)\n\n");
 }
 
-// Benchmark-table version: batch size 0 is the scalar engine.
+// The Monte-Carlo engine at 1 and 4 threads.
 void BM_HoldErrorMonteCarlo(benchmark::State& state) {
     const auto& d = bench::design100();
     const core::Gae gae(d.model, d.f1, {d.sync()});
     const double start = gae.stableEquilibria()[0].dphi;
     core::StochasticGaeOptions opt;
     opt.seed = 7;
-    opt.batch = static_cast<std::size_t>(state.range(0));
-    opt.threads = static_cast<unsigned>(state.range(1));
+    opt.threads = static_cast<unsigned>(state.range(0));
     const std::size_t trials = smokeMode() ? 64 : 256;
     for (auto _ : state) {
         const auto r = core::holdErrorProbability(gae, 2e-7, start, 60.0 / d.f1, trials, opt);
         benchmark::DoNotOptimize(r.errors);
     }
 }
-BENCHMARK(BM_HoldErrorMonteCarlo)
-    ->Args({0, 1})
-    ->Args({64, 1})
-    ->Args({0, 4})
-    ->Args({64, 4})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HoldErrorMonteCarlo)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Batched GAE ensemble vs B scalar gaeTransient calls (Fig. 10/12 bit-flip
 // corners as one SoA integration; bitwise-identical trajectories).
@@ -990,7 +891,6 @@ int main(int argc, char** argv) {
     std::printf("bit slot.  Expect the GAE (scalar ODE) to be orders of magnitude faster\n");
     std::printf("and the non-averaged phase system to sit in between.\n\n");
     reportSweepSpeedup();
-    reportBatchSpeedup();
     reportSimdSpeedup();
     reportFabricScaling();
     reportSolverStrategies();

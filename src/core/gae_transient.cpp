@@ -114,7 +114,7 @@ GaeTransientResult gaeTransientFrom(const PpvModel& model, double f1,
 GaeEnsembleResult gaeTransientEnsemble(const PpvModel& model, double f1,
                                        const std::vector<GaeSegment>& schedule, const Vec& dphi0,
                                        double t0, double t1, const num::OdeOptions& opt,
-                                       std::size_t gridSize, const num::BatchOptions& batchOpt) {
+                                       std::size_t gridSize) {
     OBS_SPAN("gae.ensemble");
     const auto wallStart = std::chrono::steady_clock::now();
     GaeEnsembleResult res;
@@ -142,7 +142,7 @@ GaeEnsembleResult gaeTransientEnsemble(const PpvModel& model, double f1,
     for (std::size_t l = 0; l < lanes; ++l) live[l] = l;
     Vec phiCur = dphi0;
     double tCur = t0;
-    num::BatchOde batch(lanes, batchOpt);
+    num::BatchOde batch(lanes);
 
     for (std::size_t s = 0; s < schedule.size() && !live.empty(); ++s) {
         const double segEnd = (s + 1 < schedule.size()) ? std::min(schedule[s + 1].tStart, t1) : t1;

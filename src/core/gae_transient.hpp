@@ -82,12 +82,10 @@ struct GaeEnsembleResult {
 /// trajectory is bitwise identical to the scalar
 /// gaeTransient(model, f1, schedule, dphi0[l], ...) at any ensemble size
 /// (BatchOde contract).  Checkpointing is not supported here; per-trial
-/// checkpoint/resume stays on the scalar path.  `batch` passes engine knobs
-/// through to the BatchOde (e.g. the SIMD tier opt-in — bitwise-neutral).
+/// checkpoint/resume stays on the scalar path.
 GaeEnsembleResult gaeTransientEnsemble(const PpvModel& model, double f1,
                                        const std::vector<GaeSegment>& schedule, const Vec& dphi0,
                                        double t0, double t1, const num::OdeOptions& opt = {},
-                                       std::size_t gridSize = 1024,
-                                       const num::BatchOptions& batch = {});
+                                       std::size_t gridSize = 1024);
 
 }  // namespace phlogon::core

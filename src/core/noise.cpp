@@ -1,7 +1,7 @@
 #include "core/noise.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
 #include "core/gae_sweep.hpp"
@@ -15,8 +15,34 @@
 namespace phlogon::core {
 
 namespace {
+
 constexpr std::uint64_t kSeedIncrement = 0x9e3779b97f4a7c15ull;  // 2^64 / golden ratio
+
+/// Trials one thread-pool slot advances in lockstep.  Counts do not depend
+/// on it (trial k's arithmetic depends only on its seed), so it is a speed
+/// choice alone; 64 measured best on the 1024-trial hold-error workload.
+constexpr std::size_t kLanesPerBlock = 64;
+
+/// Euler-Maruyama grid shared by the sample-path and ensemble entry points,
+/// so that trial k of an ensemble steps exactly like one sample path.
+struct EmGrid {
+    std::size_t nSteps;
+    double h;
+    double sigmaSqrtH;
+};
+
+EmGrid emGrid(const Gae& gae, double cSeconds, double span, double dt) {
+    const double f0 = gae.f0();
+    if (!(dt > 0)) dt = 1.0 / (20.0 * f0);
+    // Noise term in cycles: alpha diffuses with c [s]; dphi = f0 * alpha.
+    const double sigma = f0 * std::sqrt(std::max(cSeconds, 0.0));
+    const std::size_t nSteps =
+        std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(span / dt)));
+    const double h = span / static_cast<double>(nSteps);
+    return {nSteps, h, sigma * std::sqrt(h)};
 }
+
+}  // namespace
 
 std::uint64_t mixSeed(std::uint64_t seed) {
     // SplitMix64 (Steele, Lea & Flood 2014) finalizer.
@@ -57,30 +83,22 @@ StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, doub
                                            const StochasticGaeOptions& opt) {
     StochasticGaeResult res;
     if (!(t1 > t0)) return res;
-    const double f0 = gae.f0();
-    const double dt = opt.dt > 0 ? opt.dt : 1.0 / (20.0 * f0);
-    // Noise term in cycles: alpha diffuses with c [s]; dphi = f0 * alpha.
-    const double sigma = f0 * std::sqrt(std::max(cSeconds, 0.0));
-
-    // One engine per path, seeded through the SplitMix64 mix — the same
-    // per-trial derived-seed scheme the ensemble loop uses (a raw nearby
-    // seed like base+k would give correlated mt19937_64 streams).
-    std::mt19937_64 rng(mixSeed(opt.seed));
-    std::normal_distribution<double> gauss(0.0, 1.0);
-
-    const std::size_t nSteps =
-        std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil((t1 - t0) / dt)));
-    const double h = (t1 - t0) / static_cast<double>(nSteps);
-    const double sqrtH = std::sqrt(h);
+    const EmGrid g = emGrid(gae, cSeconds, t1 - t0, opt.dt);
+    // The ensemble engine's step on one lane: the same seed mixing, normal
+    // sampler, packed right-hand side and update as holdErrorProbabilityRange.
+    num::SplitMix64 rng(mixSeed(opt.seed));
+    const auto& zig = num::ZigguratNormal::instance();
     double phi = dphi0;
-    res.t.reserve(nSteps / opt.storeEvery + 2);
-    res.dphi.reserve(nSteps / opt.storeEvery + 2);
+    double drift = 0.0;
+    res.t.reserve(g.nSteps / opt.storeEvery + 2);
+    res.dphi.reserve(g.nSteps / opt.storeEvery + 2);
     res.t.push_back(t0);
     res.dphi.push_back(phi);
-    for (std::size_t k = 0; k < nSteps; ++k) {
-        phi += gae.rhs(phi) * h + sigma * sqrtH * gauss(rng);
-        if ((k + 1) % opt.storeEvery == 0 || k + 1 == nSteps) {
-            res.t.push_back(t0 + h * static_cast<double>(k + 1));
+    for (std::size_t k = 0; k < g.nSteps; ++k) {
+        gae.rhsManyPacked(&phi, &drift, 1);
+        phi += drift * g.h + g.sigmaSqrtH * zig(rng);
+        if ((k + 1) % opt.storeEvery == 0 || k + 1 == g.nSteps) {
+            res.t.push_back(t0 + g.h * static_cast<double>(k + 1));
             res.dphi.push_back(phi);
         }
     }
@@ -105,14 +123,11 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
     double start = stable[0].dphi;
     for (const auto& e : stable)
         if (phaseDistance(e.dphi, dphi0) < phaseDistance(start, dphi0)) start = e.dphi;
+    if (!(holdTime > 0.0)) return out;
 
-    // One outcome slot per trial; the serial reduction below then sees the
-    // same values in the same order at any thread count.
-    enum : unsigned char { kFailed = 0, kHeld = 1, kLost = 2 };
-    std::vector<unsigned char> outcome(trials, kFailed);
-
-    // Shared decode: nearest stable phase to the (wrapped) end point.
-    const auto decode = [&](double end) -> unsigned char {
+    // Lost bit: the nearest stable phase to the (wrapped) end point is not
+    // the start.
+    const auto lost = [&](double end) -> unsigned char {
         double best = 1e9;
         double bestPhase = start;
         for (const auto& e : stable) {
@@ -122,76 +137,50 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
                 bestPhase = e.dphi;
             }
         }
-        return phaseDistance(bestPhase, start) > 1e-9 ? kLost : kHeld;
+        return phaseDistance(bestPhase, start) > 1e-9 ? 1 : 0;
     };
 
-    if (opt.batch > 0 && holdTime > 0.0) {
-        // Batched SoA engine: `batch` trials per thread-pool slot advance in
-        // lockstep; each Euler-Maruyama step does one packed-polynomial pass
-        // over the g table for the whole block and one ziggurat draw per
-        // lane.  Lane l's state and RNG stream depend only on its trial
-        // index, so the outcomes are bitwise invariant under thread count
-        // and batch size (see StochasticGaeOptions::batch).
-        OBS_SPAN("noise.holdError.batch");
-        const double f0 = gae.f0();
-        const double dt = opt.dt > 0 ? opt.dt : 1.0 / (20.0 * f0);
-        const double sigma = f0 * std::sqrt(std::max(cSeconds, 0.0));
-        const std::size_t nSteps =
-            std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(holdTime / dt)));
-        const double h = holdTime / static_cast<double>(nSteps);
-        const double sqrtH = std::sqrt(h);
-        const double sigmaSqrtH = sigma * sqrtH;
-        const auto& zig = num::ZigguratNormal::instance();
-        // Tier-selected per-step kernels; every tier is bitwise-identical
-        // (lane streams are independent, so drawing all lanes' normals
-        // before the update is the same arithmetic as interleaving).
-        const num::simd::Tier tier = num::simd::resolveTier(opt.simd);
-        const num::simd::Kernels& kr = num::simd::kernels(tier);
-        if (tier != num::simd::Tier::Scalar) PHLOGON_COUNT_METRIC("batch.mc.simd");
-        const std::size_t nBlocks = (trials + opt.batch - 1) / opt.batch;
-        num::parallelFor(
-            nBlocks,
-            [&](std::size_t blk) {
-                const std::size_t lo = blk * opt.batch;
-                const std::size_t n = std::min(trials, lo + opt.batch) - lo;
-                std::vector<double> phi(n, start), drift(n), z(n);
-                std::vector<num::SplitMix64> rngs;
-                rngs.reserve(n);
-                for (std::size_t l = 0; l < n; ++l)
-                    rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
-                for (std::size_t k = 0; k < nSteps; ++k) {
-                    gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
-                    kr.normalFill(zig, rngs.data(), z.data(), n);
-                    kr.mcUpdate(phi.data(), drift.data(), h, sigmaSqrtH, z.data(), n);
-                }
-                for (std::size_t l = 0; l < n; ++l) outcome[lo + l] = decode(phi[l]);
-                PHLOGON_ADD_METRIC("batch.mc.trials", n);
-                PHLOGON_ADD_METRIC("batch.mc.steps", n * nSteps);
-            },
-            opt.threads);
-        PHLOGON_ADD_METRIC("batch.mc.blocks", nBlocks);
-    } else if (opt.batch == 0) {
+    // kLanesPerBlock trials per thread-pool slot advance in lockstep over SoA
+    // lanes; each Euler-Maruyama step is one packed-polynomial pass over the
+    // g table for the block, one ziggurat draw per lane and the update, all
+    // on the process-wide SIMD tier.  Lane l's state and RNG stream depend
+    // only on its trial index, so the outcomes are bitwise invariant under
+    // thread count, block size, chunking and tier; and since lane streams
+    // are independent, drawing every lane's normal before the update is the
+    // same arithmetic as stochasticGaeTransient's one-lane step.
+    OBS_SPAN("noise.holdError.batch");
+    const EmGrid g = emGrid(gae, cSeconds, holdTime, opt.dt);
+    const auto& zig = num::ZigguratNormal::instance();
+    const num::simd::Tier tier = num::simd::resolveTier();
+    const num::simd::Kernels& kr = num::simd::kernels(tier);
+    if (tier != num::simd::Tier::Scalar) PHLOGON_COUNT_METRIC("batch.mc.simd");
+    // One outcome slot per trial; the serial reduction below then sees the
+    // same values in the same order at any thread count.
+    std::vector<unsigned char> outcome(trials, 0);
+    const std::size_t nBlocks = (trials + kLanesPerBlock - 1) / kLanesPerBlock;
     num::parallelFor(
-        trials,
-        [&](std::size_t trial) {
-            StochasticGaeOptions o = opt;
-            // Counter-based per-trial seed: stochasticGaeTransient mixes the
-            // seed, so the engine runs on deriveTrialSeed(opt.seed, trial)
-            // with `trial` the absolute ensemble index.
-            o.seed = opt.seed + kSeedIncrement * (firstTrial + trial);
-            o.storeEvery = 1u << 20;  // end point only
-            const StochasticGaeResult r = stochasticGaeTransient(gae, cSeconds, start, 0.0,
-                                                                 holdTime, o);
-            if (!r.ok) return;
-            outcome[trial] = decode(r.dphi.back());
+        nBlocks,
+        [&](std::size_t blk) {
+            const std::size_t lo = blk * kLanesPerBlock;
+            const std::size_t n = std::min(trials, lo + kLanesPerBlock) - lo;
+            std::vector<double> phi(n, start), drift(n), z(n);
+            std::vector<num::SplitMix64> rngs;
+            rngs.reserve(n);
+            for (std::size_t l = 0; l < n; ++l)
+                rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
+            for (std::size_t k = 0; k < g.nSteps; ++k) {
+                gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
+                kr.normalFill(zig, rngs.data(), z.data(), n);
+                kr.mcUpdate(phi.data(), drift.data(), g.h, g.sigmaSqrtH, z.data(), n);
+            }
+            for (std::size_t l = 0; l < n; ++l) outcome[lo + l] = lost(phi[l]);
+            PHLOGON_ADD_METRIC("batch.mc.trials", n);
+            PHLOGON_ADD_METRIC("batch.mc.steps", n * g.nSteps);
         },
         opt.threads);
-    }
-    for (unsigned char oc : outcome) {
-        if (oc == kFailed) continue;
-        ++out.trials;
-        if (oc == kLost) ++out.errors;
-    }
+    PHLOGON_ADD_METRIC("batch.mc.blocks", nBlocks);
+    out.trials = trials;
+    for (unsigned char oc : outcome) out.errors += oc;
     return out;
 }
 

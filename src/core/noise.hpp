@@ -40,9 +40,9 @@ double phaseDiffusion(const PpvModel& model, const std::vector<NoiseSource>& sou
 /// Thermal-noise helper: PSD of a resistor's current noise, 4kT/R.
 double resistorCurrentPsd(double ohms, double temperatureK = 300.0);
 
-/// SplitMix64 finalizer.  Every stochastic path seeds its own mt19937_64
-/// from mixSeed(seed), never from the raw seed, so that nearby user seeds
-/// (1, 2, 3, ... or base + k*increment) yield decorrelated streams.
+/// SplitMix64 finalizer.  Every stochastic path seeds its own SplitMix64
+/// stream from mixSeed(seed), never from the raw seed, so that nearby user
+/// seeds (1, 2, 3, ... or base + k*increment) yield decorrelated streams.
 std::uint64_t mixSeed(std::uint64_t seed);
 
 /// Engine seed of ensemble trial `trial` under base seed `base`:
@@ -57,23 +57,6 @@ struct StochasticGaeOptions {
     std::uint64_t seed = 1;
     std::size_t storeEvery = 8;
     unsigned threads = 0;  ///< ensemble loops: 0 = PHLOGON_THREADS/auto, 1 = serial
-    /// holdErrorProbability engine selection.  0 (default) runs the scalar
-    /// per-trial path (mt19937_64 + std::normal_distribution), bit-preserving
-    /// historical results.  > 0 runs `batch` trials per thread-pool slot over
-    /// SoA lanes: one packed-polynomial pass over the g table per step plus a
-    /// ziggurat normal per lane (numeric/rng.hpp).  The batched counts are a
-    /// distinct configuration (different RNG engine, packed g evaluation) but
-    /// are themselves bitwise identical at any thread count AND any batch
-    /// size: every trial's arithmetic depends only on (seed, trial index),
-    /// never on how trials are grouped into lanes (DESIGN.md §13).
-    std::size_t batch = 0;
-    /// Run the batched engine's per-step kernels (packed-g evaluation,
-    /// ziggurat batch fill, Euler-Maruyama update) on the detected SIMD tier
-    /// (numeric/simd/simd.hpp).  Counts are bitwise-identical either way —
-    /// the kernels satisfy the lane contract — so this is purely a speed
-    /// knob; PHLOGON_SIMD overrides it in both directions.  Ignored by the
-    /// scalar (batch == 0) path.
-    bool simd = false;
 };
 
 struct StochasticGaeResult {
@@ -83,7 +66,12 @@ struct StochasticGaeResult {
 };
 
 /// One sample path of the stochastic GAE with diffusion constant
-/// `cSeconds` (as returned by phaseDiffusion).
+/// `cSeconds` (as returned by phaseDiffusion).  It takes the Monte-Carlo
+/// engine's step on one lane: a SplitMix64(mixSeed(opt.seed)) stream, a
+/// ziggurat normal (numeric/rng.hpp), the packed-polynomial right-hand side
+/// Gae::rhsManyPacked and phi += drift*h + sigma*sqrt(h)*z.  So trial k of
+/// holdErrorProbability(..., opt) is exactly this path with seed
+/// opt.seed + 0x9e3779b97f4a7c15 * k.
 StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, double dphi0,
                                            double t0, double t1,
                                            const StochasticGaeOptions& opt = {});
@@ -99,9 +87,13 @@ struct HoldErrorResult {
 /// Monte-Carlo bit-retention experiment: start `trials` paths at the stable
 /// phase nearest `dphi0`, integrate for `holdTime` under noise, and count
 /// paths that decode to a different stable phase at the end.  Trial k runs
-/// with engine seed deriveTrialSeed(opt.seed, k); trials execute in parallel
-/// per opt.threads with one outcome slot per trial, so the counts are
-/// bitwise identical at any thread count.
+/// with engine seed deriveTrialSeed(opt.seed, k).  Trials advance in
+/// blocks of SoA lanes, one block per thread-pool slot (opt.threads), with
+/// the per-step kernels on the process-wide SIMD tier (numeric/simd/simd.hpp;
+/// PHLOGON_SIMD=0 forces the scalar loops).  Every trial's arithmetic
+/// depends only on (seed, k), so the counts are bitwise identical at any
+/// thread count and on every tier (DESIGN.md §13, §18).  A non-positive
+/// holdTime runs no trials.
 HoldErrorResult holdErrorProbability(const Gae& gae, double cSeconds, double dphi0,
                                      double holdTime, std::size_t trials,
                                      const StochasticGaeOptions& opt = {});
@@ -111,9 +103,9 @@ HoldErrorResult holdErrorProbability(const Gae& gae, double cSeconds, double dph
 /// deriveTrialSeed(opt.seed, firstTrial + k) — exactly the seed it gets in
 /// a full run — so splitting an N-trial ensemble into chunks and summing
 /// the per-chunk counts reproduces holdErrorProbability(..., N, opt)
-/// bitwise, regardless of chunk boundaries, thread count or batch size.
-/// This is what makes the service's checkpointed hold-error jobs
-/// resumable with bit-identical results (DESIGN.md §16).
+/// bitwise, regardless of chunk boundaries or thread count.  This is what
+/// makes the service's checkpointed hold-error jobs resumable with
+/// bit-identical results (DESIGN.md §16).
 HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, double dphi0,
                                           double holdTime, std::size_t firstTrial,
                                           std::size_t trials,

@@ -407,7 +407,7 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
 
     const std::size_t nSteps =
         static_cast<std::size_t>(std::ceil((t1 - t0) * f1 * static_cast<double>(stepsPerCycle)));
-    num::BatchOde ode(0, num::BatchOptions{opt.simd});
+    num::BatchOde ode;
     const num::OdeSolution sol =
         ode.rk4Lockstep(rhs, dphi0, t0, t1, std::max<std::size_t>(nSteps, 1), storeEvery);
     PHLOGON_ADD_METRIC("batch.fabric.lanes", k);

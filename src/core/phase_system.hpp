@@ -28,9 +28,8 @@
 
 namespace phlogon::core {
 
-/// Knobs for PhaseSystem::simulateBatched.  All are bitwise-neutral: lanes
-/// are partitioned across blocks/threads, never reduced across, and the
-/// SIMD tiers are bitwise-identical to scalar by contract.
+/// Knobs for PhaseSystem::simulateBatched.  Both are bitwise-neutral: lanes
+/// are partitioned across blocks/threads, never reduced across.
 struct BatchSimOptions {
     /// Worker threads for the per-latch projection loop: 0 = PHLOGON_THREADS
     /// env or hardware concurrency, 1 = serial.
@@ -38,9 +37,6 @@ struct BatchSimOptions {
     /// Lanes per scheduling block; 0 picks a fixed default independent of
     /// the thread count.
     std::size_t blockSize = 0;
-    /// Run the lockstep RK4 stage kernels on the detected SIMD tier
-    /// (numeric/simd/simd.hpp); PHLOGON_SIMD overrides in both directions.
-    bool simd = false;
 };
 
 class PhaseSystem {
@@ -141,8 +137,10 @@ public:
     /// topologically-sorted sparse gate-network pass per RK stage and delay
     /// group (Program::eval) instead of per-latch recursive walks, and a
     /// flat per-latch projection loop that parallelizes over lane blocks.
-    /// Bitwise-identical to simulate() at any fabric size, block partition,
-    /// and thread count: see DESIGN.md §14 for the determinism argument.
+    /// The RK4 combinations run on the process-wide SIMD tier
+    /// (numeric/simd/simd.hpp).  Bitwise-identical to simulate() at any
+    /// fabric size, block partition, thread count and tier: see DESIGN.md
+    /// §14 for the determinism argument.
     Result simulateBatched(double f1, double t0, double t1, const num::Vec& dphi0,
                            std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1,
                            const BatchSimOptions& opt = {}) const;

@@ -93,13 +93,15 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::fetch(std::uint64_t key,
     OBS_SPAN("cache.fetch");
     const fs::path path = entryPath(key);
     std::error_code ec;
-    if (!fs::exists(path, ec)) {
+    ArtifactReadResult r = readArtifactFile(path, type);
+    if (!r.ok() && !fs::exists(path, ec)) {
+        // Never stored, or removed by a peer's eviction before the read: a
+        // clean miss, not a corrupt entry.
         stats_->misses.fetch_add(1, std::memory_order_relaxed);
         PHLOGON_COUNT_METRIC("cache.misses");
         OBS_INSTANT("cache.miss");
         return std::nullopt;
     }
-    ArtifactReadResult r = readArtifactFile(path, type);
     if (!r.ok()) {
         // Corrupt / stale-version / mistyped entry: drop it so the slot is
         // clean for the recompute-and-store that follows.  WrongType means a

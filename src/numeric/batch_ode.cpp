@@ -52,7 +52,7 @@ BatchOdeSolution BatchOde::rkf45(const BatchRhs1& f, const Vec& y0, double t0, d
     active_.assign(lanes, 1);
     attempts_.assign(lanes, 0);
 
-    const simd::Kernels& kr = simd::kernels(simd::resolveTier(opt_.simd));
+    const simd::Kernels& kr = simd::kernels(simd::resolveTier());
 
     std::size_t accepted = 0, rejected = 0, rounds = 0;
     std::size_t remaining = lanes;
@@ -175,7 +175,7 @@ OdeSolution BatchOde::rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, doubl
     y_ = y0;
     for (Vec* v : {&k1_, &k2_, &k3_, &k4_, &yt_}) v->assign(lanes, 0.0);
 
-    const simd::Kernels& kr = simd::kernels(simd::resolveTier(opt_.simd));
+    const simd::Kernels& kr = simd::kernels(simd::resolveTier());
 
     double t = t0;
     sol.t.push_back(t);

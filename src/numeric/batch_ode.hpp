@@ -13,7 +13,10 @@
 //   * therefore, when the batched RHS evaluates each lane with the same
 //     arithmetic as the scalar RHS (e.g. PeriodicCubicSpline::evalMany), the
 //     per-lane trajectories are bitwise identical to rkf45Scalar, at ANY
-//     batch size and any partition of an ensemble into batches.
+//     batch size and any partition of an ensemble into batches;
+//   * the stage combinations and the error norm run on the process-wide
+//     SIMD tier (numeric/simd/simd.hpp), whose kernels are bitwise equal to
+//     the scalar loops, so the above holds on every tier.
 //
 // OdeOptions::onAccept is not supported here (checkpointing of ensembles
 // goes through per-lane resume instead) and is ignored.
@@ -41,24 +44,12 @@ struct BatchOdeSolution {
     bool ok = false;                  ///< every lane converged
 };
 
-/// Per-instance engine knobs.
-struct BatchOptions {
-    /// Run the stage-combination/error-norm/axpy loops on the detected SIMD
-    /// kernel tier (numeric/simd/simd.hpp).  Results are bitwise-identical
-    /// either way (the lane contract); default off keeps the scalar loops so
-    /// the engine has zero behavioral surface unless asked.  The
-    /// PHLOGON_SIMD environment variable overrides this in both directions.
-    bool simd = false;
-};
-
 /// Reusable SoA workspace + driver.  One instance per thread/block; resizing
 /// between solves is allowed (buffers grow monotonically).
 class BatchOde {
 public:
     BatchOde() = default;
-    explicit BatchOde(std::size_t lanes, BatchOptions opt = {}) : opt_(opt) {
-        reserve(lanes);
-    }
+    explicit BatchOde(std::size_t lanes) { reserve(lanes); }
 
     void reserve(std::size_t lanes);
 
@@ -80,7 +71,6 @@ public:
                             std::size_t nSteps, std::size_t storeEvery = 1);
 
 private:
-    BatchOptions opt_{};
     // SoA per-lane state for the current solve.
     Vec t_, y_, h_;
     Vec k1_, k2_, k3_, k4_, k5_, k6_, yt_, y5_, ts_, err_;

@@ -1,17 +1,14 @@
 #pragma once
-// Fast per-trial random streams for the batched Monte-Carlo engine.
+// Fast per-trial random streams for the Monte-Carlo engine.
 //
 // The determinism contract (DESIGN.md §9/§13) is that every stochastic trial
 // seeds its own engine from a counter-based derivation of (base seed, trial
 // index) — core::deriveTrialSeed — so results are bitwise independent of
-// scheduling.  The contract says nothing about *which* engine a path uses;
-// the scalar Monte-Carlo path keeps std::mt19937_64 +
-// std::normal_distribution (bit-preserving its historical streams), while
-// the batched SoA path uses the engine here: a SplitMix64 stream plus a
-// ziggurat normal sampler.  Per normal draw that is one 64-bit state update
-// and (~98.5% of the time) a single table compare — ~6x cheaper than the
-// Box-Muller/polar transcendentals inside std::normal_distribution, which
-// dominate the stochastic-GAE step cost.
+// scheduling.  Every stochastic-GAE path (core/noise.hpp) draws from the
+// engine here: a SplitMix64 stream plus a ziggurat normal sampler.  Per
+// normal draw that is one 64-bit state update and (~98.5% of the time) a
+// single table compare — ~6x cheaper than the Box-Muller/polar
+// transcendentals inside std::normal_distribution.
 //
 // SplitMix64 (Steele, Lea & Flood 2014) passes BigCrush as a stream
 // generator; the ziggurat construction is Marsaglia-Tsang 2000 with 256

@@ -34,9 +34,10 @@ Tier detectedTier() {
 EnvMode envMode() {
     static const EnvMode mode = [] {
         const char* v = std::getenv("PHLOGON_SIMD");
-        if (!v || !*v || std::strcmp(v, "auto") == 0) return EnvMode::Auto;
+        if (!v || !*v || std::strcmp(v, "auto") == 0 || std::strcmp(v, "1") == 0 ||
+            std::strcmp(v, "on") == 0)
+            return EnvMode::Auto;
         if (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0) return EnvMode::ForceOff;
-        if (std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0) return EnvMode::ForceOn;
         // A typo silently changing which numeric tier runs would be a
         // debugging trap (same policy as PHLOGON_CACHE_MAX_MB parsing).
         std::fprintf(stderr,
@@ -46,12 +47,8 @@ EnvMode envMode() {
     return mode;
 }
 
-Tier resolveTier(bool optIn) {
-    switch (envMode()) {
-        case EnvMode::ForceOff: return Tier::Scalar;
-        case EnvMode::ForceOn: return detectedTier();
-        default: return optIn ? detectedTier() : Tier::Scalar;
-    }
+Tier resolveTier(bool) {
+    return envMode() == EnvMode::ForceOff ? Tier::Scalar : detectedTier();
 }
 
 const Kernels& kernels(Tier tier) {

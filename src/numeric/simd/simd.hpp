@@ -11,12 +11,12 @@
 // tests/numeric/test_simd.cpp and the simd-parity CI job assert this.
 //
 // Dispatch: detectedTier() probes the CPU once (cached in a function-local
-// static); engines resolve their effective tier from their opt-in flag
-// (BatchOptions::simd, StochasticGaeOptions::simd, BatchSimOptions::simd)
-// combined with the PHLOGON_SIMD environment override via resolveTier(), and
-// fetch an immutable function-pointer table with kernels().  The default —
-// flag unset, env unset — is the Scalar tier, so all pre-existing
-// bitwise-pinned goldens are reproduced by default.  See DESIGN.md §18.
+// static).  Every engine runs on one process-wide tier, resolveTier(): the
+// detected tier unless PHLOGON_SIMD=0 forces the Scalar reference loops.
+// Engines fetch an immutable function-pointer table with kernels().  Since
+// the tiers are bitwise-interchangeable, the tier changes wall time only;
+// the goldens hold on either (the simd-parity CI job runs them both ways).
+// See DESIGN.md §18.
 
 #include <cstddef>
 
@@ -37,15 +37,15 @@ const char* tierName(Tier t);
 /// Widest tier this CPU supports (probed once, cached).
 Tier detectedTier();
 
-/// PHLOGON_SIMD override: "0"/"off" forces the Scalar tier everywhere,
-/// "1"/"on" forces detectedTier() even where no engine flag opted in,
-/// unset/"auto" defers to the per-engine flag.  Read once and cached.
-enum class EnvMode { ForceOff = 0, Auto = 1, ForceOn = 2 };
+/// PHLOGON_SIMD setting: "0"/"off" forces the Scalar tier everywhere;
+/// unset, "auto", "1" or "on" run detectedTier().  Read once and cached.
+enum class EnvMode { ForceOff = 0, Auto = 1 };
 EnvMode envMode();
 
-/// Tier an engine call should actually run: the engine's opt-in flag,
-/// overridden by PHLOGON_SIMD, clamped to what the CPU supports.
-Tier resolveTier(bool optIn);
+/// The process-wide tier every batched engine runs: Scalar under
+/// PHLOGON_SIMD=0, detectedTier() otherwise.  The argument is ignored; it
+/// stays so that existing callers keep compiling.
+Tier resolveTier(bool ignored = false);
 
 /// Function-pointer table for one tier.  All kernels share the lane
 /// contract above: per-lane results are bitwise-identical across tiers.

@@ -89,6 +89,7 @@ struct Logger::Impl {
     bool sinkOwned = false;
     bool running = false;  ///< drain thread alive
     bool stopping = false;
+    bool writing = false;  ///< a batch left the ring but is not written yet
     std::thread drainer;
 
     std::deque<std::string> ring;  ///< bounded by opt.ringCapacity
@@ -185,12 +186,14 @@ struct Logger::Impl {
                                        std::make_move_iterator(ring.end()));
         ring.clear();
         std::FILE* out = sink;
+        writing = true;
         lk.unlock();
         if (out) {
             for (const auto& line : batch) std::fwrite(line.data(), 1, line.size(), out);
             std::fflush(out);
         }
         lk.lock();
+        writing = false;
         drainedCv.notify_all();
     }
 };
@@ -268,7 +271,10 @@ void Logger::flush() {
     }
     if (impl_->running) {
         impl_->cv.notify_one();
-        impl_->drainedCv.wait_for(lk, std::chrono::seconds(2), [&] { return impl_->ring.empty(); });
+        // An empty ring is not enough: the drain thread may still be writing
+        // the batch it took, with the lock dropped.
+        impl_->drainedCv.wait_for(lk, std::chrono::seconds(2),
+                                  [&] { return impl_->ring.empty() && !impl_->writing; });
     } else {
         impl_->drainBatchLocked(lk);
     }

@@ -143,9 +143,9 @@ struct HoldErrorSweepPoint {
 /// bit-retention experiment holding logic 1 for `holdTime` under phase
 /// diffusion `cSeconds`.  The escape rate drops exponentially with SYNC
 /// amplitude, so this is the curve a designer reads the required SYNC drive
-/// off of.  `opt.batch` selects the batched SoA Monte-Carlo engine
-/// (core/noise.hpp); amplitudes run serially, trials in parallel, and the
-/// counts are bitwise reproducible at any thread count / batch size.
+/// off of.  Each point runs the Monte-Carlo engine of core/noise.hpp;
+/// amplitudes run serially, trials in parallel, and the counts are bitwise
+/// reproducible at any thread count and SIMD tier.
 std::vector<HoldErrorSweepPoint> holdErrorVsSyncAmplitude(
     const SyncLatchDesign& design, const core::Vec& syncAmps, double cSeconds, double holdTime,
     std::size_t trials, const core::StochasticGaeOptions& opt = {}, std::size_t gridSize = 1024);

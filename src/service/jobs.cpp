@@ -192,19 +192,24 @@ std::uint64_t foldChunk(std::uint64_t h, std::uint64_t firstTrial, std::uint64_t
     return f.digest();
 }
 
+/// Names the Monte-Carlo engine's per-trial arithmetic in hold-error job
+/// keys, so a checkpoint written by an engine with other counts (such as
+/// the retired mt19937_64 per-trial path) is never resumed into this one's.
+/// Change it whenever the counts for a given seed change.
+constexpr const char* kMcEngineTag = "mc-engine:splitmix64-ziggurat-packed";
+
 JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
     const LatchParams lp = parseLatchParams(p);
     const double cSeconds = numParam(p, "c", 1e-4);
     const double holdCycles = numParam(p, "holdCycles", 30.0);
     const std::size_t trials = countParam(p, "trials", 60, 1, 1u << 24);
     const std::size_t chunk = countParam(p, "chunk", 16, 1, 1u << 20);
-    const std::size_t batch = countParam(p, "batch", 0, 0, 4096);
     const auto seed = static_cast<std::uint64_t>(numParam(p, "seed", 1.0));
     if (!(cSeconds >= 0) || !(holdCycles > 0)) throw ParamError("need c >= 0, holdCycles > 0");
 
     io::Fnv1a64 kh;
     hashLatchParams(kh, lp);
-    kh.f64(cSeconds).f64(holdCycles).u64(trials).u64(seed).u64(batch);
+    kh.f64(cSeconds).f64(holdCycles).u64(trials).u64(seed).str(kMcEngineTag);
     // The chunk size is *excluded* from the key: it changes the checkpoint
     // cadence, never the outcome counts.
     const std::uint64_t jobKey = kh.digest();
@@ -215,7 +220,7 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
             ? std::filesystem::path()
             : env.checkpointDir / ("mc-" + io::hashHex(jobKey) + ".phlg");
 
-    return [lp, cSeconds, holdCycles, trials, chunk, batch, seed, jobKey, ckptPath,
+    return [lp, cSeconds, holdCycles, trials, chunk, seed, jobKey, ckptPath,
             cache](JobContext& ctx) {
         const CharacterizedLatch ch = characterize(lp, *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
@@ -244,7 +249,6 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
 
         core::StochasticGaeOptions opt;
         opt.seed = seed;
-        opt.batch = batch;
         ctx.setProgress(st.trialsDone, trials);
         bool stopped = false;
         while (st.trialsDone < trials) {

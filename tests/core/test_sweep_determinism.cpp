@@ -115,6 +115,53 @@ TEST(MonteCarloDeterminism, TrialSeedsAreCounterBased) {
     // The single-path entry point uses the same mixing, so trial 0 of an
     // ensemble equals a direct call with the base seed.
     EXPECT_EQ(deriveTrialSeed(42, 0), mixSeed(42));
+
+    // Trial k of an ensemble IS the sample path seeded base + 0x9e37...*k,
+    // stepped by the scalar one-lane loop.  A one-trial range call runs the
+    // engine's scalar tail and must decode like that path; a four-trial call
+    // fills exactly one vector lane group on the AVX2 tier, and the full run
+    // has 64- and 32-lane blocks.  Their counts must all sum from the paths,
+    // which puts the vector kernels against the scalar loops in-process.
+    const auto& d = testutil::sharedDesign();
+    const Gae gae(d.model, d.f1, {d.sync()});
+    const double c = 2e-7;
+    const double span = 60.0 / d.f1;
+    const auto stable = gae.stableEquilibria();
+    const auto nearest = [&](double phase) {
+        double best = stable[0].dphi;
+        for (const auto& e : stable)
+            if (phaseDistance(e.dphi, phase) < phaseDistance(best, phase)) best = e.dphi;
+        return best;
+    };
+    const double start = nearest(d.reference.phase1);
+    StochasticGaeOptions opt;
+    opt.seed = 12345;
+    const std::size_t trials = 96;
+    std::vector<std::size_t> pathLost(trials);
+    for (std::size_t k = 0; k < trials; ++k) {
+        StochasticGaeOptions one = opt;
+        one.seed = opt.seed + 0x9e3779b97f4a7c15ull * k;
+        one.storeEvery = 1u << 20;
+        const auto path = stochasticGaeTransient(gae, c, start, 0.0, span, one);
+        ASSERT_TRUE(path.ok);
+        pathLost[k] = nearest(path.dphi.back()) != start ? 1 : 0;
+    }
+    std::size_t pathErrors = 0;
+    for (std::size_t k = 0; k < trials; ++k) {
+        const auto r = holdErrorProbabilityRange(gae, c, d.reference.phase1, span, k, 1, opt);
+        EXPECT_EQ(r.trials, 1u);
+        EXPECT_EQ(r.errors, pathLost[k]) << "trial " << k;
+        pathErrors += pathLost[k];
+    }
+    for (std::size_t k = 0; k + 4 <= trials; ++k) {
+        const auto r = holdErrorProbabilityRange(gae, c, d.reference.phase1, span, k, 4, opt);
+        EXPECT_EQ(r.errors, pathLost[k] + pathLost[k + 1] + pathLost[k + 2] + pathLost[k + 3])
+            << "trials " << k << ".." << k + 3;
+    }
+    EXPECT_GT(pathErrors, 0u);  // both outcomes must occur for the check to bite
+    EXPECT_LT(pathErrors, trials);
+    EXPECT_EQ(holdErrorProbability(gae, c, d.reference.phase1, span, trials, opt).errors,
+              pathErrors);
 }
 
 TEST(MonteCarloDeterminism, HoldErrorCountsIdenticalAcrossThreadCounts) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/temp_path.hpp"
 #include "io/artifact.hpp"
 
 namespace phlogon::io {
@@ -17,7 +18,7 @@ using num::Vec;
 class SerializeTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "phlogon_io_serialize_test";
+        dir_ = testutil::perTestTempPath("phlogon_io_serialize_test");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

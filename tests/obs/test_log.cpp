@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "io/json.hpp"
 
 namespace phlogon::obs {
@@ -27,7 +28,7 @@ namespace json = io::json;
 class LogFile : public ::testing::Test {
 protected:
     void SetUp() override {
-        path_ = fs::temp_directory_path() / "phlogon_log_test.jsonl";
+        path_ = testutil::perTestTempPath("phlogon_log_test", ".jsonl");
         fs::remove(path_);
     }
     void TearDown() override {

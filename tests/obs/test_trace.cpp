@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "numeric/parallel.hpp"
 #include "obs/trace_read.hpp"
 
@@ -79,7 +80,7 @@ TEST(TraceRead, DetectsImproperNesting) {
 class TraceGolden : public ::testing::Test {
 protected:
     void SetUp() override {
-        path_ = fs::temp_directory_path() / "phlogon_trace_test.json";
+        path_ = testutil::perTestTempPath("phlogon_trace_test", ".json");
         fs::remove(path_);
         Tracer::instance().start(path_.string());
     }
@@ -282,7 +283,7 @@ TEST_F(TraceGolden, MergePreservesArgsFlowsAndRemapsTids) {
     }
     Tracer::instance().stop();
     ASSERT_TRUE(Tracer::instance().write());
-    const fs::path pathB = fs::temp_directory_path() / "phlogon_trace_test_b.json";
+    const fs::path pathB = testutil::perTestTempPath("phlogon_trace_test_b", ".json");
     fs::remove(pathB);
 
     // Second trace (a "restarted daemon"): same traceId string re-interned in

@@ -129,15 +129,12 @@ TEST(SrGateInjection, SmallWeightsTolerateMismatch) {
 }
 
 TEST(HoldErrorSweep, ErrorRateDropsWithSyncAmplitude) {
-    // Fig.-style noise-immunity curve: each bistable point runs the batched
+    // Fig.-style noise-immunity curve: each bistable point runs the
     // Monte-Carlo engine; stronger SYNC must lose (weakly) fewer bits.
     const auto& d = testutil::sharedDesign();
     const core::Vec amps{60e-6, 300e-6};
-    core::StochasticGaeOptions opt;
-    opt.batch = 16;
     const double c = 2e-7;
-    const auto curve =
-        holdErrorVsSyncAmplitude(d, amps, c, 60.0 / d.model.f0(), 120, opt);
+    const auto curve = holdErrorVsSyncAmplitude(d, amps, c, 60.0 / d.model.f0(), 120);
     ASSERT_EQ(curve.size(), 2u);
     for (std::size_t i = 0; i < curve.size(); ++i) {
         EXPECT_DOUBLE_EQ(curve[i].syncAmp, amps[i]);

@@ -328,6 +328,12 @@ TEST(Daemon, FullRunReportIsOptInPerRequest) {
 TEST(Daemon, StatusWindowedLatencyMovesWithInjectedSlowJob) {
     DaemonFixture f("window", /*withSocket=*/false);
 
+    // Characterize the latch first, so that neither MC job below pays the
+    // cold PSS+PPV extraction: the window then compares MC work with MC
+    // work, not with characterization.
+    const json::Value warm = dispatchJson(f.daemon, R"({"type": "characterize-latch", "id": 0})");
+    ASSERT_TRUE(warm.fieldBool("ok", false));
+
     // A quick MC job seeds the per-type window.
     const json::Value quick = dispatchJson(
         f.daemon,
@@ -342,11 +348,13 @@ TEST(Daemon, StatusWindowedLatencyMovesWithInjectedSlowJob) {
     EXPECT_GT(p95Before, 0.0);
 
     // Inject a much slower job of the same type; the windowed p95 must move
-    // (lifetime-only aggregates would barely budge).
+    // (lifetime-only aggregates would barely budge).  Its MC work (256
+    // trials x 600 cycles) is over 10x the fixed cost of a job (model fetch,
+    // latch design, GAE build), so no host speed puts it near the quick job.
     const json::Value slow = dispatchJson(
         f.daemon,
         R"({"type": "hold-error-mc", "id": 3,
-            "params": {"trials": 120, "chunk": 40, "holdCycles": 400}})");
+            "params": {"trials": 256, "chunk": 64, "holdCycles": 600}})");
     ASSERT_TRUE(slow.fieldBool("ok", false));
     const json::Value st2 = dispatchJson(f.daemon, R"({"type": "status", "id": 4})");
     const json::Value* w2 = st2.field("status")->field("window")->field("hold-error-mc");

@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "common/temp_path.hpp"
 #include "io/cache.hpp"
 #include "io/json.hpp"
 #include "service/daemon.hpp"
@@ -27,39 +28,52 @@ namespace fs = std::filesystem;
 namespace {
 
 fs::path freshDir(const std::string& name) {
-    const fs::path dir = fs::temp_directory_path() / name;
+    const fs::path dir = testutil::perTestTempPath(name);
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
 }
 
-/// One artifact cache per binary so every job after the first gets the
-/// characterization for free (and the test also exercises the shared-cache
-/// path the daemon uses).
+/// One artifact cache per process, named after the first test that asks,
+/// so every job after the first gets the characterization for free (and
+/// the test also exercises the shared-cache path the daemon uses).
 const io::ArtifactCache& sharedCache() {
     static const fs::path dir = freshDir("phlogon_resume_cache");
     static const io::ArtifactCache cache(dir);
     return cache;
 }
 
-/// The MC workload: big enough that a cancel lands mid-run (each 10-trial
-/// chunk integrates 200 reference cycles, ~tens of ms), small enough for a
-/// test.  `chunk` must match between baseline and resumed runs — the
-/// outcome hash chains per-chunk summaries.
+/// The MC workload: six 10-trial chunks of 10 000 reference cycles, each
+/// some 20-30 ms of MC on an AVX2 x86 host plus a checkpoint write, so a
+/// cancel issued once the first chunk is done lands well before the last
+/// one.  `chunk` must match between baseline and resumed runs — the outcome
+/// hash chains per-chunk summaries.
 const char* kMcParams =
-    R"({"trials": 60, "chunk": 10, "holdCycles": 200, "seed": 11})";
+    R"({"trials": 60, "chunk": 10, "holdCycles": 10000, "seed": 11})";
 
-/// FSM workload with per-slot checkpoints; slots are ~tens of ms.
-const char* kFsmParams = R"({"bits": [1, 0, 1, 1, 0], "slotCycles": 300})";
+/// FSM workload with per-slot checkpoints.  A slot costs well under a
+/// millisecond whatever its length (one GAE build plus an adaptive solve),
+/// so the job has many slots: a cancel issued after the first one then
+/// lands well before the last.
+constexpr std::size_t kFsmSlots = 200;
 
-json::Value params(const char* text) {
+std::string fsmParams() {
+    std::string bits;
+    for (std::size_t i = 0; i < kFsmSlots; ++i) {
+        if (i) bits += ", ";
+        bits += "10110"[i % 5];
+    }
+    return R"({"slotCycles": 300, "bits": [)" + bits + "]}";
+}
+
+json::Value params(const std::string& text) {
     const json::ParseResult r = json::parse(text);
     EXPECT_TRUE(r.ok) << r.error;
     return r.value;
 }
 
 /// Run one job to its terminal state on a fresh single-worker queue.
-svc::JobSnapshot runJob(const std::string& type, const char* paramText,
+svc::JobSnapshot runJob(const std::string& type, const std::string& paramText,
                         const fs::path& ckptDir) {
     svc::JobEnv env;
     env.cache = &sharedCache();
@@ -79,7 +93,7 @@ svc::JobSnapshot runJob(const std::string& type, const char* paramText,
 
 /// Run one job, cancel it once progressDone >= minProgress, return the
 /// cancelled snapshot.
-svc::JobSnapshot runAndCancel(const std::string& type, const char* paramText,
+svc::JobSnapshot runAndCancel(const std::string& type, const std::string& paramText,
                               const fs::path& ckptDir, std::uint64_t minProgress) {
     svc::JobEnv env;
     env.cache = &sharedCache();
@@ -146,32 +160,32 @@ TEST(ServiceResume, McCancelResumeBitwiseIdentical) {
 }
 
 TEST(ServiceResume, FsmCancelResumeBitwiseIdentical) {
-    const svc::JobSnapshot base = runJob("fsm-transient", kFsmParams, fs::path());
+    const svc::JobSnapshot base = runJob("fsm-transient", fsmParams(), fs::path());
     ASSERT_EQ(base.state, svc::JobState::Done);
     ASSERT_TRUE(base.result.fieldBool("allWritten", false));
     const json::Value* basePhases = base.result.field("endPhase");
     ASSERT_NE(basePhases, nullptr);
-    ASSERT_EQ(basePhases->size(), 5u);
+    ASSERT_EQ(basePhases->size(), kFsmSlots);
 
     const fs::path ckptDir = freshDir("phlogon_resume_fsm_ckpt");
-    const svc::JobSnapshot cut = runAndCancel("fsm-transient", kFsmParams, ckptDir, 1);
+    const svc::JobSnapshot cut = runAndCancel("fsm-transient", fsmParams(), ckptDir, 1);
     ASSERT_EQ(cut.state, svc::JobState::Cancelled);
     EXPECT_TRUE(cut.result.fieldBool("resumable", false));
     const double slotsDone = cut.result.fieldNumber("slotsDone", 0);
     ASSERT_GT(slotsDone, 0.0);
-    ASSERT_LT(slotsDone, 5.0);
+    ASSERT_LT(slotsDone, static_cast<double>(kFsmSlots));
 
-    const svc::JobSnapshot resumed = runJob("fsm-transient", kFsmParams, ckptDir);
+    const svc::JobSnapshot resumed = runJob("fsm-transient", fsmParams(), ckptDir);
     ASSERT_EQ(resumed.state, svc::JobState::Done);
     EXPECT_DOUBLE_EQ(resumed.result.fieldNumber("resumedFrom", -1), slotsDone);
     EXPECT_TRUE(resumed.result.fieldBool("allWritten", false));
     const json::Value* phases = resumed.result.field("endPhase");
     ASSERT_NE(phases, nullptr);
-    ASSERT_EQ(phases->size(), 5u);
+    ASSERT_EQ(phases->size(), kFsmSlots);
     // Slot boundaries are fresh RKF45 starts in the uninterrupted run too,
     // so every end phase — including the post-resume tail — is the exact
     // same double.
-    for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t i = 0; i < kFsmSlots; ++i)
         EXPECT_EQ((*phases->arr)[i].num, (*basePhases->arr)[i].num) << "slot " << i;
     fs::remove_all(ckptDir);
 }

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "io/json.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
@@ -30,17 +31,17 @@ namespace fs = std::filesystem;
 namespace {
 
 fs::path freshDir(const std::string& name) {
-    const fs::path dir = fs::temp_directory_path() / name;
+    const fs::path dir = testutil::perTestTempPath(name);
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
 }
 
-/// Chunked MC workload: 60 trials in 10-trial chunks, each chunk a
-/// service.job.chunk span and a checkpoint write, so a mid-run cancel
-/// leaves work for the resumed daemon.
+/// Chunked MC workload: 60 trials in 10-trial chunks of 10 000 cycles, each
+/// chunk a service.job.chunk span and a checkpoint write, long enough that
+/// a mid-run cancel leaves work for the resumed daemon.
 const char* kMcParams =
-    R"({"trials": 60, "chunk": 10, "holdCycles": 200, "seed": 11})";
+    R"({"trials": 60, "chunk": 10, "holdCycles": 10000, "seed": 11})";
 
 int countSpans(const std::vector<obs::ParsedEvent>& spans, const std::string& name) {
     int n = 0;
@@ -55,8 +56,8 @@ TEST(TracePropagation, ClientTraceIdLinksChunksAcrossDaemonRestart) {
     const std::string traceId = "e2e-restart-77";
     const fs::path cacheDir = freshDir("phlogon_tprop_cache");
     const fs::path ckptDir = freshDir("phlogon_tprop_ckpt");
-    const fs::path traceA = fs::temp_directory_path() / "phlogon_tprop_a.json";
-    const fs::path traceB = fs::temp_directory_path() / "phlogon_tprop_b.json";
+    const fs::path traceA = testutil::perTestTempPath("phlogon_tprop_a", ".json");
+    const fs::path traceB = testutil::perTestTempPath("phlogon_tprop_b", ".json");
     fs::remove(traceA);
     fs::remove(traceB);
 

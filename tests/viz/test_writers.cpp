@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/temp_path.hpp"
+
 namespace phlogon::viz {
 namespace {
 
@@ -14,7 +16,7 @@ namespace fs = std::filesystem;
 class WritersTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "phlogon_viz_test";
+        dir_ = testutil::perTestTempPath("phlogon_viz_test");
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }
