@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "circuit/dae.hpp"
 #include "numeric/newton.hpp"
@@ -88,10 +89,17 @@ TEST(MosfetModel, MultiplicityScalesCurrent) {
 
 // Property-style sweep: analytic gm/gds match finite differences of id over a
 // grid of bias points, for both polarities, including vds < 0.
+// gtest names each case by a byte dump of its BiasPoint, so the four bytes
+// after `pol` are a zeroed member rather than padding: uninitialized padding
+// made the case names differ from run to run.
 struct BiasPoint {
+    BiasPoint(MosPolarity p, double g, double d, double s) : pol(p), vg(g), vd(d), vs(s) {}
     MosPolarity pol;
+    std::int32_t zero = 0;
     double vg, vd, vs;
 };
+static_assert(sizeof(BiasPoint) == sizeof(std::int32_t) * 2 + sizeof(double) * 3,
+              "BiasPoint must have no padding bytes");
 
 class MosfetJacobian : public ::testing::TestWithParam<BiasPoint> {};
 
