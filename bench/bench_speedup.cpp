@@ -33,8 +33,6 @@
 #include "core/noise.hpp"
 #include "io/checkpoint.hpp"
 #include "io/model_cache.hpp"
-#include "logic/compile.hpp"
-#include "logic/workloads.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/parallel.hpp"
@@ -186,47 +184,6 @@ void reportSimdSpeedup() {
                                      {"scalarMs", scalarMs},
                                      {"simdMs", simdMs},
                                      {"speedup", scalarMs / simdMs}});
-}
-
-// One-shot fabric-scaling table: the netlist->phase compiler lowers an
-// N-stage shift register onto 2N SHIL latches and the batched SoA engine
-// integrates the whole fabric (gate network re-evaluated per RK stage).
-// Reported figure of merit: simulated reference cycles per wall-clock
-// second vs latch count, up to a 1000-latch fabric.
-void reportFabricScaling() {
-    const auto& osc = bench::osc1n1p();
-    const auto design =
-        logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, 300e-6);
-    logic::FabricCompileOptions fopt;
-    fopt.bitPeriodCycles = smokeMode() ? 10.0 : 100.0;  // one clock slot per run
-    const unsigned threads = std::max(4u, num::defaultThreadCount());
-
-    std::printf("Fabric scaling: compiled shift-register fabrics on the batched SoA\n");
-    std::printf("engine (one %g-cycle clock slot, 64 RK4 steps/cycle, %u threads):\n",
-                fopt.bitPeriodCycles, threads);
-    std::printf("  %8s %10s %10s %12s %14s\n", "stages", "latches", "signals", "wall [ms]",
-                "cycles/sec");
-    for (const std::size_t stages : {4u, 20u, 100u, 500u}) {
-        const auto nl = logic::shiftRegister(stages);
-        auto fab = logic::compileFabric(nl, design, {{1}}, fopt);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto res = fab.sys.simulateBatched(design.f1, 0.0, fab.tEnd(), fab.initialDphi,
-                                                 64, 64, {threads, 0});
-        const double ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count();
-        benchmark::DoNotOptimize(res.ok);
-        std::printf("  %8zu %10zu %10zu %12.2f %14.1f%s\n", stages, fab.sys.latchCount(),
-                    fab.sys.signalCount(), ms, fopt.bitPeriodCycles / (ms / 1e3),
-                    fab.sys.latchCount() == 1000 ? "   <- 1000-latch fabric" : "");
-        jsonOut().addRow("fabricScaling",
-                         {{"stages", static_cast<double>(stages)},
-                          {"latches", static_cast<double>(fab.sys.latchCount())},
-                          {"wallMs", ms},
-                          {"cyclesPerSec", fopt.bitPeriodCycles / (ms / 1e3)}});
-    }
-    std::printf("  (trajectories bitwise-identical to the scalar path at any partition;\n");
-    std::printf("   see tests/logic/test_fabric_batch_parity.cpp)\n\n");
 }
 
 // The Monte-Carlo engine at 1 and 4 threads.
@@ -892,7 +849,6 @@ int main(int argc, char** argv) {
     std::printf("and the non-averaged phase system to sit in between.\n\n");
     reportSweepSpeedup();
     reportSimdSpeedup();
-    reportFabricScaling();
     reportSolverStrategies();
     reportSparseScaling();
     reportCacheAndCheckpoint();

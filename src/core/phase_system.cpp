@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "numeric/batch_ode.hpp"
-#include "numeric/interp.hpp"
-#include "numeric/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -79,20 +77,30 @@ PhaseSystem::SignalId PhaseSystem::addPlaceholder(std::string label) {
 }
 
 bool PhaseSystem::dependsOn(SignalId id, SignalId of) const {
-    if (id == of) return true;
-    const Signal& s = signals_[static_cast<std::size_t>(id)];
-    switch (s.kind) {
-        case SignalKind::Gate:
+    // Depth-first over the combinational fan-in with a visited set, so a
+    // signal read on many paths (every XOR cell reads its left operand
+    // twice) is expanded once: linear in the cone, no recursion.
+    std::vector<unsigned char> seen(signals_.size(), 0);
+    std::vector<SignalId> stack{id};
+    while (!stack.empty()) {
+        const SignalId cur = stack.back();
+        stack.pop_back();
+        if (cur == of) return true;
+        const auto idx = static_cast<std::size_t>(cur);
+        if (seen[idx]) continue;
+        seen[idx] = 1;
+        const Signal& s = signals_[idx];
+        if (s.kind == SignalKind::Gate) {
             for (const auto& [in, w] : s.inputs) {
                 (void)w;
-                if (dependsOn(in, of)) return true;
+                stack.push_back(in);
             }
-            return false;
-        case SignalKind::Placeholder:
-            return s.target >= 0 && dependsOn(s.target, of);
-        default:
-            return false;  // externals and latch outputs break combinational paths
+        } else if (s.kind == SignalKind::Placeholder && s.target >= 0) {
+            stack.push_back(s.target);
+        }
+        // Externals and latch outputs break combinational paths.
     }
+    return false;
 }
 
 void PhaseSystem::bindPlaceholder(SignalId placeholder, SignalId target) {
@@ -121,127 +129,11 @@ void PhaseSystem::connect(LatchId latch, std::size_t unknownIndex, SignalId sig,
     connections_[static_cast<std::size_t>(latch)].push_back({unknownIndex, sig, gain, delayCycles});
 }
 
-double PhaseSystem::evalSignal(SignalId id, double t, double f1, const num::Vec& dphi) const {
-    const Signal& s = signals_[static_cast<std::size_t>(id)];
-    switch (s.kind) {
-        case SignalKind::External:
-            return s.external(t);
-        case SignalKind::LatchOutput: {
-            // Unit-amplitude fundamental of the oscillator output: the
-            // phase-logic value the latch presents to gates.  (Harmonics of
-            // the raw waveform are deliberately dropped; at circuit level
-            // they produce small lock-phase offsets, at macromodel level the
-            // fundamental is the clean abstraction.)
-            const PpvModel& m = *latches_[static_cast<std::size_t>(s.latch)].model;
-            const double theta = f1 * t + dphi[static_cast<std::size_t>(s.latch)];
-            return std::cos(2.0 * std::numbers::pi * (theta - m.dphiPeak()));
-        }
-        case SignalKind::Gate: {
-            double sum = 0.0;
-            for (const auto& [in, w] : s.inputs) sum += w * evalSignal(in, t, f1, dphi);
-            if (s.invert) sum = -sum;
-            if (s.clip > 0.0) sum = s.clip * std::tanh(sum / s.clip);
-            return sum;
-        }
-        case SignalKind::Placeholder:
-            if (s.target < 0)
-                throw std::logic_error("PhaseSystem: unbound placeholder '" + s.label + "'");
-            return evalSignal(s.target, t, f1, dphi);
-    }
-    return 0.0;
-}
-
-double PhaseSystem::evalSignalCached(SignalId id, double t, double f1, const num::Vec& dphi,
-                                     EvalCache& cache) const {
-    const auto idx = static_cast<std::size_t>(id);
-    if (cache.stamp[idx] == cache.cur && cache.t[idx] == t) {
-        ++cache.hits;
-        return cache.v[idx];
-    }
-    const Signal& s = signals_[idx];
-    double val = 0.0;
-    switch (s.kind) {
-        case SignalKind::Gate: {
-            double sum = 0.0;
-            for (const auto& [in, w] : s.inputs)
-                sum += w * evalSignalCached(in, t, f1, dphi, cache);
-            if (s.invert) sum = -sum;
-            if (s.clip > 0.0) sum = s.clip * std::tanh(sum / s.clip);
-            val = sum;
-            break;
-        }
-        case SignalKind::Placeholder:
-            if (s.target < 0)
-                throw std::logic_error("PhaseSystem: unbound placeholder '" + s.label + "'");
-            val = evalSignalCached(s.target, t, f1, dphi, cache);
-            break;
-        default:
-            // External / LatchOutput leaves: one arithmetic home, shared
-            // with the uncached path.
-            val = evalSignal(id, t, f1, dphi);
-            break;
-    }
-    ++cache.misses;
-    cache.stamp[idx] = cache.cur;
-    cache.t[idx] = t;
-    cache.v[idx] = val;
-    return val;
-}
-
-PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const num::Vec& dphi0,
-                                          std::size_t stepsPerCycle, std::size_t storeEvery) const {
-    OBS_SPAN("phase.simulate");
-    Result res;
-    const std::size_t k = latches_.size();
-    if (dphi0.size() != k)
-        throw std::invalid_argument("PhaseSystem::simulate: dphi0 size mismatch");
-    if (!(f1 > 0) || !(t1 > t0)) throw std::invalid_argument("PhaseSystem::simulate: bad span");
-
-    // One memo shared across the whole run; a stamp bump per RK stage makes
-    // prior-stage entries stale without clearing (dphi changes every stage).
-    EvalCache cache;
-    cache.stamp.assign(signals_.size(), 0);
-    cache.t.assign(signals_.size(), 0.0);
-    cache.v.assign(signals_.size(), 0.0);
-
-    const num::OdeRhs rhs = [&](double t, const num::Vec& y) {
-        ++cache.cur;
-        num::Vec dy(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            const PpvModel& m = *latches_[i].model;
-            const double theta = f1 * t + y[i];
-            double proj = 0.0;
-            for (const Connection& c : connections_[i]) {
-                const double tSig = t - c.delayCycles / f1;
-                proj += m.ppvAt(c.unknownIndex, theta) * c.gain *
-                        evalSignalCached(c.signal, tSig, f1, y, cache);
-            }
-            dy[i] = (m.f0() - f1) + m.f0() * proj;
-        }
-        return dy;
-    };
-
-    const std::size_t nSteps =
-        static_cast<std::size_t>(std::ceil((t1 - t0) * f1 * static_cast<double>(stepsPerCycle)));
-    const num::OdeSolution sol = num::rk4(rhs, dphi0, t0, t1, std::max<std::size_t>(nSteps, 1));
-    PHLOGON_ADD_METRIC("batch.phase.memo.hits", cache.hits);
-    PHLOGON_ADD_METRIC("batch.phase.memo.misses", cache.misses);
-    if (!sol.ok) return res;
-
-    res.dphi.assign(k, num::Vec());
-    res.vout.assign(k, num::Vec());
-    for (std::size_t p = 0; p < sol.t.size(); ++p) {
-        if (p % storeEvery != 0 && p + 1 != sol.t.size()) continue;
-        res.t.push_back(sol.t[p]);
-        for (std::size_t i = 0; i < k; ++i) {
-            const PpvModel& m = *latches_[i].model;
-            res.dphi[i].push_back(sol.y[p][i]);
-            res.vout[i].push_back(
-                m.xsAt(m.outputUnknown(), f1 * sol.t[p] + sol.y[p][i]));
-        }
-    }
-    res.ok = true;
-    return res;
+double PhaseSystem::signalValue(SignalId id, double t, double f1, const num::Vec& dphi) const {
+    const Program prog(*this);
+    std::vector<double> out;
+    prog.eval(t, f1, dphi, out);
+    return out.at(static_cast<std::size_t>(id));
 }
 
 PhaseSystem::Program::Program(const PhaseSystem& sys) : sys_(&sys) {
@@ -309,15 +201,19 @@ void PhaseSystem::Program::eval(double t, double f1, const double* dphi,
                 out[idx] = s.external(t);
                 break;
             case SignalKind::LatchOutput: {
-                // Same expression as evalSignal's LatchOutput case.
+                // Unit-amplitude fundamental of the oscillator output: the
+                // phase-logic value the latch presents to gates.  (Harmonics
+                // of the raw waveform are deliberately dropped; at circuit
+                // level they produce small lock-phase offsets, at macromodel
+                // level the fundamental is the clean abstraction.)
                 const PpvModel& m = *sys_->latches_[static_cast<std::size_t>(s.latch)].model;
                 const double theta = f1 * t + dphi[static_cast<std::size_t>(s.latch)];
                 out[idx] = std::cos(2.0 * std::numbers::pi * (theta - m.dphiPeak()));
                 break;
             }
             case SignalKind::Gate: {
-                // Fan-in summed in declaration order, exactly as the
-                // recursive walk sums it — the bitwise-parity anchor.
+                // Fan-in summed in declaration order: the goldens pin the
+                // rounding this order gives.
                 double sum = 0.0;
                 for (const auto& [in, w] : s.inputs) sum += w * out[static_cast<std::size_t>(in)];
                 if (s.invert) sum = -sum;
@@ -332,25 +228,21 @@ void PhaseSystem::Program::eval(double t, double f1, const double* dphi,
     }
 }
 
-PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1,
-                                                 const num::Vec& dphi0,
-                                                 std::size_t stepsPerCycle, std::size_t storeEvery,
-                                                 const BatchSimOptions& opt) const {
-    OBS_SPAN("phase.simulateBatched");
+PhaseSystem::Result PhaseSystem::simulate(double f1, double t0, double t1, const num::Vec& dphi0,
+                                          std::size_t stepsPerCycle, std::size_t storeEvery) const {
+    OBS_SPAN("phase.simulate");
     Result res;
     const std::size_t k = latches_.size();
     if (dphi0.size() != k)
-        throw std::invalid_argument("PhaseSystem::simulateBatched: dphi0 size mismatch");
-    if (!(f1 > 0) || !(t1 > t0))
-        throw std::invalid_argument("PhaseSystem::simulateBatched: bad span");
+        throw std::invalid_argument("PhaseSystem::simulate: dphi0 size mismatch");
+    if (!(f1 > 0) || !(t1 > t0)) throw std::invalid_argument("PhaseSystem::simulate: bad span");
 
     const Program prog(*this);
 
-    // Group connections by exact delay value: one sparse gate-network pass
-    // per (RK stage, distinct delay) computes every signal any latch reads at
-    // that shifted time.  The group time uses the same expression as the
-    // scalar path's per-connection tSig = t - delayCycles / f1, so signal
-    // values match bit-for-bit.
+    // Group connections by exact delay value: one gate-network pass per
+    // (RK stage, distinct delay) computes every signal any latch reads at
+    // that shifted time t - delayCycles / f1.  The latch phases are held at
+    // their stage values over the delay, a fraction of a cycle.
     struct FlatConn {
         std::size_t unknownIndex;
         std::size_t group;
@@ -370,19 +262,12 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
     }
     const std::size_t groups = groupDelay.size();
 
-    // Lane partition for the projection loop.  Each lane writes only its own
-    // dydt slot and reads only shared immutable data, so the block size and
-    // thread count are bitwise-neutral knobs (parallelFor's slot-per-index
-    // contract) — asserted by tests/logic/test_fabric_batch_parity.cpp.
-    const std::size_t block = opt.blockSize > 0 ? opt.blockSize : 128;
-    const std::size_t nBlocks = k == 0 ? 0 : (k + block - 1) / block;
-
     std::vector<std::vector<double>> sig(groups);
     const num::BatchRhsCoupled rhs = [&](double t, const double* y, double* dydt,
                                          std::size_t lanes) {
         for (std::size_t g = 0; g < groups; ++g)
             prog.eval(t - groupDelay[g] / f1, f1, y, sig[g]);
-        auto lane = [&](std::size_t i) {
+        for (std::size_t i = 0; i < lanes; ++i) {
             const PpvModel& m = *latches_[i].model;
             const double theta = f1 * t + y[i];
             double proj = 0.0;
@@ -390,18 +275,6 @@ PhaseSystem::Result PhaseSystem::simulateBatched(double f1, double t0, double t1
                 proj += m.ppvAt(c.unknownIndex, theta) * c.gain *
                         sig[c.group][static_cast<std::size_t>(c.signal)];
             dydt[i] = (m.f0() - f1) + m.f0() * proj;
-        };
-        if (nBlocks > 1) {
-            num::parallelFor(
-                nBlocks,
-                [&](std::size_t b) {
-                    const std::size_t lo = b * block;
-                    const std::size_t hi = std::min(lanes, lo + block);
-                    for (std::size_t i = lo; i < hi; ++i) lane(i);
-                },
-                opt.threads);
-        } else {
-            for (std::size_t i = 0; i < lanes; ++i) lane(i);
         }
     };
 

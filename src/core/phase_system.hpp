@@ -15,11 +15,12 @@
 // Signals form a DAG built in creation order: externals (functions of t),
 // latch outputs (normalized oscillator waveforms) and gates (weighted sums
 // with optional inversion and soft clipping — the signal-domain equivalent
-// of the breadboard's resistive-feedback op-amp gates).
+// of the breadboard's resistive-feedback op-amp gates).  One evaluator
+// computes them: Program, a dependency-sorted pass over the whole DAG.
 
-#include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,17 +28,6 @@
 #include "numeric/ode.hpp"
 
 namespace phlogon::core {
-
-/// Knobs for PhaseSystem::simulateBatched.  Both are bitwise-neutral: lanes
-/// are partitioned across blocks/threads, never reduced across.
-struct BatchSimOptions {
-    /// Worker threads for the per-latch projection loop: 0 = PHLOGON_THREADS
-    /// env or hardware concurrency, 1 = serial.
-    unsigned threads = 0;
-    /// Lanes per scheduling block; 0 picks a fixed default independent of
-    /// the thread count.
-    std::size_t blockSize = 0;
-};
 
 class PhaseSystem {
 public:
@@ -78,11 +68,11 @@ public:
     void connect(LatchId latch, std::size_t unknownIndex, SignalId sig, double gain,
                  double delayCycles = 0.0);
 
-    /// Evaluate a signal at time t given latch phases (post-processing /
-    /// decoding of gate outputs).
-    double signalValue(SignalId id, double t, double f1, const num::Vec& dphi) const {
-        return evalSignal(id, t, f1, dphi);
-    }
+    /// Evaluate a signal at time t given the phases of all latches
+    /// (post-processing / decoding of gate outputs).  Builds a Program for
+    /// this one call; to sample many instants, build the Program once.
+    /// Throws std::invalid_argument unless dphi.size() == latchCount().
+    double signalValue(SignalId id, double t, double f1, const num::Vec& dphi) const;
 
     std::size_t latchCount() const { return latches_.size(); }
     const PpvModel& latchModel(LatchId latch) const { return *latches_.at(latch).model; }
@@ -100,27 +90,41 @@ public:
 
     /// Integrate all latch phases over [t0, t1] with fixed-step RK4
     /// (`stepsPerCycle` steps per reference cycle resolves the fast-varying
-    /// eq.-13 right-hand side).
+    /// eq.-13 right-hand side).  Each RK stage evaluates the gate network
+    /// with one Program pass per distinct coupling delay, projects every
+    /// latch's inputs onto its PPV, and advances all phases as the lanes of
+    /// num::BatchOde::rk4Lockstep, whose RK4 combinations run on the
+    /// process-wide SIMD tier (numeric/simd/simd.hpp).  Stored points are t0,
+    /// every storeEvery-th step and the last step.
     Result simulate(double f1, double t0, double t1, const num::Vec& dphi0,
                     std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1) const;
 
+    /// Former name of simulate(), kept so existing callers compile.
+    Result simulateBatched(double f1, double t0, double t1, const num::Vec& dphi0,
+                           std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1) const {
+        return simulate(f1, t0, t1, dphi0, stepsPerCycle, storeEvery);
+    }
+
     /// Compiled evaluation program over the signal DAG: placeholder chains
-    /// collapsed, every signal placed in one topologically-sorted order, gate
+    /// collapsed, every signal placed in one dependency-sorted order, gate
     /// fan-in read from a dense value array.  eval() computes all signals at
-    /// one (t, dphi) in a single sparse pass — each signal exactly once, with
-    /// the same per-signal arithmetic (and per-gate summation order) as
-    /// evalSignal, so values are bitwise identical to the recursive path.
+    /// one (t, dphi) in a single pass, each signal exactly once, summing a
+    /// gate's fan-in in declaration order.
     ///
     /// The Program borrows the PhaseSystem: it stays valid only while the
     /// system outlives it and no signals/latches are added.  Construction
-    /// throws std::logic_error if any placeholder is unbound (the scalar path
-    /// defers that error to first evaluation).
+    /// throws std::logic_error if any placeholder is unbound.
     class Program {
     public:
         explicit Program(const PhaseSystem& sys);
         /// out[id] = value of signal id at time t; resized to signalCount().
+        /// dphi points at one phase per latch.
         void eval(double t, double f1, const double* dphi, std::vector<double>& out) const;
+        /// As above; throws std::invalid_argument unless
+        /// dphi.size() == latchCount().
         void eval(double t, double f1, const num::Vec& dphi, std::vector<double>& out) const {
+            if (dphi.size() != sys_->latchCount())
+                throw std::invalid_argument("PhaseSystem::Program::eval: dphi size mismatch");
             eval(t, f1, dphi.data(), out);
         }
         /// Non-placeholder signal `id` ultimately resolves to.
@@ -131,19 +135,6 @@ public:
         std::vector<SignalId> resolved_;  ///< placeholder chains collapsed
         std::vector<SignalId> order_;     ///< dependency-sorted evaluation order
     };
-
-    /// Batched fabric engine: same reduced system as simulate(), but all
-    /// latch phases advance through num::BatchOde SoA lanes in lockstep — one
-    /// topologically-sorted sparse gate-network pass per RK stage and delay
-    /// group (Program::eval) instead of per-latch recursive walks, and a
-    /// flat per-latch projection loop that parallelizes over lane blocks.
-    /// The RK4 combinations run on the process-wide SIMD tier
-    /// (numeric/simd/simd.hpp).  Bitwise-identical to simulate() at any
-    /// fabric size, block partition, thread count and tier: see DESIGN.md
-    /// §14 for the determinism argument.
-    Result simulateBatched(double f1, double t0, double t1, const num::Vec& dphi0,
-                           std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1,
-                           const BatchSimOptions& opt = {}) const;
 
 private:
     struct Latch {
@@ -170,32 +161,8 @@ private:
     };
 
     /// True when `id` combinationally depends on `of` (latch outputs break
-    /// the dependency).
+    /// the dependency).  Visits each signal at most once.
     bool dependsOn(SignalId id, SignalId of) const;
-
-    /// Recursively evaluate one signal at time t.  Latch phases dphi are the
-    /// slow state; a latch output at (possibly delayed) time t' uses
-    /// theta = f1*t' + dphi (dphi treated as constant over a delay of a
-    /// fraction of a cycle).
-    double evalSignal(SignalId id, double t, double f1, const num::Vec& dphi) const;
-
-    /// Per-stage memo for signal evaluation inside simulate(): evalSignal is
-    /// a pure function of (id, t, f1, dphi), so during one gate-network
-    /// evaluation (one RK stage, all latches advanced as a batch) each
-    /// signal is computed at most once per distinct time argument — latches
-    /// sharing gate fan-in stop re-walking the DAG.  Bitwise-neutral: a
-    /// cached value is exactly what the recursion would return, and the
-    /// gates' summation order is unchanged.
-    struct EvalCache {
-        std::vector<std::uint64_t> stamp;
-        std::vector<double> t;
-        std::vector<double> v;
-        std::uint64_t cur = 0;
-        std::size_t hits = 0;
-        std::size_t misses = 0;
-    };
-    double evalSignalCached(SignalId id, double t, double f1, const num::Vec& dphi,
-                            EvalCache& cache) const;
 
     std::vector<Latch> latches_;
     std::vector<std::vector<Connection>> connections_;  // per latch

@@ -120,9 +120,8 @@ std::vector<std::size_t> LogicNetlist::topoOrder() const {
     order.reserve(gates_.size());
     // 0 unvisited, 1 on the current DFS path, 2 placed.
     std::vector<unsigned char> state(gates_.size(), 0);
-    // Explicit DFS frames so the cycle path can be reconstructed (and deep
-    // fabrics cannot overflow the call stack, the failure mode the old
-    // recursive evalSignal had).
+    // Explicit DFS frames so the cycle path can be reconstructed and deep
+    // fabrics cannot overflow the call stack.
     struct Frame {
         std::size_t gate;
         std::size_t nextIn;

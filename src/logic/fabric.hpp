@@ -7,9 +7,9 @@
 // majority primitive) and clocked D flip-flops (q_{k+1} = d_k).  Nets are
 // created on first mention, so feedback through flip-flops can be written in
 // any order; build-time validation then rejects every malformed structure
-// today's recursive PhaseSystem evaluation would only discover at run time
-// (or not at all): undriven nets, multiply-driven nets, bad fan-in, and
-// combinational cycles (reported with the full cycle path).
+// before lowering, with the net names in the message: undriven nets,
+// multiply-driven nets, bad fan-in, and combinational cycles (reported with
+// the full cycle path).
 //
 // The class doubles as its own golden model: step() evaluates the Boolean
 // semantics exactly, which is what the phase-domain equivalence harness

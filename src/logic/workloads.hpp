@@ -16,7 +16,7 @@ LogicNetlist rippleAdder(std::size_t n);
 
 /// Ripple adder with every sum bit (and cout) registered through a flip-flop
 /// (outputs rs0.., rcout, delayed one clock slot) — the multi-latch fabric
-/// used by the batched-vs-scalar parity tests.
+/// whose trajectory the phase-engine goldens pin.
 LogicNetlist registeredRippleAdder(std::size_t n);
 
 /// N-bit carry-select adder: `block`-bit ripple blocks computed for both

@@ -62,11 +62,11 @@ public:
     /// in lockstep on the uniform n-step grid, with one coupled RHS call per
     /// stage (4 per step) across the whole batch.  The per-lane update
     /// arithmetic is an exact mirror of num::rk4 on a `lanes`-dimensional
-    /// state, so when `f` reproduces the scalar RHS values bit-for-bit the
-    /// returned trajectory is bitwise identical to num::rk4 — the contract
-    /// PhaseSystem::simulateBatched builds on.  Stored points are the initial
-    /// point, every storeEvery-th step, and the final step (matching the
-    /// storeEvery filter PhaseSystem::simulate applies to rk4 output).
+    /// state, so for the same RHS values the returned trajectory is bitwise
+    /// identical to num::rk4 on every SIMD tier
+    /// (SimdBatchOde.Rk4LockstepSimdOnEqualsOff).  PhaseSystem::simulate
+    /// runs on it.  Stored points are the initial point, every storeEvery-th
+    /// step, and the final step.
     OdeSolution rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, double t0, double t1,
                             std::size_t nSteps, std::size_t storeEvery = 1);
 

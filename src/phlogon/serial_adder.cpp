@@ -93,6 +93,8 @@ num::Vec dphiAt(const core::PhaseSystem::Result& res, double t) {
 int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId sig,
                     const PhaseReference& ref, double tCenter, const num::Vec& dphiAtT) {
     // Correlate one reference cycle of the signal against REF(bit=1).
+    const core::PhaseSystem::Program prog(sys);
+    std::vector<double> values;
     const double t1cyc = 1.0 / ref.f1;
     const std::size_t n = 64;
     double corr = 0.0;
@@ -100,7 +102,8 @@ int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId si
         const double t = tCenter - 0.5 * t1cyc + t1cyc * static_cast<double>(i) / n;
         const double r1 =
             std::cos(kTwoPi * (ref.f1 * t - ref.dphiPeak + ref.phase1));
-        corr += sys.signalValue(sig, t, ref.f1, dphiAtT) * r1;
+        prog.eval(t, ref.f1, dphiAtT, values);
+        corr += values.at(static_cast<std::size_t>(sig)) * r1;
     }
     return corr >= 0.0 ? 1 : 0;
 }

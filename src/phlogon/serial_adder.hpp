@@ -47,7 +47,8 @@ PhaseSerialAdder buildPhaseSerialAdder(core::PhaseSystem& sys, const SyncLatchDe
 
 /// Decode a (possibly gate-output) signal's phase-logic value near time
 /// `tCenter` by correlating one reference cycle of the signal against the
-/// two REF waveforms.
+/// two REF waveforms.  `dphiAtT` holds the phase of every latch in `sys`
+/// (std::invalid_argument otherwise).
 int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId sig,
                     const PhaseReference& ref, double tCenter, const num::Vec& dphiAtT);
 

@@ -97,10 +97,35 @@ TEST(PhaseSystem, PlaceholderBindingAndLoopDetection) {
     EXPECT_NEAR(sys.signalValue(g, 0.0, 1.0, {}), 4.0, 1e-12);
 }
 
+TEST(PhaseSystem, PlaceholderCheckVisitsEachSignalOnce) {
+    // Every gate reads the previous one twice: 49 signals but 2^48 paths
+    // from the tail back to the head, so a walk that expands each path
+    // instead of each signal never returns.
+    PhaseSystem sys;
+    const auto head = sys.addPlaceholder("head");
+    PhaseSystem::SignalId g = head;
+    for (int k = 0; k < 48; ++k) g = sys.addGate({{g, 0.5}, {g, 0.5}});
+    const auto tail = sys.addPlaceholder("tail");
+    sys.bindPlaceholder(tail, g);
+    // Closing the chain onto its own head is a combinational loop.
+    EXPECT_THROW(sys.bindPlaceholder(head, g), std::invalid_argument);
+    EXPECT_THROW(sys.bindPlaceholder(head, tail), std::invalid_argument);
+    sys.bindPlaceholder(head, sys.addExternal([](double) { return 1.0; }));
+    EXPECT_EQ(sys.signalValue(tail, 0.0, 1.0, {}), 1.0);
+}
+
 TEST(PhaseSystem, UnboundPlaceholderThrowsOnEval) {
     PhaseSystem sys;
     const auto ph = sys.addPlaceholder("fwd");
     EXPECT_THROW(sys.signalValue(ph, 0.0, 1.0, {}), std::logic_error);
+}
+
+TEST(PhaseSystem, SignalValueNeedsEveryLatchPhase) {
+    PhaseSystem sys;
+    const auto out = sys.latchOutput(sys.addLatch(model(), "osc"));
+    EXPECT_THROW(sys.signalValue(out, 0.0, 1.0, {}), std::invalid_argument);
+    EXPECT_THROW(sys.signalValue(out, 0.0, 1.0, num::Vec{0.0, 0.0}), std::invalid_argument);
+    EXPECT_NO_THROW(sys.signalValue(out, 0.0, 1.0, num::Vec{0.0}));
 }
 
 TEST(PhaseSystem, LatchOutputIsUnitFundamental) {
@@ -178,12 +203,11 @@ TEST(PhaseSystem, ConnectValidatesIndices) {
 }
 
 TEST(PhaseSystem, SharedSignalMemoizationIsBitwiseNeutral) {
-    // Two latches driven by the same external signal: the second latch's
-    // connection evaluation hits the per-stage memo cache instead of
-    // re-evaluating the signal.  The cache stores the computed double, so
-    // each latch's trajectory must be bitwise identical to a single-latch
-    // system with the same drive (simulate uses fixed-step RK4, so the time
-    // grids coincide exactly).
+    // Two latches driven by the same external signal: the Program computes
+    // the signal once per stage and both latches read that one value.  Each
+    // latch's trajectory must be bitwise identical to a single-latch system
+    // with the same drive (simulate uses fixed-step RK4, so the time grids
+    // coincide exactly).
     const double f1 = testutil::kF1;
     auto drive = [f1](double t) { return 100e-6 * std::cos(kTwoPi * 2.0 * f1 * t); };
     const double start = 0.1;
@@ -212,9 +236,8 @@ TEST(PhaseSystem, SharedSignalMemoizationIsBitwiseNeutral) {
 }
 
 TEST(PhaseSystem, RepeatedSimulationsAreBitwiseReproducible) {
-    // Guards the memo cache's stamp management: re-running simulate on the
-    // same system (stale cache entries from the previous run) must change
-    // nothing.
+    // simulate keeps no state between calls: re-running it on the same
+    // system must change nothing.
     PhaseSystem sys;
     const auto latch = sys.addLatch(model(), "osc");
     const double f1 = testutil::kF1;
