@@ -12,9 +12,12 @@
 // are embarrassingly parallel, and the slot-per-index discipline keeps their
 // results bitwise identical at any thread count — so the serial-vs-parallel
 // comparison below is purely a wall-clock statement, not a numerics one.
+// PHLOGON_THREADS is the only thread setting; each thread-count row sets it
+// for its own run.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -28,6 +31,7 @@
 #include "analysis/transient.hpp"
 #include "analysis/trap_util.hpp"
 #include "common.hpp"
+#include "common/scoped_env.hpp"
 #include "core/gae_sweep.hpp"
 #include "core/gae_transient.hpp"
 #include "core/noise.hpp"
@@ -43,6 +47,7 @@
 #include "phlogon/serial_adder.hpp"
 
 using namespace phlogon;
+using testutil::ScopedThreadsEnv;
 
 namespace {
 
@@ -57,38 +62,25 @@ bench::JsonReport& jsonOut() {
     return r;
 }
 
-num::Vec speedupAmps() {
-    num::Vec amps;
-    const double step = smokeMode() ? 25e-6 : 5e-6;  // 8 / 40 points
-    for (double a = 5e-6; a <= 200e-6; a += step) amps.push_back(a);
-    return amps;
+/// Detuning grid across the SYNC-only locking range (Fig. 8).
+num::Vec phaseErrorGrid(const std::vector<core::Injection>& inj, std::size_t points) {
+    const core::LockingRange r = core::lockingRange(bench::design100().model, inj);
+    num::Vec grid;
+    for (std::size_t i = 0; i < points; ++i)
+        grid.push_back(r.fLow + r.width() * (0.02 + 0.96 * static_cast<double>(i) /
+                                                        static_cast<double>(points - 1)));
+    return grid;
 }
 
-// Fig. 7 locking-range sweep with one GAE built per amplitude (the exact
-// variant — real per-point work), at state.range(0) threads.
-void BM_Fig07LockingRangeSweep(benchmark::State& state) {
-    const auto& d = bench::design100();
-    const core::Injection unit = core::Injection::tone(d.injUnknown, 1.0, 2);
-    const num::Vec amps = speedupAmps();
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        const auto pts = core::lockingRangeVsAmplitudeExact(d.model, unit, amps, 1024, threads);
-        benchmark::DoNotOptimize(pts.back().range.fHigh);
-    }
-}
-BENCHMARK(BM_Fig07LockingRangeSweep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Fig. 8 phase-error sweep (one GAE per detuning point).
+// Fig. 8 phase-error sweep (one GAE per detuning point) at state.range(0)
+// threads.
 void BM_Fig08PhaseErrorSweep(benchmark::State& state) {
+    const ScopedThreadsEnv threads(std::to_string(state.range(0)).c_str());
     const auto& d = bench::design100();
     const std::vector<core::Injection> inj{d.sync()};
-    const core::LockingRange r = core::lockingRange(d.model, inj);
-    num::Vec grid;
-    for (std::size_t i = 0; i < 40; ++i)
-        grid.push_back(r.fLow + r.width() * (0.02 + 0.96 * static_cast<double>(i) / 39.0));
-    const unsigned threads = static_cast<unsigned>(state.range(0));
+    const num::Vec grid = phaseErrorGrid(inj, 40);
     for (auto _ : state) {
-        const auto pts = core::lockPhaseErrorSweep(d.model, inj, grid, 1024, threads);
+        const auto pts = core::lockPhaseErrorSweep(d.model, inj, grid);
         benchmark::DoNotOptimize(pts.back().f1);
     }
 }
@@ -96,11 +88,11 @@ BENCHMARK(BM_Fig08PhaseErrorSweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond
 
 // Monte-Carlo noise-escape ensemble (the noise-immunity ablation workload).
 void BM_EscapeTrialsEnsemble(benchmark::State& state) {
+    const ScopedThreadsEnv threads(std::to_string(state.range(0)).c_str());
     const auto& d = bench::design100();
     const core::Gae gae(d.model, d.f1, {d.sync()});
     core::StochasticGaeOptions opt;
     opt.seed = 7;
-    opt.threads = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         const auto r = core::holdErrorProbability(gae, 2e-7, gae.stableEquilibria()[0].dphi,
                                                   60.0 / d.f1, 64, opt);
@@ -110,23 +102,33 @@ void BM_EscapeTrialsEnsemble(benchmark::State& state) {
 BENCHMARK(BM_EscapeTrialsEnsemble)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // One-shot wall-clock comparison printed before the benchmark table: the
-// headline serial-vs-parallel number for the Fig. 7 sweep.
+// Fig. 8 phase-error sweep at 1 thread and at the pool's parallel width.
+// Each figure is the median of five calls after one untimed call at that
+// thread count, so neither side pays for cold caches or pool start-up.
 void reportSweepSpeedup() {
     const auto& d = bench::design100();
-    const core::Injection unit = core::Injection::tone(d.injUnknown, 1.0, 2);
-    const num::Vec amps = speedupAmps();
-    const auto wallMs = [&](unsigned threads) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto pts = core::lockingRangeVsAmplitudeExact(d.model, unit, amps, 1024, threads);
-        benchmark::DoNotOptimize(pts.back().range.fHigh);
-        return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const std::vector<core::Injection> inj{d.sync()};
+    const num::Vec grid = phaseErrorGrid(inj, smokeMode() ? 8 : 40);
+    const auto medianMs = [&](unsigned threads) {
+        const ScopedThreadsEnv env(std::to_string(threads).c_str());
+        std::vector<double> ms;
+        for (int call = 0; call < 6; ++call) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto pts = core::lockPhaseErrorSweep(d.model, inj, grid);
+            benchmark::DoNotOptimize(pts.back().f1);
+            if (call > 0)
+                ms.push_back(std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+        }
+        std::sort(ms.begin(), ms.end());
+        return ms[ms.size() / 2];
     };
-    wallMs(1);  // warm caches so the serial number is not penalized
-    const double serial = wallMs(1);
+    const double serial = medianMs(1);
     const unsigned threads = std::max(4u, num::defaultThreadCount());
-    const double parallel = wallMs(threads);
-    std::printf("Fig. 7 locking-range sweep (%zu amplitudes, one GAE each):\n", amps.size());
+    const double parallel = medianMs(threads);
+    std::printf("Fig. 8 phase-error sweep (%zu detunings, one GAE each; median of 5 calls):\n",
+                grid.size());
     std::printf("  serial (1 thread):    %8.2f ms\n", serial);
     std::printf("  parallel (%u threads): %8.2f ms  -> speedup x%.2f\n", threads, parallel,
                 serial / parallel);
@@ -188,12 +190,12 @@ void reportSimdSpeedup() {
 
 // The Monte-Carlo engine at 1 and 4 threads.
 void BM_HoldErrorMonteCarlo(benchmark::State& state) {
+    const ScopedThreadsEnv threads(std::to_string(state.range(0)).c_str());
     const auto& d = bench::design100();
     const core::Gae gae(d.model, d.f1, {d.sync()});
     const double start = gae.stableEquilibria()[0].dphi;
     core::StochasticGaeOptions opt;
     opt.seed = 7;
-    opt.threads = static_cast<unsigned>(state.range(0));
     const std::size_t trials = smokeMode() ? 64 : 256;
     for (auto _ : state) {
         const auto r = core::holdErrorProbability(gae, 2e-7, start, 60.0 / d.f1, trials, opt);
@@ -202,8 +204,11 @@ void BM_HoldErrorMonteCarlo(benchmark::State& state) {
 }
 BENCHMARK(BM_HoldErrorMonteCarlo)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Batched GAE ensemble vs B scalar gaeTransient calls (Fig. 10/12 bit-flip
-// corners as one SoA integration; bitwise-identical trajectories).
+// Fig. 10/12 bit-flip corners as one B-lane gaeTransientEnsemble call
+// against B one-lane gaeTransient calls.  Both run the same engine and give
+// bitwise-identical trajectories; what the ensemble saves is the per-call
+// Gae rebuild (one g-grid correlation per segment instead of per trial) and
+// B-1 of every B batched RHS passes.
 void BM_GaeBitFlipEnsemble(benchmark::State& state) {
     const auto& d = bench::design100();
     const std::vector<core::GaeSegment> sched{{0.0, {d.sync(), d.dataInjection(150e-6, 1)}}};

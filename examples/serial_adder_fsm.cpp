@@ -46,18 +46,18 @@ int main(int argc, char** argv) {
     const auto& ref = design.reference;
 
     // Pre-flight checks on the latch the adder is built from: the Fig. 7
-    // locking-range sweep (thread-pool parallel) and a single-bit write
-    // timed with a GAE transient.  Besides sanity-checking the design they
-    // make PHLOGON_TRACE runs of this example cover every span family:
-    // PSS/PPV above, sweeps + pool tasks + GAE transients here, phase-domain
-    // simulation below.
+    // locking-range sweep and a single-bit write timed with a GAE transient.
+    // Besides sanity-checking the design they make PHLOGON_TRACE runs of
+    // this example cover PSS/PPV above, sweeps + GAE transients here and
+    // phase-domain simulation below.  This sweep scales one unit-amplitude
+    // GAE in a plain loop, so it puts no pool tasks in the trace; a sweep
+    // that builds one GAE per point, such as lockPhaseErrorSweep, does when
+    // PHLOGON_THREADS > 1.
     {
         const core::Injection unit = core::Injection::tone(design.injUnknown, 1.0, 2);
         num::Vec amps;
         for (double a = 25e-6; a <= 300e-6; a += 25e-6) amps.push_back(a);
-        // threads=2 keeps the thread pool in the trace even on one-core
-        // machines; sweep results are bitwise identical at any thread count.
-        const auto pts = core::lockingRangeVsAmplitudeExact(design.model, unit, amps, 512, 2);
+        const auto pts = core::lockingRangeVsAmplitude(design.model, unit, amps, 512);
         const core::LockingRange atSync = pts.back().range;
         std::printf("locking range at SYNC amplitude: [%.4f, %.4f] kHz (%zu-point sweep)\n",
                     atSync.fLow / 1e3, atSync.fHigh / 1e3, pts.size());

@@ -29,85 +29,54 @@ LockingRange lockingRange(const PpvModel& model, const std::vector<Injection>& i
 std::vector<LockingRangePoint> lockingRangeVsAmplitude(const PpvModel& model,
                                                        const Injection& unitInjection,
                                                        const Vec& amplitudes,
-                                                       std::size_t gridSize, unsigned threads) {
+                                                       std::size_t gridSize) {
     OBS_SPAN("gae.sweep.lockingRangeVsAmplitude");
     // g scales linearly with the injection amplitude; one unit-amplitude GAE
     // gives the range at every amplitude.
     const Gae unit(model, model.f0(), {unitInjection}, gridSize);
     std::vector<LockingRangePoint> out(amplitudes.size());
-    num::parallelFor(
-        amplitudes.size(),
-        [&](std::size_t i) {
-            const double a = amplitudes[i];
-            LockingRangePoint p;
-            p.amplitude = a;
-            if (a > 0 && unit.gMax() > unit.gMin()) {
-                p.range.locks = true;
-                p.range.fLow = model.f0() * (1.0 + a * unit.gMin());
-                p.range.fHigh = model.f0() * (1.0 + a * unit.gMax());
-            }
-            out[i] = p;
-        },
-        threads);
-    return out;
-}
-
-std::vector<LockingRangePoint> lockingRangeVsAmplitudeExact(const PpvModel& model,
-                                                            const Injection& unitInjection,
-                                                            const Vec& amplitudes,
-                                                            std::size_t gridSize,
-                                                            unsigned threads) {
-    OBS_SPAN("gae.sweep.lockingRangeExact");
-    std::vector<LockingRangePoint> out(amplitudes.size());
-    num::parallelFor(
-        amplitudes.size(),
-        [&](std::size_t i) {
-            LockingRangePoint p;
-            p.amplitude = amplitudes[i];
-            p.range = lockingRange(model, {unitInjection.scaled(amplitudes[i])}, gridSize);
-            out[i] = std::move(p);
-        },
-        threads);
+    for (std::size_t i = 0; i < amplitudes.size(); ++i) {
+        const double a = amplitudes[i];
+        out[i].amplitude = a;
+        if (a > 0 && unit.gMax() > unit.gMin()) {
+            out[i].range.locks = true;
+            out[i].range.fLow = model.f0() * (1.0 + a * unit.gMin());
+            out[i].range.fHigh = model.f0() * (1.0 + a * unit.gMax());
+        }
+    }
     return out;
 }
 
 std::vector<PhaseErrorPoint> lockPhaseErrorSweep(const PpvModel& model,
                                                  const std::vector<Injection>& injections,
-                                                 const Vec& f1Grid, std::size_t gridSize,
-                                                 unsigned threads) {
+                                                 const Vec& f1Grid, std::size_t gridSize) {
     OBS_SPAN("gae.sweep.phaseError");
     // Zero-detuning references.
     const Gae ref(model, model.f0(), injections, gridSize);
     std::vector<double> refPhases;
     for (const GaeEquilibrium& e : ref.stableEquilibria()) refPhases.push_back(e.dphi);
 
-    std::vector<PhaseErrorPoint> out(f1Grid.size());
-    num::parallelFor(
-        f1Grid.size(),
-        [&](std::size_t i) {
-            const double f1 = f1Grid[i];
-            PhaseErrorPoint p;
-            p.f1 = f1;
-            p.detune = (f1 - model.f0()) / model.f0();
-            const Gae gae(model, f1, injections, gridSize);
-            for (const GaeEquilibrium& e : gae.stableEquilibria()) {
-                double bestErr = 1.0;
-                double bestRef = 0.0;
-                for (double r : refPhases) {
-                    const double d = phaseDistance(e.dphi, r);
-                    if (d < bestErr) {
-                        bestErr = d;
-                        bestRef = r;
-                    }
+    return num::parallelMap(f1Grid, [&](double f1) {
+        PhaseErrorPoint p;
+        p.f1 = f1;
+        p.detune = (f1 - model.f0()) / model.f0();
+        const Gae gae(model, f1, injections, gridSize);
+        for (const GaeEquilibrium& e : gae.stableEquilibria()) {
+            double bestErr = 1.0;
+            double bestRef = 0.0;
+            for (double r : refPhases) {
+                const double d = phaseDistance(e.dphi, r);
+                if (d < bestErr) {
+                    bestErr = d;
+                    bestRef = r;
                 }
-                p.phases.push_back(e.dphi);
-                p.references.push_back(bestRef);
-                p.errors.push_back(bestErr);
             }
-            out[i] = std::move(p);
-        },
-        threads);
-    return out;
+            p.phases.push_back(e.dphi);
+            p.references.push_back(bestRef);
+            p.errors.push_back(bestErr);
+        }
+        return p;
+    });
 }
 
 std::vector<double> AmplitudeSweepPoint::stablePhases() const {
@@ -121,46 +90,33 @@ std::vector<AmplitudeSweepPoint> sweepInjectionAmplitude(const PpvModel& model, 
                                                          const std::vector<Injection>& fixed,
                                                          const Injection& unitVarying,
                                                          const Vec& amplitudes,
-                                                         std::size_t gridSize, unsigned threads) {
+                                                         std::size_t gridSize) {
     OBS_SPAN("gae.sweep.injectionAmplitude");
-    std::vector<AmplitudeSweepPoint> out(amplitudes.size());
-    num::parallelFor(
-        amplitudes.size(),
-        [&](std::size_t i) {
-            std::vector<Injection> injections = fixed;
-            injections.push_back(unitVarying.scaled(amplitudes[i]));
-            const Gae gae(model, f1, injections, gridSize);
-            AmplitudeSweepPoint p;
-            p.amplitude = amplitudes[i];
-            p.equilibria = gae.equilibria();
-            out[i] = std::move(p);
-        },
-        threads);
-    return out;
+    return num::parallelMap(amplitudes, [&](double a) {
+        std::vector<Injection> injections = fixed;
+        injections.push_back(unitVarying.scaled(a));
+        AmplitudeSweepPoint p;
+        p.amplitude = a;
+        p.equilibria = Gae(model, f1, injections, gridSize).equilibria();
+        return p;
+    });
 }
 
 std::vector<IntersectionSummary> countIntersectionsVsAmplitude(
     const PpvModel& model, double f1, const std::vector<Injection>& fixed,
-    const Injection& unitInjection, const Vec& amplitudes, std::size_t gridSize,
-    unsigned threads) {
+    const Injection& unitInjection, const Vec& amplitudes, std::size_t gridSize) {
     OBS_SPAN("gae.sweep.intersections");
-    std::vector<IntersectionSummary> out(amplitudes.size());
-    num::parallelFor(
-        amplitudes.size(),
-        [&](std::size_t i) {
-            std::vector<Injection> injections = fixed;
-            injections.push_back(unitInjection.scaled(amplitudes[i]));
-            const Gae gae(model, f1, injections, gridSize);
-            IntersectionSummary s;
-            s.amplitude = amplitudes[i];
-            const auto eq = gae.equilibria();
-            s.total = eq.size();
-            s.stable = static_cast<std::size_t>(
-                std::count_if(eq.begin(), eq.end(), [](const GaeEquilibrium& e) { return e.stable; }));
-            out[i] = s;
-        },
-        threads);
-    return out;
+    return num::parallelMap(amplitudes, [&](double a) {
+        std::vector<Injection> injections = fixed;
+        injections.push_back(unitInjection.scaled(a));
+        const auto eq = Gae(model, f1, injections, gridSize).equilibria();
+        IntersectionSummary s;
+        s.amplitude = a;
+        s.total = eq.size();
+        s.stable = static_cast<std::size_t>(
+            std::count_if(eq.begin(), eq.end(), [](const GaeEquilibrium& e) { return e.stable; }));
+        return s;
+    });
 }
 
 }  // namespace phlogon::core

@@ -5,6 +5,10 @@
 //   * lock-phase error across the locking range (Fig. 8),
 //   * stable lock phases vs a logic input's amplitude (Figs. 11 & 14),
 //   * intersection counting for the graphical eq.-(5) plots (Figs. 5 & 10).
+//
+// The sweeps that build one GAE per point map their points over the
+// process-wide pool (num::parallelMap, sized by PHLOGON_THREADS), so every
+// table is bitwise identical at any thread count.
 
 #include <vector>
 
@@ -33,26 +37,13 @@ struct LockingRangePoint {
 };
 
 /// Fig. 7: sweep the amplitude of `unitInjection` (given at amplitude 1) and
-/// report the locking range at each amplitude.  `threads` follows the
-/// numeric/parallel.hpp convention used by every sweep in this header: 0
-/// resolves PHLOGON_THREADS / hardware_concurrency, 1 forces the exact
-/// serial loop, and results are bitwise identical at any value.
+/// report the locking range at each amplitude.  g is linear in the
+/// amplitude, so one unit-amplitude GAE gives every point: the range agrees
+/// with lockingRange() of the scaled injection to rounding.
 std::vector<LockingRangePoint> lockingRangeVsAmplitude(const PpvModel& model,
                                                        const Injection& unitInjection,
                                                        const Vec& amplitudes,
-                                                       std::size_t gridSize = 1024,
-                                                       unsigned threads = 0);
-
-/// Exact per-amplitude variant of the Fig. 7 sweep: builds one GAE per
-/// amplitude instead of scaling a single unit-injection GAE.  Agrees with
-/// lockingRangeVsAmplitude to rounding for single-tone injections (g is
-/// linear in the amplitude) but does real per-point work, which is what the
-/// serial-vs-parallel speedup bench measures.
-std::vector<LockingRangePoint> lockingRangeVsAmplitudeExact(const PpvModel& model,
-                                                            const Injection& unitInjection,
-                                                            const Vec& amplitudes,
-                                                            std::size_t gridSize = 1024,
-                                                            unsigned threads = 0);
+                                                       std::size_t gridSize = 1024);
 
 struct PhaseErrorPoint {
     double f1 = 0.0;
@@ -69,8 +60,7 @@ struct PhaseErrorPoint {
 /// phase lists.
 std::vector<PhaseErrorPoint> lockPhaseErrorSweep(const PpvModel& model,
                                                  const std::vector<Injection>& injections,
-                                                 const Vec& f1Grid, std::size_t gridSize = 1024,
-                                                 unsigned threads = 0);
+                                                 const Vec& f1Grid, std::size_t gridSize = 1024);
 
 struct AmplitudeSweepPoint {
     double amplitude = 0.0;
@@ -84,8 +74,7 @@ std::vector<AmplitudeSweepPoint> sweepInjectionAmplitude(const PpvModel& model, 
                                                          const std::vector<Injection>& fixed,
                                                          const Injection& unitVarying,
                                                          const Vec& amplitudes,
-                                                         std::size_t gridSize = 1024,
-                                                         unsigned threads = 0);
+                                                         std::size_t gridSize = 1024);
 
 struct IntersectionSummary {
     double amplitude = 0.0;
@@ -98,7 +87,6 @@ struct IntersectionSummary {
 /// (Fig. 5: A ~ 70 uA -> 4 intersections, 2 stable) falls out directly.
 std::vector<IntersectionSummary> countIntersectionsVsAmplitude(
     const PpvModel& model, double f1, const std::vector<Injection>& fixed,
-    const Injection& unitInjection, const Vec& amplitudes, std::size_t gridSize = 1024,
-    unsigned threads = 0);
+    const Injection& unitInjection, const Vec& amplitudes, std::size_t gridSize = 1024);
 
 }  // namespace phlogon::core

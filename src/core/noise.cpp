@@ -158,26 +158,23 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
     // same values in the same order at any thread count.
     std::vector<unsigned char> outcome(trials, 0);
     const std::size_t nBlocks = (trials + kLanesPerBlock - 1) / kLanesPerBlock;
-    num::parallelFor(
-        nBlocks,
-        [&](std::size_t blk) {
-            const std::size_t lo = blk * kLanesPerBlock;
-            const std::size_t n = std::min(trials, lo + kLanesPerBlock) - lo;
-            std::vector<double> phi(n, start), drift(n), z(n);
-            std::vector<num::SplitMix64> rngs;
-            rngs.reserve(n);
-            for (std::size_t l = 0; l < n; ++l)
-                rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
-            for (std::size_t k = 0; k < g.nSteps; ++k) {
-                gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
-                kr.normalFill(zig, rngs.data(), z.data(), n);
-                kr.mcUpdate(phi.data(), drift.data(), g.h, g.sigmaSqrtH, z.data(), n);
-            }
-            for (std::size_t l = 0; l < n; ++l) outcome[lo + l] = lost(phi[l]);
-            PHLOGON_ADD_METRIC("batch.mc.trials", n);
-            PHLOGON_ADD_METRIC("batch.mc.steps", n * g.nSteps);
-        },
-        opt.threads);
+    num::parallelFor(nBlocks, [&](std::size_t blk) {
+        const std::size_t lo = blk * kLanesPerBlock;
+        const std::size_t n = std::min(trials, lo + kLanesPerBlock) - lo;
+        std::vector<double> phi(n, start), drift(n), z(n);
+        std::vector<num::SplitMix64> rngs;
+        rngs.reserve(n);
+        for (std::size_t l = 0; l < n; ++l)
+            rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
+        for (std::size_t k = 0; k < g.nSteps; ++k) {
+            gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
+            kr.normalFill(zig, rngs.data(), z.data(), n);
+            kr.mcUpdate(phi.data(), drift.data(), g.h, g.sigmaSqrtH, z.data(), n);
+        }
+        for (std::size_t l = 0; l < n; ++l) outcome[lo + l] = lost(phi[l]);
+        PHLOGON_ADD_METRIC("batch.mc.trials", n);
+        PHLOGON_ADD_METRIC("batch.mc.steps", n * g.nSteps);
+    });
     PHLOGON_ADD_METRIC("batch.mc.blocks", nBlocks);
     out.trials = trials;
     for (unsigned char oc : outcome) out.errors += oc;

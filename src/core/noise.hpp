@@ -56,7 +56,6 @@ struct StochasticGaeOptions {
     double dt = 0.0;        ///< Euler-Maruyama step; 0 = (20 f0)^-1
     std::uint64_t seed = 1;
     std::size_t storeEvery = 8;
-    unsigned threads = 0;  ///< ensemble loops: 0 = PHLOGON_THREADS/auto, 1 = serial
 };
 
 struct StochasticGaeResult {
@@ -88,12 +87,12 @@ struct HoldErrorResult {
 /// phase nearest `dphi0`, integrate for `holdTime` under noise, and count
 /// paths that decode to a different stable phase at the end.  Trial k runs
 /// with engine seed deriveTrialSeed(opt.seed, k).  Trials advance in
-/// blocks of SoA lanes, one block per thread-pool slot (opt.threads), with
-/// the per-step kernels on the process-wide SIMD tier (numeric/simd/simd.hpp;
-/// PHLOGON_SIMD=0 forces the scalar loops).  Every trial's arithmetic
-/// depends only on (seed, k), so the counts are bitwise identical at any
-/// thread count and on every tier (DESIGN.md §13, §18).  A non-positive
-/// holdTime runs no trials.
+/// blocks of SoA lanes, one block per slot of the process-wide pool
+/// (PHLOGON_THREADS), with the per-step kernels on the process-wide SIMD
+/// tier (numeric/simd/simd.hpp; PHLOGON_SIMD=0 forces the scalar loops).
+/// Every trial's arithmetic depends only on (seed, k), so the counts are
+/// bitwise identical at any thread count and on every tier (DESIGN.md §13,
+/// §18).  A non-positive holdTime runs no trials.
 HoldErrorResult holdErrorProbability(const Gae& gae, double cSeconds, double dphi0,
                                      double holdTime, std::size_t trials,
                                      const StochasticGaeOptions& opt = {});

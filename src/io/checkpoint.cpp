@@ -113,7 +113,7 @@ core::GaeTransientResult resumeGaeTransient(const core::PpvModel& model, double 
     if (!c) return {};  // ok stays false
     core::GaeTransientResult res = core::gaeTransientFrom(model, f1, schedule, c->dphi, c->t, t1,
                                                           opt, gridSize, ckpt, c->h);
-    // Fold in the pre-checkpoint work so totals approximate the full run.
+    // Fold in the pre-checkpoint work so totals equal the full run's.
     // operator+= sums every field, so nothing (e.g. Newton/LU counts from a
     // future implicit GAE stepper) can silently fall out of the aggregation.
     res.counters += c->counters;

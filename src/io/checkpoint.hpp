@@ -59,10 +59,7 @@ struct GaeCheckpoint {
     double t = 0.0;
     double dphi = 0.0;
     double h = 0.0;  ///< RKF45 next-step proposal
-    /// Work counters at snapshot time.  rhsEvals and accepted steps are
-    /// exact; rejectedSteps of the in-progress segment are not yet folded in
-    /// (the RK controller only reports them at segment end).
-    num::SolverCounters counters;
+    num::SolverCounters counters;  ///< work counters at snapshot time (exact)
 };
 
 std::vector<std::uint8_t> encodeGaeCheckpoint(const GaeCheckpoint& c);
@@ -72,7 +69,8 @@ std::optional<GaeCheckpoint> loadGaeCheckpoint(const std::filesystem::path& path
 
 /// Resume a gaeTransient run from the snapshot at `path` through the same
 /// schedule to t1.  The t/dphi tail is bit-identical to the uninterrupted
-/// run's from the checkpoint time on.  Unreadable snapshots yield ok = false.
+/// run's from the checkpoint time on, and the counters, which fold in the
+/// snapshot's, equal its totals.  Unreadable snapshots yield ok = false.
 core::GaeTransientResult resumeGaeTransient(const core::PpvModel& model, double f1,
                                             const std::vector<core::GaeSegment>& schedule,
                                             const std::filesystem::path& path, double t1,

@@ -113,28 +113,25 @@ std::vector<T> cachedSweep(const std::optional<std::uint64_t>& key, std::uint32_
 
 std::vector<core::LockingRangePoint> cachedLockingRangeVsAmplitude(
     const core::PpvModel& model, const core::Injection& unitInjection, const num::Vec& amplitudes,
-    std::size_t gridSize, unsigned threads, const ArtifactCache& cache, CachedSweepInfo* info) {
+    std::size_t gridSize, const ArtifactCache& cache, CachedSweepInfo* info) {
     const auto key =
         sweepKey("phlogon-sweep-locking-range", model, {&unitInjection}, amplitudes, gridSize);
     return cachedSweep<core::LockingRangePoint>(
         key, kTypeSweepLockingRange, cache, info,
-        [&] {
-            return core::lockingRangeVsAmplitude(model, unitInjection, amplitudes, gridSize,
-                                                 threads);
-        },
+        [&] { return core::lockingRangeVsAmplitude(model, unitInjection, amplitudes, gridSize); },
         encodeLockingRangeTable, decodeLockingRangeTable);
 }
 
 std::vector<core::PhaseErrorPoint> cachedLockPhaseErrorSweep(
     const core::PpvModel& model, const std::vector<core::Injection>& injections,
-    const num::Vec& f1Grid, std::size_t gridSize, unsigned threads, const ArtifactCache& cache,
+    const num::Vec& f1Grid, std::size_t gridSize, const ArtifactCache& cache,
     CachedSweepInfo* info) {
     std::vector<const core::Injection*> ptrs;
     for (const core::Injection& inj : injections) ptrs.push_back(&inj);
     const auto key = sweepKey("phlogon-sweep-phase-error", model, ptrs, f1Grid, gridSize);
     return cachedSweep<core::PhaseErrorPoint>(
         key, kTypeSweepPhaseError, cache, info,
-        [&] { return core::lockPhaseErrorSweep(model, injections, f1Grid, gridSize, threads); },
+        [&] { return core::lockPhaseErrorSweep(model, injections, f1Grid, gridSize); },
         encodePhaseErrorTable, decodePhaseErrorTable);
 }
 

@@ -60,16 +60,17 @@ struct CachedSweepInfo {
 
 /// Cached core::lockingRangeVsAmplitude (Fig. 7 table).  Key folds the model
 /// content hash, the unit injection's canonical form, the amplitude grid and
-/// gridSize; `threads` is excluded — sweeps are bitwise thread-invariant.
+/// gridSize — everything the table depends on (sweeps are bitwise
+/// thread-invariant, so PHLOGON_THREADS is not part of it).
 std::vector<core::LockingRangePoint> cachedLockingRangeVsAmplitude(
     const core::PpvModel& model, const core::Injection& unitInjection, const num::Vec& amplitudes,
-    std::size_t gridSize = 1024, unsigned threads = 0,
-    const ArtifactCache& cache = ArtifactCache::global(), CachedSweepInfo* info = nullptr);
+    std::size_t gridSize = 1024, const ArtifactCache& cache = ArtifactCache::global(),
+    CachedSweepInfo* info = nullptr);
 
 /// Cached core::lockPhaseErrorSweep (Fig. 8 table).
 std::vector<core::PhaseErrorPoint> cachedLockPhaseErrorSweep(
     const core::PpvModel& model, const std::vector<core::Injection>& injections,
-    const num::Vec& f1Grid, std::size_t gridSize = 1024, unsigned threads = 0,
+    const num::Vec& f1Grid, std::size_t gridSize = 1024,
     const ArtifactCache& cache = ArtifactCache::global(), CachedSweepInfo* info = nullptr);
 
 }  // namespace phlogon::io

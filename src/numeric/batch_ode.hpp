@@ -18,8 +18,9 @@
 //     SIMD tier (numeric/simd/simd.hpp), whose kernels are bitwise equal to
 //     the scalar loops, so the above holds on every tier.
 //
-// OdeOptions::onAccept is not supported here (checkpointing of ensembles
-// goes through per-lane resume instead) and is ignored.
+// OdeOptions::onAccept fires after every accepted step of a one-lane solve,
+// exactly where num::rkf45 fires it (the GAE checkpoint hook); a multi-lane
+// solve that sets it throws std::invalid_argument.
 
 #include <vector>
 
@@ -54,7 +55,8 @@ public:
     void reserve(std::size_t lanes);
 
     /// Integrate lanes y0[l] over [t0, t1] with per-lane adaptive RKF45
-    /// control (see the equivalence contract above).
+    /// control (see the equivalence contract above).  This is the RKF45
+    /// loop every GAE transient runs (core/gae_transient.hpp).
     BatchOdeSolution rkf45(const BatchRhs1& f, const Vec& y0, double t0, double t1,
                            const OdeOptions& opt = {});
 

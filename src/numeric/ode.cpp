@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "numeric/rkf45_tableau.hpp"
 #include "obs/metrics.hpp"
 
 namespace phlogon::num {
 
-namespace {
-
-// Cash-Karp RKF45 coefficients.
-constexpr double A2 = 1.0 / 5.0;
-constexpr double B21 = 1.0 / 5.0;
-constexpr double A3 = 3.0 / 10.0, B31 = 3.0 / 40.0, B32 = 9.0 / 40.0;
-constexpr double A4 = 3.0 / 5.0, B41 = 3.0 / 10.0, B42 = -9.0 / 10.0, B43 = 6.0 / 5.0;
-constexpr double A5 = 1.0, B51 = -11.0 / 54.0, B52 = 5.0 / 2.0, B53 = -70.0 / 27.0,
-                 B54 = 35.0 / 27.0;
-constexpr double A6 = 7.0 / 8.0, B61 = 1631.0 / 55296.0, B62 = 175.0 / 512.0,
-                 B63 = 575.0 / 13824.0, B64 = 44275.0 / 110592.0, B65 = 253.0 / 4096.0;
-constexpr double C1 = 37.0 / 378.0, C3 = 250.0 / 621.0, C4 = 125.0 / 594.0, C6 = 512.0 / 1771.0;
-constexpr double D1 = 2825.0 / 27648.0, D3 = 18575.0 / 48384.0, D4 = 13525.0 / 55296.0,
-                 D5 = 277.0 / 14336.0, D6 = 1.0 / 4.0;
-
-}  // namespace
+// Cash-Karp coefficients shared with numeric/batch_ode.cpp and the SIMD
+// kernels.
+using namespace cashkarp;
 
 OdeSolution rkf45(const OdeRhs& f, const Vec& y0, double t0, double t1, const OdeOptions& opt) {
     OdeSolution sol;

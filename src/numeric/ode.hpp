@@ -4,6 +4,11 @@
 // (eqs. 13/14 reduced to phase unknowns) is a small smooth vector ODE.  Both
 // are non-stiff, so explicit RK with step control is the right tool — the
 // implicit machinery lives in analysis/transient for the circuit DAEs.
+//
+// num::rkf45, rkf45Scalar and rk4 are the plain references that the
+// num::BatchOde tests compare against; no src/ engine runs them.  The GAE
+// transients run BatchOde::rkf45 and PhaseSystem::simulate runs
+// BatchOde::rk4Lockstep (numeric/batch_ode.hpp).
 
 #include <functional>
 

@@ -161,7 +161,7 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
         const core::Injection unit = core::Injection::tone(ch.outputUnknown, 1.0, 2, 0.0, "sync");
         io::CachedSweepInfo info;
         const std::vector<core::LockingRangePoint> pts = io::cachedLockingRangeVsAmplitude(
-            ch.model, unit, amps, lp.gridSize, 0, *cache, &info);
+            ch.model, unit, amps, lp.gridSize, *cache, &info);
         json::Value rows = json::Value::array();
         for (const core::LockingRangePoint& pt : pts) {
             json::Value row = json::Value::object();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/osc_fixture.hpp"
 #include "core/gae_sweep.hpp"
@@ -12,8 +13,34 @@ namespace {
 
 const PpvModel& model() { return testutil::sharedOsc().model(); }
 std::size_t injNode() { return testutil::sharedOsc().outputUnknown(); }
+const logic::SyncLatchDesign& design() { return testutil::sharedDesign(); }
+double bitT() { return 40.0 / design().f1; }
 
 std::vector<Injection> syncOnly() { return {Injection::tone(injNode(), 100e-6, 2)}; }
+
+/// Fig. 12: write 1 at 150 uA for one 40-cycle bit, then 0.
+std::vector<GaeSegment> fig12Schedule() {
+    const auto& d = design();
+    return {{0.0, {d.sync(), d.dataInjection(150e-6, 1)}},
+            {bitT(), {d.sync(), d.dataInjection(150e-6, 0)}}};
+}
+
+/// Write 1 at `amp` for `cycles` reference cycles from just off the 0 lock.
+GaeTransientResult writeOne(double amp, double cycles) {
+    const auto& d = design();
+    return gaeTransient(model(), d.f1, {{0.0, {d.sync(), d.dataInjection(amp, 1)}}},
+                        d.reference.phase0 + 0.02, 0.0, cycles / d.f1);
+}
+
+/// Bitwise equality of two runs, counters included.
+void expectSameRun(const GaeTransientResult& a, const GaeTransientResult& b) {
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.t, b.t);
+    EXPECT_EQ(a.dphi, b.dphi);
+    EXPECT_EQ(a.counters.steps, b.counters.steps);
+    EXPECT_EQ(a.counters.rejectedSteps, b.counters.rejectedSteps);
+    EXPECT_EQ(a.counters.rhsEvals, b.counters.rhsEvals);
+}
 
 TEST(GaeTransient, RelaxesToNearestStableLock) {
     const Gae gae(model(), testutil::kF1, syncOnly());
@@ -36,34 +63,25 @@ TEST(GaeTransient, UnlockedPhaseDriftsMonotonically) {
 }
 
 TEST(GaeTransient, BitFlipReachesTargetPhase) {
-    const auto& d = testutil::sharedDesign();
-    std::vector<GaeSegment> sched{{0.0, {d.sync(), d.dataInjection(150e-6, 1)}}};
-    const auto r = gaeTransient(model(), d.f1, sched, d.reference.phase0 + 0.02, 0.0,
-                                40.0 / d.f1);
+    const auto r = writeOne(150e-6, 40.0);
     ASSERT_TRUE(r.ok);
-    EXPECT_LT(phaseDistance(r.final(), d.reference.phase1), 0.03);
+    EXPECT_LT(phaseDistance(r.final(), design().reference.phase1), 0.03);
 }
 
 TEST(GaeTransient, WeakInputFailsToFlip) {
     // Fig. 12 behaviour: a D amplitude below the flip threshold cannot move
     // the bit.  (This design's threshold is ~2*syncAmp*|V2|/|V1| ~ 20 uA;
     // the paper's circuit had ~50 uA — same physics, different constants.)
-    const auto& d = testutil::sharedDesign();
-    std::vector<GaeSegment> sched{{0.0, {d.sync(), d.dataInjection(10e-6, 1)}}};
-    const auto r = gaeTransient(model(), d.f1, sched, d.reference.phase0 + 0.02, 0.0,
-                                60.0 / d.f1);
+    const auto r = writeOne(10e-6, 60.0);
     ASSERT_TRUE(r.ok);
-    EXPECT_LT(phaseDistance(r.final(), d.reference.phase0), 0.1);
+    EXPECT_LT(phaseDistance(r.final(), design().reference.phase0), 0.1);
 }
 
 TEST(GaeTransient, StrongerInputFlipsFaster) {
-    const auto& d = testutil::sharedDesign();
-    auto flipTime = [&](double amp) {
-        std::vector<GaeSegment> sched{{0.0, {d.sync(), d.dataInjection(amp, 1)}}};
-        const auto r = gaeTransient(model(), d.f1, sched, d.reference.phase0 + 0.02, 0.0,
-                                    80.0 / d.f1);
+    auto flipTime = [](double amp) {
+        const auto r = writeOne(amp, 80.0);
         EXPECT_TRUE(r.ok);
-        return settleTime(r, d.reference.phase1, 0.02);
+        return settleTime(r, design().reference.phase1, 0.02);
     };
     const double t100 = flipTime(100e-6);
     const double t150 = flipTime(150e-6);
@@ -71,15 +89,11 @@ TEST(GaeTransient, StrongerInputFlipsFaster) {
 }
 
 TEST(GaeTransient, ScheduleSegmentsSwitchInjections) {
-    const auto& d = testutil::sharedDesign();
-    const double bitT = 40.0 / d.f1;
-    std::vector<GaeSegment> sched{
-        {0.0, {d.sync(), d.dataInjection(150e-6, 1)}},
-        {bitT, {d.sync(), d.dataInjection(150e-6, 0)}},
-    };
-    const auto r = gaeTransient(model(), d.f1, sched, d.reference.phase0 + 0.02, 0.0, 2.0 * bitT);
+    const auto& d = design();
+    const auto r =
+        gaeTransient(model(), d.f1, fig12Schedule(), d.reference.phase0 + 0.02, 0.0, 2.0 * bitT());
     ASSERT_TRUE(r.ok);
-    EXPECT_LT(phaseDistance(r.at(0.95 * bitT), d.reference.phase1), 0.03);
+    EXPECT_LT(phaseDistance(r.at(0.95 * bitT()), d.reference.phase1), 0.03);
     EXPECT_LT(phaseDistance(r.final(), d.reference.phase0), 0.03);
 }
 
@@ -105,42 +119,46 @@ TEST(GaeTransient, RejectsBadSchedules) {
 }
 
 TEST(GaeEnsemble, MatchesScalarBitFlipTrajectories) {
-    // The Fig. 10/12 two-tone bit-flip experiment run as a batched ensemble:
-    // for B = 1..8 starting phases, every lane must reproduce the scalar
-    // gaeTransient trajectory from the same start to 1e-12 (the BatchOde
-    // path is designed to be bitwise-identical; 1e-12 is the acceptance
-    // bound).
-    const auto& d = testutil::sharedDesign();
-    const double bitT = 40.0 / d.f1;
-    const std::vector<GaeSegment> sched{
-        {0.0, {d.sync(), d.dataInjection(150e-6, 1)}},
-        {bitT, {d.sync(), d.dataInjection(150e-6, 0)}},
-    };
+    // The Fig. 10/12 two-tone bit-flip experiment as an ensemble: for B = 1..8
+    // starting phases, lane l of the B-lane run must equal the one-lane run
+    // (gaeTransient) from the same start bitwise, counters included, since
+    // lanes never interact.
+    const auto& d = design();
     for (std::size_t B = 1; B <= 8; ++B) {
         Vec starts(B);
         for (std::size_t l = 0; l < B; ++l)
             starts[l] = d.reference.phase0 + 0.01 + 0.012 * static_cast<double>(l);
-        const auto ens = gaeTransientEnsemble(model(), d.f1, sched, starts, 0.0, 2.0 * bitT);
+        const auto ens =
+            gaeTransientEnsemble(model(), d.f1, fig12Schedule(), starts, 0.0, 2.0 * bitT());
         ASSERT_TRUE(ens.ok) << "B=" << B;
         ASSERT_EQ(ens.trials.size(), B);
         for (std::size_t l = 0; l < B; ++l) {
-            const auto ref = gaeTransient(model(), d.f1, sched, starts[l], 0.0, 2.0 * bitT);
+            SCOPED_TRACE("B=" + std::to_string(B) + " lane=" + std::to_string(l));
+            const auto ref =
+                gaeTransient(model(), d.f1, fig12Schedule(), starts[l], 0.0, 2.0 * bitT());
             ASSERT_TRUE(ref.ok);
-            ASSERT_EQ(ens.trials[l].t.size(), ref.t.size()) << "B=" << B << " lane=" << l;
-            for (std::size_t p = 0; p < ref.t.size(); ++p) {
-                EXPECT_NEAR(ens.trials[l].t[p], ref.t[p], 1e-12 * (1.0 + std::abs(ref.t[p])));
-                EXPECT_NEAR(ens.trials[l].dphi[p], ref.dphi[p],
-                            1e-12 * (1.0 + std::abs(ref.dphi[p])));
-            }
+            expectSameRun(ens.trials[l], ref);
             // And the physics: each lane completes the 1 -> 0 flip.
-            EXPECT_LT(phaseDistance(ens.trials[l].at(0.95 * bitT), d.reference.phase1), 0.03);
+            EXPECT_LT(phaseDistance(ens.trials[l].at(0.95 * bitT()), d.reference.phase1), 0.03);
             EXPECT_LT(phaseDistance(ens.trials[l].final(), d.reference.phase0), 0.03);
-            // Work accounting mirrors the scalar counters.
-            EXPECT_EQ(ens.trials[l].counters.steps, ref.counters.steps);
-            EXPECT_EQ(ens.trials[l].counters.rejectedSteps, ref.counters.rejectedSteps);
-            EXPECT_EQ(ens.trials[l].counters.rhsEvals, ref.counters.rhsEvals);
         }
     }
+}
+
+TEST(GaeEnsemble, FailedSegmentKeepsCountersButNoPoints) {
+    // One failure rule on every entry point: a segment that runs out of
+    // steps adds its counters but none of its points.
+    const auto& d = design();
+    num::OdeOptions opt;
+    opt.maxSteps = 30;
+    const double start = d.reference.phase0 + 0.02;
+    const auto one = gaeTransient(model(), d.f1, fig12Schedule(), start, 0.0, 2.0 * bitT(), opt);
+    const auto ens = gaeTransientEnsemble(model(), d.f1, fig12Schedule(), Vec{start, start + 0.01},
+                                          0.0, 2.0 * bitT(), opt);
+    EXPECT_FALSE(one.ok);
+    EXPECT_EQ(one.t.size(), 1u);
+    EXPECT_EQ(one.counters.steps, 30u);
+    expectSameRun(ens.trials[0], one);
 }
 
 TEST(GaeEnsemble, EmptyEnsembleAndValidation) {
@@ -151,6 +169,53 @@ TEST(GaeEnsemble, EmptyEnsembleAndValidation) {
     EXPECT_TRUE(none.trials.empty());
     EXPECT_THROW(gaeTransientEnsemble(model(), d.f1, {}, Vec{0.0}, 0.0, 1.0),
                  std::invalid_argument);
+    // BatchOde::rkf45 fires onAccept (the checkpoint hook) on one lane only.
+    num::OdeOptions hooked;
+    hooked.onAccept = [](double, const Vec&, double) {};
+    EXPECT_THROW(gaeTransientEnsemble(model(), d.f1, {{0.0, {d.sync()}}}, Vec{0.0, 0.1}, 0.0,
+                                      1.0 / d.f1, hooked),
+                 std::invalid_argument);
+}
+
+// Goldens printed at %.17g from the scalar-RKF45 engine that gaeTransient
+// ran before it became the ensemble engine's one-lane call.  Point counts and
+// counters compare exactly, phases and times at 1e-12 relative.  CI runs the
+// suite on the default SIMD tier and under PHLOGON_SIMD=0.
+void expectWork(const GaeTransientResult& r, std::size_t points, std::size_t steps,
+                std::size_t rejected, std::size_t rhsEvals) {
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.t.size(), points);
+    EXPECT_EQ(r.counters.steps, steps);
+    EXPECT_EQ(r.counters.rejectedSteps, rejected);
+    EXPECT_EQ(r.counters.rhsEvals, rhsEvals);
+}
+
+void expectGolden(double value, double golden) {
+    EXPECT_NEAR(value, golden, 1e-12 * std::abs(golden));
+}
+
+TEST(GaeTransientGolden, Fig12TwoSegmentFlip) {
+    const auto& d = design();
+    const auto r =
+        gaeTransient(model(), d.f1, fig12Schedule(), d.reference.phase0 + 0.02, 0.0, 2.0 * bitT());
+    expectWork(r, 83, 82, 11, 558);
+    expectGolden(r.final(), 0.72270196083339289);
+    expectGolden(r.at(0.95 * bitT()), 1.2227017235289135);
+    expectGolden(settleTime(r, d.reference.phase0), 0.0070512181168418944);
+}
+
+TEST(GaeTransientGolden, WeakWriteHolds) {
+    const auto r = writeOne(10e-6, 60.0);
+    expectWork(r, 12, 11, 0, 66);
+    expectGolden(r.final(), 0.72311657988556455);
+    expectGolden(settleTime(r, design().reference.phase0), 6.2500000000000003e-06);
+}
+
+TEST(GaeTransientGolden, StrongWriteFlips) {
+    const auto r = writeOne(150e-6, 60.0);
+    expectWork(r, 43, 42, 2, 264);
+    expectGolden(r.final(), 1.2227017507948772);
+    expectGolden(settleTime(r, design().reference.phase1), 0.00074755148635602582);
 }
 
 TEST(SettleTime, DetectsFirstPersistentEntry) {

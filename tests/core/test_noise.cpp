@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/osc_fixture.hpp"
+#include "common/scoped_env.hpp"
 #include "core/gae_sweep.hpp"
 
 namespace phlogon::core {
@@ -145,17 +146,14 @@ TEST(HoldErrorBatched, BitwiseStableAcrossThreadsAndBatchSize) {
     const double c = 2e-7;
     const double span = 40.0 / d.f1;
     const std::size_t total = 96;
-    StochasticGaeOptions ref;
-    ref.seed = 12345;
-    ref.threads = 1;
-    const auto baseline = holdErrorProbability(gae, c, d.reference.phase1, span, total, ref);
+    StochasticGaeOptions opt;
+    opt.seed = 12345;
+    const auto baseline = holdErrorProbability(gae, c, d.reference.phase1, span, total, opt);
     EXPECT_EQ(baseline.trials, total);
     EXPECT_GT(baseline.errors, 0u);  // the split must have errors to misplace
-    for (const unsigned threads : {1u, 3u, 4u}) {
+    for (const char* threads : {"1", "3", "4"}) {
+        testutil::ScopedThreadsEnv env(threads);
         for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-            StochasticGaeOptions opt;
-            opt.seed = 12345;
-            opt.threads = threads;
             HoldErrorResult sum;
             for (std::size_t first = 0; first < total; first += chunk) {
                 const auto r = holdErrorProbabilityRange(gae, c, d.reference.phase1, span, first,
@@ -250,9 +248,8 @@ TEST(HoldErrorBatched, StrongerSyncHoldsBetter) {
                       {Injection::tone(osc.outputUnknown(), syncAmp, 2)});
         const auto stable = gae.stableEquilibria();
         EXPECT_EQ(stable.size(), 2u);
-        StochasticGaeOptions opt;
-        opt.threads = 1;
-        return holdErrorProbability(gae, c, stable[0].dphi, span, 120, opt).errorRate();
+        testutil::ScopedThreadsEnv serial("1");
+        return holdErrorProbability(gae, c, stable[0].dphi, span, 120).errorRate();
     };
     const double weak = rate(60e-6);
     const double strong = rate(300e-6);

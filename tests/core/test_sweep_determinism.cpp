@@ -2,20 +2,33 @@
 // path must produce *bitwise identical* results at any thread count, because
 // each index writes into its own pre-sized slot and all per-trial randomness
 // is derived from the trial index (core::deriveTrialSeed), never drawn from
-// a shared engine.  These tests pin 1-thread (the exact serial loop) against
-// 4-thread runs with EXPECT_EQ on doubles — exact equality, no tolerance.
+// a shared engine.  These tests pin PHLOGON_THREADS=1 (the exact serial loop)
+// against 4 threads with EXPECT_EQ on doubles — exact equality, no tolerance.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/osc_fixture.hpp"
+#include "common/scoped_env.hpp"
 #include "core/gae_sweep.hpp"
 #include "core/noise.hpp"
 #include "numeric/parallel.hpp"
 
 namespace phlogon::core {
 namespace {
+
+using testutil::ScopedThreadsEnv;
+
+/// fn() evaluated under PHLOGON_THREADS=1 and then =4.
+template <class Fn>
+auto serialAndParallel(Fn fn) {
+    ScopedThreadsEnv one("1");
+    auto serial = fn();
+    ScopedThreadsEnv four("4");
+    return std::pair(std::move(serial), fn());
+}
 
 const PpvModel& model() { return testutil::sharedOsc().model(); }
 std::size_t injNode() { return testutil::sharedOsc().outputUnknown(); }
@@ -29,8 +42,8 @@ num::Vec amplitudeGrid() {
 TEST(SweepDeterminism, LockingRangeVsAmplitudeBitwiseEqual) {
     const Injection unit = Injection::tone(injNode(), 1.0, 2);
     const num::Vec amps = amplitudeGrid();
-    const auto serial = lockingRangeVsAmplitude(model(), unit, amps, 1024, 1);
-    const auto par = lockingRangeVsAmplitude(model(), unit, amps, 1024, 4);
+    const auto [serial, par] =
+        serialAndParallel([&] { return lockingRangeVsAmplitude(model(), unit, amps); });
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].amplitude, par[i].amplitude);
@@ -41,14 +54,19 @@ TEST(SweepDeterminism, LockingRangeVsAmplitudeBitwiseEqual) {
 }
 
 TEST(SweepDeterminism, LockingRangeExactVariantBitwiseEqual) {
+    // The unit-scaled sweep agrees with one lockingRange per amplitude (one
+    // GAE each) to rounding, because g is linear in a tone's amplitude.
     const Injection unit = Injection::tone(injNode(), 1.0, 2);
     const num::Vec amps{30e-6, 70e-6, 120e-6, 180e-6};
-    const auto serial = lockingRangeVsAmplitudeExact(model(), unit, amps, 512, 1);
-    const auto par = lockingRangeVsAmplitudeExact(model(), unit, amps, 512, 4);
-    ASSERT_EQ(serial.size(), par.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].range.fLow, par[i].range.fLow);
-        EXPECT_EQ(serial[i].range.fHigh, par[i].range.fHigh);
+    for (const char* threads : {"1", "4"}) {
+        ScopedThreadsEnv env(threads);
+        const auto pts = lockingRangeVsAmplitude(model(), unit, amps, 512);
+        ASSERT_EQ(pts.size(), amps.size());
+        for (std::size_t i = 0; i < amps.size(); ++i) {
+            const LockingRange exact = lockingRange(model(), {unit.scaled(amps[i])}, 512);
+            EXPECT_NEAR(pts[i].range.fLow, exact.fLow, 1e-12 * exact.fLow) << threads;
+            EXPECT_NEAR(pts[i].range.fHigh, exact.fHigh, 1e-12 * exact.fHigh) << threads;
+        }
     }
 }
 
@@ -60,8 +78,8 @@ TEST(SweepDeterminism, LockPhaseErrorSweepBitwiseEqual) {
     for (std::size_t i = 0; i < 21; ++i)
         grid.push_back(range.fLow +
                        range.width() * (0.02 + 0.96 * static_cast<double>(i) / 20.0));
-    const auto serial = lockPhaseErrorSweep(model(), inj, grid, 1024, 1);
-    const auto par = lockPhaseErrorSweep(model(), inj, grid, 1024, 4);
+    const auto [serial, par] =
+        serialAndParallel([&] { return lockPhaseErrorSweep(model(), inj, grid); });
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].f1, par[i].f1);
@@ -79,10 +97,8 @@ TEST(SweepDeterminism, SweepInjectionAmplitudeBitwiseEqual) {
     const std::vector<Injection> sync{Injection::tone(injNode(), 100e-6, 2)};
     const Injection unitD = Injection::tone(injNode(), 1.0, 1);
     const num::Vec amps{0.0, 10e-6, 60e-6, 120e-6};
-    const auto serial =
-        sweepInjectionAmplitude(model(), testutil::kF1, sync, unitD, amps, 1024, 1);
-    const auto par =
-        sweepInjectionAmplitude(model(), testutil::kF1, sync, unitD, amps, 1024, 4);
+    const auto [serial, par] = serialAndParallel(
+        [&] { return sweepInjectionAmplitude(model(), testutil::kF1, sync, unitD, amps); });
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i].equilibria.size(), par[i].equilibria.size());
@@ -98,8 +114,8 @@ TEST(SweepDeterminism, CountIntersectionsBitwiseEqual) {
     const Injection unit = Injection::tone(injNode(), 1.0, 2);
     const num::Vec amps{5e-6, 80e-6, 500e-6};
     const double f1 = model().f0() * 1.004;
-    const auto serial = countIntersectionsVsAmplitude(model(), f1, {}, unit, amps, 1024, 1);
-    const auto par = countIntersectionsVsAmplitude(model(), f1, {}, unit, amps, 1024, 4);
+    const auto [serial, par] = serialAndParallel(
+        [&] { return countIntersectionsVsAmplitude(model(), f1, {}, unit, amps); });
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].total, par[i].total);
@@ -171,12 +187,13 @@ TEST(MonteCarloDeterminism, HoldErrorCountsIdenticalAcrossThreadCounts) {
     const double span = 60.0 / d.f1;
     StochasticGaeOptions opt;
     opt.seed = 12345;
-    opt.threads = 1;
-    const auto serial = holdErrorProbability(gae, c, d.reference.phase1, span, 96, opt);
-    opt.threads = 4;
-    const auto par4 = holdErrorProbability(gae, c, d.reference.phase1, span, 96, opt);
-    opt.threads = 3;
-    const auto par3 = holdErrorProbability(gae, c, d.reference.phase1, span, 96, opt);
+    const auto run = [&](const char* threads) {
+        ScopedThreadsEnv env(threads);
+        return holdErrorProbability(gae, c, d.reference.phase1, span, 96, opt);
+    };
+    const auto serial = run("1");
+    const auto par4 = run("4");
+    const auto par3 = run("3");
     EXPECT_EQ(serial.trials, 96u);
     EXPECT_EQ(par4.trials, serial.trials);
     EXPECT_EQ(par4.errors, serial.errors);

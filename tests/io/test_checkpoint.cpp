@@ -285,8 +285,10 @@ TEST_F(CheckpointTest, GaeResumeIsBitIdentical) {
         EXPECT_EQ(full.dphi[j + i], tail.dphi[i]);
     }
     EXPECT_EQ(tail.final(), full.final());
-    // Counters fold the checkpoint's pre-resume work back in.
+    // Counters fold the checkpoint's pre-resume work back in, exactly.
     EXPECT_EQ(tail.counters.rhsEvals, full.counters.rhsEvals);
+    EXPECT_EQ(tail.counters.steps, full.counters.steps);
+    EXPECT_EQ(tail.counters.rejectedSteps, full.counters.rejectedSteps);
 }
 
 TEST_F(CheckpointTest, GaeResumeCrossesScheduleSegments) {
@@ -316,8 +318,11 @@ TEST_F(CheckpointTest, GaeResumeCrossesScheduleSegments) {
     const auto tail = resumeGaeTransient(model(), d.f1, sched, ck.path, t1);
     ASSERT_TRUE(tail.ok);
     EXPECT_EQ(tail.final(), full.final());
-    // The resumed endpoint answers the logic question identically.
+    // The resumed endpoint answers the logic question identically, and the
+    // snapshot counted the rejected steps of the segment it interrupted.
     EXPECT_EQ(tail.dphi.back(), full.dphi.back());
+    EXPECT_EQ(tail.counters.steps, full.counters.steps);
+    EXPECT_EQ(tail.counters.rejectedSteps, full.counters.rejectedSteps);
 }
 
 TEST_F(CheckpointTest, GaeResumeRejectsBadSnapshot) {

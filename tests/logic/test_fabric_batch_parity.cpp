@@ -15,11 +15,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/osc_fixture.hpp"
+#include "common/scoped_env.hpp"
 #include "logic/compile.hpp"
 #include "logic/workloads.hpp"
 #include "phlogon/serial_adder.hpp"
@@ -48,24 +47,6 @@ void expectBitwiseEqual(const PhaseSystem::Result& a, const PhaseSystem::Result&
     for (std::size_t i = 0; i < a.vout.size(); ++i)
         EXPECT_EQ(a.vout[i], b.vout[i]) << what << ": latch " << i << " vout differs";
 }
-
-/// RAII PHLOGON_THREADS override.
-struct ScopedThreadsEnv {
-    explicit ScopedThreadsEnv(const char* value) {
-        const char* old = std::getenv("PHLOGON_THREADS");
-        if (old) saved_ = old;
-        had_ = old != nullptr;
-        setenv("PHLOGON_THREADS", value, 1);
-    }
-    ~ScopedThreadsEnv() {
-        if (had_)
-            setenv("PHLOGON_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("PHLOGON_THREADS");
-    }
-    std::string saved_;
-    bool had_ = false;
-};
 
 }  // namespace
 
@@ -124,7 +105,7 @@ TEST(FabricBatchParity, ThreadsFromEnvironmentAreBitwiseNeutral) {
                                           std::vector<std::vector<int>>(2));
     const auto base = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     for (const char* threads : {"1", "2", "4"}) {
-        ScopedThreadsEnv env(threads);
+        testutil::ScopedThreadsEnv env(threads);
         const auto res =
             fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
         expectBitwiseEqual(base, res, threads);
