@@ -29,7 +29,6 @@
 
 #include "analysis/dcop.hpp"
 #include "analysis/transient.hpp"
-#include "analysis/trap_util.hpp"
 #include "common.hpp"
 #include "common/scoped_env.hpp"
 #include "core/gae_sweep.hpp"
@@ -239,10 +238,8 @@ void BM_GaeBitFlipScalarLoop(benchmark::State& state) {
 BENCHMARK(BM_GaeBitFlipScalarLoop)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Solver strategy table: the same SPICE-level D-latch bit-write transient
-// run under the solver engine's strategies, against a faithful replica of
-// the pre-workspace implementation (per-step allocating callbacks and a
-// fresh Newton scratch + LU for every step), which is the honest "before".
+// The SPICE-level D-latch bit write (dt = T/300) that the checkpoint rows
+// below time.
 
 struct LatchWorkload {
     ckt::Netlist nl;
@@ -268,143 +265,6 @@ struct LatchWorkload {
                                     [](double) { return true; });
     }
 };
-
-/// Pre-workspace transient replica: the exact fixed-step TRAP loop the
-/// analysis layer used before the shared ImplicitStepper existed.  Each step
-/// builds fresh allocating residual/Jacobian lambdas and calls the
-/// allocating newtonSolve overload (per-call Newton scratch + LU).
-an::TransientResult baselineTransient(const ckt::Dae& dae, const num::Vec& x0, double t1,
-                                      double dt, const num::NewtonOptions& newtonOpt) {
-    const auto wallStart = std::chrono::steady_clock::now();
-    an::TransientResult res;
-    num::Vec xk = x0;
-    num::Vec qk = dae.evalQ(0.0, xk);
-    num::Vec fk = dae.evalF(0.0, xk);
-    res.counters.rhsEvals += 2;
-    const std::vector<bool> alg = an::detail::algebraicRows(dae.evalC(0.0, xk));
-    double tk = 0.0;
-    res.t.push_back(tk);
-    res.x.push_back(xk);
-    num::Vec xNew, qNew;
-    std::size_t stepIndex = 0;
-    while (tk < t1 - 0.5 * dt) {
-        double h = std::min(dt, t1 - tk);
-        bool done = false;
-        for (int halving = 0; halving <= 8; ++halving) {
-            const double tNew = tk + h;
-            num::Vec q, f;
-            num::Matrix c, g;
-            const num::ResidualFn residual = [&](const num::Vec& x) {
-                num::Vec qv, fv;
-                dae.eval(tNew, x, qv, fv, nullptr, nullptr);
-                num::Vec r(qv.size());
-                for (std::size_t i = 0; i < r.size(); ++i) {
-                    const double w = an::detail::newWeight(alg, i, true);
-                    r[i] = (qv[i] - qk[i]) / h + w * fv[i] + (1.0 - w) * fk[i];
-                }
-                return r;
-            };
-            const num::JacobianFn jacobian = [&](const num::Vec& x) {
-                dae.eval(tNew, x, q, f, &c, &g);
-                num::Matrix j = c;
-                j *= 1.0 / h;
-                for (std::size_t r = 0; r < j.rows(); ++r) {
-                    const double w = an::detail::newWeight(alg, r, true);
-                    for (std::size_t cc = 0; cc < j.cols(); ++cc) j(r, cc) += w * g(r, cc);
-                }
-                return j;
-            };
-            xNew = xk;
-            const num::NewtonResult nr = num::newtonSolve(residual, jacobian, xNew, newtonOpt);
-            res.counters += nr.counters;
-            if (nr.converged) {
-                dae.eval(tNew, xNew, qNew, f, nullptr, nullptr);
-                ++res.counters.rhsEvals;
-                done = true;
-                break;
-            }
-            ++res.counters.rejectedSteps;
-            h *= 0.5;
-        }
-        if (!done) {
-            res.message = "Newton failed at t=" + std::to_string(tk);
-            return res;
-        }
-        tk += h;
-        xk = xNew;
-        qk = qNew;
-        fk = dae.evalF(tk, xk);
-        ++res.counters.rhsEvals;
-        ++stepIndex;
-        ++res.counters.steps;
-        if (stepIndex % 16 == 0 || tk >= t1 - 1e-18) {
-            res.t.push_back(tk);
-            res.x.push_back(xk);
-        }
-    }
-    res.ok = true;
-    res.message = "ok";
-    res.counters.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
-    res.newtonIterationsTotal = res.counters.newtonIters;
-    return res;
-}
-
-double maxRelDiff(const num::Vec& a, const num::Vec& b) {
-    double m = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double sc = std::max(std::abs(a[i]), std::abs(b[i]));
-        if (sc > 0.0) m = std::max(m, std::abs(a[i] - b[i]) / sc);
-    }
-    return m;
-}
-
-void reportSolverStrategies() {
-    const double cycles = smokeMode() ? 6.0 : 40.0;
-    LatchWorkload w(cycles);
-
-    struct Row {
-        const char* name;
-        an::TransientResult r;
-    };
-    an::TransientOptions base;
-    base.dt = w.dt;
-    base.storeEvery = 16;
-
-    std::vector<Row> rows;
-    rows.push_back({"baseline (pre-workspace alloc)",
-                    baselineTransient(w.dae, w.x0, w.t1, w.dt, base.newton)});
-    rows.push_back({"full Newton + workspaces", an::transient(w.dae, w.x0, 0.0, w.t1, base)});
-    an::TransientOptions chord = base;
-    chord.newton.jacobianReuse = true;
-    rows.push_back({"chord Newton (LU reuse)", an::transient(w.dae, w.x0, 0.0, w.t1, chord)});
-    an::TransientOptions adaptive = chord;
-    adaptive.adaptive = true;
-    adaptive.lteRelTol = 1e-4;
-    adaptive.lteAbsTol = 1e-7;
-    rows.push_back({"chord + adaptive dt", an::transient(w.dae, w.x0, 0.0, w.t1, adaptive)});
-
-    const auto& b = rows.front().r;
-    std::printf("Solver strategy comparison: D-latch bit write, %.0f cycles of SPICE-level\n",
-                cycles);
-    std::printf("transient (%zu unknowns, dt = T/300):\n", w.dae.size());
-    std::printf("  %-31s %9s %7s %7s %8s %7s %7s %8s %10s\n", "strategy", "wall ms", "steps",
-                "iters", "rhs", "jac", "lu", "speedup", "maxrel");
-    for (const Row& row : rows) {
-        const auto& c = row.r.counters;
-        std::printf("  %-31s %9.2f %7zu %7zu %8zu %7zu %7zu %7.2fx %10.2e\n", row.name,
-                    1e3 * c.wallSeconds, c.steps, c.newtonIters, c.rhsEvals, c.jacEvals,
-                    c.luFactorizations, b.counters.wallSeconds / c.wallSeconds,
-                    row.r.ok && b.ok ? maxRelDiff(row.r.x.back(), b.x.back()) : -1.0);
-        jsonOut().addRow("solverStrategies",
-                         {{"wallMs", 1e3 * c.wallSeconds},
-                          {"steps", static_cast<double>(c.steps)},
-                          {"newtonIters", static_cast<double>(c.newtonIters)},
-                          {"speedup", b.counters.wallSeconds / c.wallSeconds}});
-    }
-    std::printf("  (maxrel = final-state max relative deviation from the baseline row;\n");
-    std::printf("   the adaptive row trades LTE-controlled accuracy for fewer steps)\n\n");
-}
 
 // ---------------------------------------------------------------------------
 // Artifact cache & checkpointing (io/): cold-vs-warm extraction cost and the
@@ -482,7 +342,7 @@ void reportCacheAndCheckpoint() {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse MNA engine (DESIGN.md §15): the same chord-Newton TRAP transient run
+// Sparse MNA engine (DESIGN.md §15): the same TRAP transient run
 // once through the dense LU and once through pattern-cached CSR assembly +
 // fill-reducing SparseLu.  Three workloads:
 //   1. RC ladders, 10 -> 1000 sections (12 -> 1002 MNA unknowns), with a
@@ -518,7 +378,6 @@ SparseRunStats timedTransient(const ckt::Dae& dae, const num::Vec& x0, double t1
     an::TransientOptions opt;
     opt.dt = dt;
     opt.storeEvery = 1 << 20;  // endpoints only — measure the solver, not storage
-    opt.newton.jacobianReuse = true;
     opt.newton.linearSolver = solver;
     const auto t0 = std::chrono::steady_clock::now();
     const an::TransientResult r = an::transient(dae, x0, 0.0, t1, opt);
@@ -538,8 +397,7 @@ void reportSparseScaling() {
         smokeMode() ? std::vector<int>{10, 30, 100} : std::vector<int>{10, 30, 100, 300, 1000};
 
     std::printf("Sparse MNA engine: dense LU vs pattern-cached CSR + fill-reducing SparseLu,\n");
-    std::printf("chord-Newton TRAP transient, %zu steps (linearSolver = dense | sparse):\n",
-                steps);
+    std::printf("TRAP transient, %zu steps (linearSolver = dense | sparse):\n", steps);
     std::printf("  %-26s %9s %12s %12s %9s %9s\n", "workload", "unknowns", "dense [ms]",
                 "sparse [ms]", "speedup", "nnz");
     const auto row = [&](const char* name, std::size_t unknowns, double denseMs, double sparseMs,
@@ -854,7 +712,6 @@ int main(int argc, char** argv) {
     std::printf("and the non-averaged phase system to sit in between.\n\n");
     reportSweepSpeedup();
     reportSimdSpeedup();
-    reportSolverStrategies();
     reportSparseScaling();
     reportCacheAndCheckpoint();
     if (jsonOut().write("speedup"))

@@ -82,7 +82,7 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
             Matrix nMat = cPrev;
             nMat *= 1.0 / h;
             for (std::size_t r = 0; r < n; ++r) {
-                const double w = detail::newWeight(alg, r, true);
+                const double w = detail::newWeight(alg, r);
                 for (std::size_t c = 0; c < n; ++c) {
                     mMat(r, c) += w * gCur(r, c);
                     nMat(r, c) -= (1.0 - w) * gPrev(r, c);

@@ -46,7 +46,7 @@ int autoPhaseUnknown(const Dae& dae, const TransientResult& tr) {
 struct PeriodWorkspace {
     explicit PeriodWorkspace(const Dae& dae)
         : alg(detail::algebraicRows(dae.evalC(0.0, Vec(dae.size(), 0.0)))),
-          stepper(dae, /*trapezoidal=*/true, alg) {}
+          stepper(dae, alg) {}
 
     std::vector<bool> alg;
     detail::ImplicitStepper stepper;
@@ -100,7 +100,7 @@ bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double 
             pw.nMat = pw.ck;
             pw.nMat *= 1.0 / h;
             for (std::size_t r = 0; r < n; ++r) {
-                const double w = detail::newWeight(pw.alg, r, true);
+                const double w = detail::newWeight(pw.alg, r);
                 for (std::size_t c = 0; c < n; ++c) {
                     pw.mMat(r, c) += w * g1(r, c);
                     pw.nMat(r, c) -= (1.0 - w) * pw.gk(r, c);

@@ -4,13 +4,13 @@
 
 namespace phlogon::an::detail {
 
-ImplicitStepper::ImplicitStepper(const ckt::Dae& dae, bool trapezoidal, std::vector<bool> alg)
-    : dae_(&dae), trap_(trapezoidal), alg_(std::move(alg)) {
+ImplicitStepper::ImplicitStepper(const ckt::Dae& dae, std::vector<bool> alg)
+    : dae_(&dae), alg_(std::move(alg)) {
     residual_ = [this](const num::Vec& x, num::Vec& out) {
         dae_->eval(tNew_, x, qv_, fv_, nullptr, nullptr);
         out.resize(qv_.size());
         for (std::size_t i = 0; i < out.size(); ++i) {
-            const double w = newWeight(alg_, i, trap_);
+            const double w = newWeight(alg_, i);
             out[i] = (qv_[i] - (*qk_)[i]) / h_ + w * fv_[i] + (1.0 - w) * (*fk_)[i];
         }
     };
@@ -19,7 +19,7 @@ ImplicitStepper::ImplicitStepper(const ckt::Dae& dae, bool trapezoidal, std::vec
         out = cj_;
         out *= 1.0 / h_;
         for (std::size_t r = 0; r < out.rows(); ++r) {
-            const double w = newWeight(alg_, r, trap_);
+            const double w = newWeight(alg_, r);
             for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += w * gj_(r, c);
         }
     };
@@ -33,7 +33,7 @@ ImplicitStepper::ImplicitStepper(const ckt::Dae& dae, bool trapezoidal, std::vec
         out.beginAssembly();
         const double invH = 1.0 / h_;
         for (std::size_t r = 0; r < n; ++r) {
-            const double w = newWeight(alg_, r, trap_);
+            const double w = newWeight(alg_, r);
             for (std::size_t p = scj_.rowPtr()[r]; p < scj_.rowPtr()[r + 1]; ++p)
                 out.add(r, scj_.colIdx()[p], scj_.values()[p] * invH);
             for (std::size_t p = sgj_.rowPtr()[r]; p < sgj_.rowPtr()[r + 1]; ++p)
@@ -50,22 +50,13 @@ bool ImplicitStepper::step(double tNew, double h, const num::Vec& qk, const num:
     h_ = h;
     qk_ = &qk;
     fk_ = &fk;
-    // A cached chord factorization embeds C/h — a different step size makes
-    // it a poor (badly scaled) preconditioner, so drop it.
-    if (h != lastH_) {
-        ws_.invalidateJacobian();
-        lastH_ = h;
-    }
 
     const num::NewtonResult nr =
         opt.linearSolver == num::LinearSolver::Sparse
             ? num::newtonSolveSparse(residual_, sparseJacobian_, xNew, ws_, opt)
             : num::newtonSolve(residual_, jacobian_, xNew, ws_, opt);
     counters += nr.counters;
-    if (!nr.converged) {
-        lastMessage_ = nr.message;
-        return false;
-    }
+    if (!nr.converged) return false;
     // Refresh q/f (and C/G for sensitivity chains) at the converged point.
     dae_->eval(tNew_, xNew, q1_, f1_, wantMatrices ? &c1_ : nullptr,
                wantMatrices ? &g1_ : nullptr);

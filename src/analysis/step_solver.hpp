@@ -2,19 +2,16 @@
 // Zero-allocation implicit step solver shared by transient analysis and the
 // PSS shooting integrator.
 //
-// One TRAP/BE step of the circuit DAE  d/dt q(x) + f(x, t) = 0  is the
+// One TRAP step of the circuit DAE  d/dt q(x) + f(x, t) = 0  is the
 // nonlinear system (per row i, with w the collocation weight of
 // trap_util.hpp)
 //
 //     (q(x1) - qk) / h + w f(x1) + (1 - w) fk = 0,
 //
-// solved by damped Newton with Jacobian  C(x1)/h + w G(x1).  The stepper
-// owns every buffer the inner loop needs — DAE evaluation scratch, the
-// Newton workspace (residual/step/trial/Jacobian/LU storage) — so repeated
-// steps perform no heap allocation, and in chord mode
-// (NewtonOptions::jacobianReuse) the LU factorization is carried across
-// time steps and only refreshed when the contraction rate degrades or the
-// step size changes.
+// solved by damped full Newton with Jacobian  C(x1)/h + w G(x1).  The
+// stepper owns every buffer the inner loop needs — DAE evaluation scratch,
+// the Newton workspace (residual/step/trial/Jacobian/LU storage) — so
+// repeated steps perform no heap allocation.
 
 #include <vector>
 
@@ -27,10 +24,9 @@ namespace phlogon::an::detail {
 
 class ImplicitStepper {
 public:
-    /// `trapezoidal` selects TRAP weights on differential rows (algebraic
-    /// rows are always collocated at the new point); `alg` is the structural
-    /// algebraic-row mask from algebraicRows().
-    ImplicitStepper(const ckt::Dae& dae, bool trapezoidal, std::vector<bool> alg);
+    /// `alg` is the structural algebraic-row mask from algebraicRows():
+    /// those rows are collocated at the new point, the rest take TRAP weights.
+    ImplicitStepper(const ckt::Dae& dae, std::vector<bool> alg);
 
     /// Solve one implicit step ending at time `tNew` with step size `h`,
     /// from old-point charges/currents (`qk`, `fk`).  The caller presets
@@ -47,16 +43,8 @@ public:
     const num::Matrix& c1() const { return c1_; }
     const num::Matrix& g1() const { return g1_; }
 
-    /// Message of the last (failed) Newton solve.
-    const std::string& lastMessage() const { return lastMessage_; }
-
-    /// Drop the cached chord factorization (e.g. after an injected
-    /// discontinuity the caller knows about).
-    void invalidateJacobian() { ws_.invalidateJacobian(); }
-
 private:
     const ckt::Dae* dae_;
-    bool trap_;
     std::vector<bool> alg_;
 
     num::NewtonWorkspace ws_;
@@ -69,7 +57,6 @@ private:
     double h_ = 0.0;
     const num::Vec* qk_ = nullptr;
     const num::Vec* fk_ = nullptr;
-    double lastH_ = 0.0;  ///< h of the cached factorization (chord validity)
 
     // Evaluation scratch (callbacks) and refreshed converged-point values.
     num::Vec qv_, fv_, q1_, f1_;
@@ -79,7 +66,6 @@ private:
     // freeze after the first assembly, so steady-state stepping allocates
     // nothing and SparseLu sees a stable pattern to reuse symbolically.
     num::SparseMatrix scj_, sgj_;
-    std::string lastMessage_;
 };
 
 }  // namespace phlogon::an::detail

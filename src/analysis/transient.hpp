@@ -1,22 +1,15 @@
 #pragma once
 // SPICE-style implicit transient analysis of the circuit DAE.
 //
-// Trapezoidal integration by default (no artificial damping of oscillations,
-// which matters when simulating oscillator phase over thousands of cycles);
-// Backward Euler is available for heavily switching circuits and is also
-// used for the first step after a discontinuity.
+// Fixed-step trapezoidal integration (no artificial damping of
+// oscillations, which matters when simulating oscillator phase over
+// thousands of cycles), with algebraic rows collocated at the new point
+// (trap_util.hpp).  A step whose Newton solve fails is retried at half the
+// size; otherwise every step is dt, and the last one is shortened to land
+// on t1.
 //
 // The inner loop runs on the zero-allocation ImplicitStepper: all Newton
-// temporaries live in a workspace reused across steps, and with
-// newton.jacobianReuse the Jacobian LU factorization is carried from step
-// to step (chord Newton) and only refreshed when contraction degrades.
-//
-// Optional adaptive time stepping (opt.adaptive) uses step-doubling local
-// truncation error control: each step is computed once at h and again as
-// two h/2 substeps; the difference estimates the LTE, rejecting the step
-// and shrinking h when it exceeds tolerance, growing h (within
-// [dtMin, dtMax]) when the solution is smooth.  Off by default so all
-// golden figure outputs remain bit-stable.
+// temporaries live in a workspace reused across steps.
 
 #include <cstdint>
 #include <filesystem>
@@ -33,11 +26,9 @@ using ckt::Dae;
 using num::Matrix;
 using num::Vec;
 
-enum class IntegrationMethod { BackwardEuler, Trapezoidal };
-
 /// Periodic solver-state snapshots (io/checkpoint.hpp artifact): every
 /// `interval` of simulated time, after an accepted step, the current
-/// (t, x, step size, stepIndex, counters) is written atomically to `path`.
+/// (t, x, stepIndex, counters) is written atomically to `path`.
 /// io::resumeTransient() restarts from the snapshot and reproduces the
 /// uninterrupted run's remaining trajectory bit-for-bit.
 struct CheckpointOptions {
@@ -47,8 +38,7 @@ struct CheckpointOptions {
 };
 
 struct TransientOptions {
-    double dt = 0.0;  ///< fixed time step (adaptive: initial step); required (> 0)
-    IntegrationMethod method = IntegrationMethod::Trapezoidal;
+    double dt = 0.0;  ///< time step; required (> 0)
     num::NewtonOptions newton{.maxIter = 50, .absTol = 1e-9, .maxStep = 1.0};
     /// Store every `storeEvery`-th point (1 = all); the initial point and the
     /// final point are always stored.
@@ -56,14 +46,6 @@ struct TransientOptions {
     /// On a Newton failure the step is retried with dt/2 up to this many
     /// times (then the run aborts).
     int maxStepHalvings = 8;
-
-    /// Step-doubling LTE control (grow/shrink h).  Off by default: the
-    /// fixed-dt path is bit-for-bit the historical behaviour.
-    bool adaptive = false;
-    double dtMin = 0.0;      ///< lower step bound; 0 = dt / 4096
-    double dtMax = 0.0;      ///< upper step bound; 0 = unlimited (the span)
-    double lteRelTol = 1e-5; ///< relative LTE tolerance per step
-    double lteAbsTol = 1e-9; ///< absolute LTE floor (state units)
 
     /// Optional periodic checkpointing (disabled by default).
     CheckpointOptions checkpoint;
@@ -74,7 +56,6 @@ struct TransientResult {
     std::string message;
     Vec t;
     std::vector<Vec> x;
-    std::size_t newtonIterationsTotal = 0;  ///< mirror of counters.newtonIters
     /// Work performed: steps/rejections, Newton iterations, residual and
     /// Jacobian evaluations, LU factorizations, wall time.
     num::SolverCounters counters;
@@ -88,14 +69,12 @@ TransientResult transient(const Dae& dae, const Vec& x0, double t0, double t1,
                           const TransientOptions& opt);
 
 /// Mid-run integration state, as captured in a checkpoint.  `t0` is the
-/// original span start (the adaptive path derives dtMin/dtMax defaults from
-/// t1 - t0); `h` is the adaptive next-step proposal (ignored by the
-/// fixed-step path); `stepIndex` preserves the storeEvery phase.
+/// original span start, which later snapshots record again; `stepIndex`
+/// preserves the storeEvery phase.
 struct TransientResumeState {
     double t0 = 0.0;
     double t = 0.0;
     Vec x;
-    double h = 0.0;
     std::uint64_t stepIndex = 0;
     num::SolverCounters counters;
 };

@@ -31,8 +31,8 @@ inline std::vector<bool> algebraicRows(const num::Matrix& c) {
 }
 
 /// Weight of f(x_{n+1}) in row r (old-point weight is 1 minus this).
-inline double newWeight(const std::vector<bool>& alg, std::size_t r, bool trapezoidal) {
-    return (!trapezoidal || alg[r]) ? 1.0 : 0.5;
+inline double newWeight(const std::vector<bool>& alg, std::size_t r) {
+    return alg[r] ? 1.0 : 0.5;
 }
 
 }  // namespace phlogon::an::detail

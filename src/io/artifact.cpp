@@ -245,7 +245,6 @@ std::vector<std::uint8_t> encodeTransientResult(const an::TransientResult& res) 
     w.str(res.message);
     w.vec(res.t);
     w.vecList(res.x);
-    w.u64(res.newtonIterationsTotal);
     encodeCounters(w, res.counters);
     return w.take();
 }
@@ -255,12 +254,9 @@ std::optional<an::TransientResult> decodeTransientResult(
     BinaryReader r(payload);
     an::TransientResult res;
     std::uint8_t b;
-    std::uint64_t v;
     if (!r.u8(b)) return std::nullopt;
     res.ok = b != 0;
     if (!r.str(res.message) || !r.vec(res.t) || !r.vecList(res.x)) return std::nullopt;
-    if (!r.u64(v)) return std::nullopt;
-    res.newtonIterationsTotal = static_cast<std::size_t>(v);
     if (!decodeCounters(r, res.counters)) return std::nullopt;
     return res;
 }

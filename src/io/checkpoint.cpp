@@ -13,7 +13,6 @@ std::vector<std::uint8_t> encodeTransientCheckpoint(const TransientCheckpoint& c
     w.f64(c.t0);
     w.f64(c.t1);
     w.f64(c.t);
-    w.f64(c.h);
     w.u64(c.stepIndex);
     w.vec(c.x);
     encodeCounters(w, c.counters);
@@ -24,7 +23,7 @@ std::optional<TransientCheckpoint> decodeTransientCheckpoint(
     const std::vector<std::uint8_t>& payload) {
     BinaryReader r(payload);
     TransientCheckpoint c;
-    if (!r.f64(c.t0) || !r.f64(c.t1) || !r.f64(c.t) || !r.f64(c.h) || !r.u64(c.stepIndex) ||
+    if (!r.f64(c.t0) || !r.f64(c.t1) || !r.f64(c.t) || !r.u64(c.stepIndex) ||
         !r.vec(c.x) || !decodeCounters(r, c.counters))
         return std::nullopt;
     return c;
@@ -64,7 +63,6 @@ an::TransientResult resumeTransient(const ckt::Dae& dae, const std::filesystem::
     st.t0 = c->t0;
     st.t = c->t;
     st.x = c->x;
-    st.h = c->h;
     st.stepIndex = c->stepIndex;
     st.counters = c->counters;
     return an::transientResumed(dae, st, t1, opt);

@@ -32,7 +32,6 @@ struct TransientCheckpoint {
     double t0 = 0.0;  ///< original span start
     double t1 = 0.0;  ///< span end the run was headed for (informational)
     double t = 0.0;   ///< checkpoint time
-    double h = 0.0;   ///< adaptive next-step proposal (0 on the fixed path)
     std::uint64_t stepIndex = 0;
     num::Vec x;
     num::SolverCounters counters;

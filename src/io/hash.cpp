@@ -44,9 +44,7 @@ void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt) {
         .f64(opt.absTol)
         .f64(opt.stepTol)
         .u64(static_cast<std::uint64_t>(opt.maxDampings))
-        .f64(opt.maxStep)
-        .u8(opt.jacobianReuse ? 1 : 0)
-        .f64(opt.contractionTol);
+        .f64(opt.maxStep);
 }
 
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt) {

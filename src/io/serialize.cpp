@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <fstream>
@@ -195,9 +196,13 @@ bool writeArtifactFile(const std::filesystem::path& path, std::uint32_t type,
     putU32(header, crc32(payload.data(), payload.size()));
 
     // Unique temp name in the destination directory (same filesystem, so the
-    // rename below is atomic); the pid suffix keeps concurrent writers apart.
+    // rename below is atomic).  The pid keeps processes apart and the counter
+    // keeps threads apart: two threads sharing one temp file would truncate
+    // or publish each other's half-written bytes.
+    static std::atomic<std::uint64_t> tmpCounter{0};
     std::filesystem::path tmp = path;
-    tmp += ".tmp." + std::to_string(static_cast<unsigned long>(::getpid()));
+    tmp += ".tmp." + std::to_string(static_cast<unsigned long>(::getpid())) + "." +
+           std::to_string(tmpCounter.fetch_add(1, std::memory_order_relaxed));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) return false;

@@ -17,9 +17,11 @@
 // IEEE-754 bit pattern (std::bit_cast), so save→load round-trips are bitwise
 // exact and files are portable across hosts.
 //
-// Publication is atomic: writeArtifactFile writes to "<path>.tmp.<pid>" and
-// renames over the destination, so readers never observe a half-written
-// artifact and a crash mid-write leaves any previous version intact.
+// Publication is atomic: writeArtifactFile writes to "<path>.tmp.<pid>.<n>",
+// where n is a process-wide counter so concurrent writers of one path never
+// share a temp file, and renames over the destination, so readers never
+// observe a half-written artifact and a crash mid-write leaves any previous
+// version intact.
 // Readers verify magic, version, size and CRC and report a typed status —
 // callers (the ArtifactCache, checkpoint restore) treat anything but Ok as
 // "absent" and recompute rather than fail.
@@ -36,7 +38,7 @@ namespace phlogon::io {
 
 /// Bumped whenever any payload layout changes; part of every cache key, so a
 /// version bump invalidates all previously cached artifacts at once.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 inline constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
     return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |

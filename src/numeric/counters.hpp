@@ -2,12 +2,11 @@
 // Per-analysis performance counters for the nonlinear-solver hot path.
 //
 // Every analysis (DC, transient, shooting PSS, GAE transient) accumulates
-// one SolverCounters instance into its result struct, so callers — and the
-// bench_speedup strategy table — can see exactly where the work went:
+// one SolverCounters instance into its result struct, so callers — and
+// perfbench's layer attribution — can see exactly where the work went:
 // residual evaluations, Jacobian evaluations (device sweeps with matrix
-// stamping, roughly 2x a residual eval), LU factorizations (the cost chord
-// Newton amortizes away), Newton iterations, accepted/rejected time steps
-// and wall time.
+// stamping, roughly 2x a residual eval), LU factorizations, Newton
+// iterations, accepted/rejected time steps and wall time.
 
 #include <cstddef>
 #include <cstdio>

@@ -13,8 +13,7 @@ namespace phlogon::num {
 /// Stores L and U packed in a single matrix plus the row-permutation.  A
 /// factorization is immutable between `refactor` calls; `solve` can be
 /// called any number of times (this matters for the PPV backward-adjoint
-/// iteration where the same step Jacobians are reused every period, and for
-/// chord Newton, where one factorization serves many iterations/steps).
+/// iteration where the same step Jacobians are reused every period).
 ///
 /// Two usage styles:
 ///   * one-shot: `auto lu = LuFactor::factor(a);` (allocates fresh storage);

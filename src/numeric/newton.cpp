@@ -80,16 +80,9 @@ static NewtonResult newtonLoop(const ResidualInPlaceFn& f, LinBackend lin, Vec& 
             finalize(true, fn, "converged on residual");
             return res;
         }
-        // Chord/bypass: reuse the workspace's factorization when allowed and
-        // still trusted; otherwise stamp a fresh Jacobian and refactorize.
-        const bool stale = opt.jacobianReuse && ws.luValid_;
-        if (!stale) {
-            if (!lin.refresh(x, res)) {
-                ws.luValid_ = false;
-                finalize(false, fn, "singular Jacobian");
-                return res;
-            }
-            ws.luValid_ = true;
+        if (!lin.refresh(x, res)) {
+            finalize(false, fn, "singular Jacobian");
+            return res;
         }
         lin.solveInto(ws.fx_, ws.dx_);
         for (double& d : ws.dx_) d = -d;
@@ -116,12 +109,6 @@ static NewtonResult newtonLoop(const ResidualInPlaceFn& f, LinBackend lin, Vec& 
             lambda *= 0.5;
         }
         if (!accepted) {
-            if (stale) {
-                // The stale-Jacobian direction wasted the damping budget (or
-                // ran non-finite): refresh and redo from the same point.
-                ws.luValid_ = false;
-                continue;
-            }
             if (!std::isfinite(fnTrial)) {
                 finalize(false, fn, "residual became non-finite");
                 return res;
@@ -134,15 +121,7 @@ static NewtonResult newtonLoop(const ResidualInPlaceFn& f, LinBackend lin, Vec& 
         const double stepNorm = lambda * normInf(ws.dx_);
         x = ws.xTrial_;
         std::swap(ws.fx_, ws.fTrial_);
-        const double fnOld = fn;
         fn = fnTrial;
-
-        if (opt.jacobianReuse) {
-            // Refresh next iteration when contraction degraded past the
-            // threshold or the step needed damping at all.
-            if (lambda < 1.0 || (fnOld > 0.0 && fn > opt.contractionTol * fnOld))
-                ws.luValid_ = false;
-        }
 
         if (stepNorm <= opt.stepTol * (normInf(x) + 1.0) && fn <= std::sqrt(opt.absTol)) {
             finalize(true, fn, "converged on step size");

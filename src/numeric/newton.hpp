@@ -14,15 +14,8 @@
 //     carried across solves — e.g. across the time steps of a transient —
 //     so the inner loop performs no heap allocation at all.
 //
-// Chord/bypass Newton (opt.jacobianReuse): the LU factorization of the
-// Jacobian is kept across iterations — and, via the persistent workspace,
-// across time steps — and only refreshed when the residual-norm contraction
-// rate degrades past opt.contractionTol (the classic SPICE "Jacobian
-// bypass").  A stale factorization still yields a descent-quality step on
-// the mildly nonlinear per-step systems of implicit integration; when it
-// does not, the damping loop fails, the factorization is invalidated and
-// the iteration is retried with a fresh Jacobian, so robustness matches
-// full Newton.
+// Every iteration evaluates and factors a fresh Jacobian (full Newton);
+// DESIGN.md §10 gives the measurements behind keeping no chord variant.
 
 #include <functional>
 #include <string>
@@ -52,14 +45,6 @@ struct NewtonOptions {
     /// keep exponential/quadratic device models from overflowing).  <=0
     /// disables clamping.
     double maxStep = 0.0;
-    /// Chord/bypass Newton: reuse the Jacobian LU factorization across
-    /// iterations (and across solves sharing a workspace) while the residual
-    /// keeps contracting.  Off = classic full Newton (refactor every
-    /// iteration), which is bit-for-bit the historical behaviour.
-    bool jacobianReuse = false;
-    /// With jacobianReuse: refactorize when ||F_new|| / ||F_old|| exceeds
-    /// this contraction threshold (or when the step needed damping).
-    double contractionTol = 0.5;
     /// Linear-algebra backend.  Dense (default) keeps the historical
     /// behaviour bitwise; Sparse requires the sparse-capable newtonSolve
     /// overload (analyses plumb this automatically — see SolverOptions
@@ -96,17 +81,9 @@ struct NewtonEngine;  // shared dense/sparse iteration loop (newton.cpp)
 }
 
 /// Preallocated scratch for newtonSolve.  Create once, pass to every solve
-/// in a loop; all buffers (and the Jacobian LU) are reused.  With
-/// NewtonOptions::jacobianReuse the LU carried here warm-starts the next
-/// solve (chord across time steps); call invalidateJacobian() whenever the
-/// underlying system changes shape or scaling (e.g. the step size changed).
+/// in a loop; all buffers (and the Jacobian and LU storage) are reused, but
+/// no factorization carries over: every iteration refactors.
 class NewtonWorkspace {
-public:
-    /// Drop the cached factorization (forces a fresh Jacobian next solve).
-    void invalidateJacobian() { luValid_ = false; }
-    bool hasFactorization() const { return luValid_; }
-
-private:
     friend struct detail::NewtonEngine;
     Vec fx_, dx_, xTrial_, fTrial_;
     Matrix jac_;
@@ -116,7 +93,6 @@ private:
     // workspace, so steady-state Newton work is numeric-only refactors.
     SparseMatrix sjac_;
     SparseLu slu_;
-    bool luValid_ = false;
 };
 
 /// Solve F(x) = 0 starting from `x` (updated in place), reusing `ws` for all
@@ -124,7 +100,7 @@ private:
 NewtonResult newtonSolve(const ResidualInPlaceFn& f, const JacobianInPlaceFn& jac, Vec& x,
                          NewtonWorkspace& ws, const NewtonOptions& opt = {});
 
-/// Sparse-backend newtonSolve: same damping/chord policy, with the Jacobian
+/// Sparse-backend newtonSolve: same damping policy, with the Jacobian
 /// assembled into the workspace's pattern-cached CSR and factorized by the
 /// fill-reducing SparseLu (numeric-only refactors once the pattern froze).
 /// Used by analyses when NewtonOptions::linearSolver == LinearSolver::Sparse.

@@ -7,11 +7,10 @@
 // factorization (diagonal-preferring, so the numerically-symmetric MNA
 // matrices keep their fill close to the symbolic prediction).
 //
-// Mirroring §10's LU-reuse strategy at the sparse level, the expensive work
-// — ordering, depth-first symbolic reach, pivot search — is done ONCE in
-// factor(); refactor() then re-runs only the numeric triangular solves over
-// the frozen pattern with the recorded pivot sequence, which is what chord
-// Newton and fixed-step transient hit every time the Jacobian refreshes.
+// The expensive work — ordering, depth-first symbolic reach, pivot search —
+// is done ONCE in factor(); refactor() then re-runs only the numeric
+// triangular solves over the frozen pattern with the recorded pivot
+// sequence, which is what every Newton iteration of a transient hits.
 // A reused pivot that fails the threshold test (or the pattern changing
 // under the factorization, SparseMatrix::patternStamp) transparently falls
 // back to a fresh full factorization, so robustness matches factor().

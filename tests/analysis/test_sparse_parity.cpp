@@ -102,7 +102,7 @@ TEST(SparseParity, TransientMatchesDenseOnNonlinearLadder) {
     const Vec& xs = rs.x.back();
     for (std::size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xs[i], xd[i], 1e-8);
 
-    // Chord reuse + frozen pattern: the whole run needs exactly one symbolic
+    // Frozen pattern: the whole run needs exactly one symbolic
     // factorization, everything else is numeric-only refactors.
     EXPECT_EQ(rs.counters.sparseFactorizations, 1u);
     EXPECT_GT(rs.counters.sparseRefactors, 0u);

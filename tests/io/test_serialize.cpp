@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "common/temp_path.hpp"
 #include "io/artifact.hpp"
@@ -190,6 +193,46 @@ TEST_F(SerializeTest, BadMagicAndWrongTypeRejected) {
     EXPECT_TRUE(readArtifactFile(file("ty.phlg")).ok());  // expectedType 0 = any
 }
 
+TEST_F(SerializeTest, ConcurrentWritersPublishWholeArtifacts) {
+    // Three threads of one process rewrite the same path while a fourth
+    // reads it: every write publishes, and every read sees one whole
+    // artifact, never a temp file another writer truncated or renamed away.
+    constexpr std::size_t kWriters = 3, kWrites = 200;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (std::size_t w = 0; w < kWriters; ++w)
+        payloads.emplace_back(100000 + 50000 * w, static_cast<std::uint8_t>(w + 1));
+    const fs::path path = file("shared.phlg");
+    ASSERT_TRUE(writeArtifactFile(path, kTypePssResult, payloads[0]));
+
+    const auto isKnown = [&payloads](const std::vector<std::uint8_t>& p) {
+        return std::find(payloads.begin(), payloads.end(), p) != payloads.end();
+    };
+    std::atomic<std::size_t> failedWrites{0}, badReads{0}, reads{0};
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        while (!done.load()) {
+            const ArtifactReadResult r = readArtifactFile(path, kTypePssResult);
+            if (!r.ok() || !isKnown(r.payload)) ++badReads;
+            ++reads;
+        }
+    });
+    std::vector<std::thread> writers;
+    for (std::size_t w = 0; w < kWriters; ++w)
+        writers.emplace_back([&, w] {
+            for (std::size_t k = 0; k < kWrites; ++k)
+                if (!writeArtifactFile(path, kTypePssResult, payloads[w])) ++failedWrites;
+        });
+    for (std::thread& t : writers) t.join();
+    done = true;
+    reader.join();
+
+    EXPECT_EQ(failedWrites.load(), 0u);
+    EXPECT_EQ(badReads.load(), 0u) << "of " << reads.load() << " reads";
+    const ArtifactReadResult last = readArtifactFile(path, kTypePssResult);
+    ASSERT_TRUE(last.ok()) << statusName(last.status);
+    EXPECT_TRUE(isKnown(last.payload));
+}
+
 // ---- typed payloads --------------------------------------------------------
 
 an::PssResult fakePss() {
@@ -348,7 +391,6 @@ TEST_F(SerializeTest, OdeSolutionAndTransientResultRoundTrip) {
     tr.message = "done";
     tr.t = Vec{0.0, 1e-5};
     tr.x = {Vec{1.0}, Vec{0.99}};
-    tr.newtonIterationsTotal = 12;
     tr.counters.newtonIters = 12;
     const auto trBack = decodeTransientResult(encodeTransientResult(tr));
     ASSERT_TRUE(trBack.has_value());

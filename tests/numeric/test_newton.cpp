@@ -143,9 +143,9 @@ TEST(Newton, WorkspaceOverloadMatchesAllocatingOverload) {
 }
 
 TEST(Newton, ChordReusesFactorizationAcrossSolves) {
-    // Linear system: the first solve factorizes once; a second solve through
-    // the same workspace in chord mode reuses the LU and evaluates no
-    // Jacobian at all.
+    // Full Newton keeps no factorization across solves: a second solve
+    // through the same workspace evaluates and factors its own Jacobian.
+    // On this linear system each solve takes one Jacobian and one LU.
     int jacCalls = 0;
     const ResidualInPlaceFn f = [](const Vec& v, Vec& out) {
         out.resize(2);
@@ -156,69 +156,76 @@ TEST(Newton, ChordReusesFactorizationAcrossSolves) {
         ++jacCalls;
         out = Matrix{{2.0, 1.0}, {1.0, 3.0}};
     };
-    NewtonOptions opt;
-    opt.jacobianReuse = true;
     NewtonWorkspace ws;
     Vec x{0.0, 0.0};
-    const NewtonResult r1 = newtonSolve(f, j, x, ws, opt);
+    const NewtonResult r1 = newtonSolve(f, j, x, ws);
     ASSERT_TRUE(r1.converged);
     EXPECT_EQ(jacCalls, 1);
-    EXPECT_TRUE(ws.hasFactorization());
+    EXPECT_EQ(r1.counters.luFactorizations, 1u);
 
     Vec y{10.0, -7.0};
-    const NewtonResult r2 = newtonSolve(f, j, y, ws, opt);
+    const NewtonResult r2 = newtonSolve(f, j, y, ws);
     ASSERT_TRUE(r2.converged);
-    EXPECT_EQ(jacCalls, 1);  // carried across solves
-    EXPECT_EQ(r2.counters.luFactorizations, 0u);
+    EXPECT_EQ(jacCalls, 2);
+    EXPECT_EQ(r2.counters.jacEvals, 1u);
+    EXPECT_EQ(r2.counters.luFactorizations, 1u);
     EXPECT_NEAR(y[0], 0.8, 1e-9);
     EXPECT_NEAR(y[1], 1.4, 1e-9);
 }
 
 TEST(Newton, ChordConvergesOnNonlinearProblem) {
-    // x^2 = 4: the chord iteration with the x0-Jacobian contracts linearly;
-    // the engine must refresh when contraction degrades and still land on
-    // the root.
+    // x^2 = 4 from 3: every iteration but the last (which only checks the
+    // residual) refreshes the Jacobian, and the error squares from one
+    // update to the next, e_{k+1} = e_k^2 / (2 x_k) exactly.
+    Vec iterates;
     const ResidualInPlaceFn f = [](const Vec& v, Vec& out) {
         out.resize(1);
         out[0] = v[0] * v[0] - 4.0;
     };
-    const JacobianInPlaceFn j = [](const Vec& v, Matrix& out) {
+    const JacobianInPlaceFn j = [&iterates](const Vec& v, Matrix& out) {
+        iterates.push_back(v[0]);
         out.resize(1, 1);
         out(0, 0) = 2.0 * v[0];
     };
-    NewtonOptions opt;
-    opt.jacobianReuse = true;
     NewtonWorkspace ws;
     Vec x{3.0};
-    const NewtonResult r = newtonSolve(f, j, x, ws, opt);
+    const NewtonResult r = newtonSolve(f, j, x, ws);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 2.0, 1e-8);
-    // Fewer factorizations than iterations is the whole point.
-    EXPECT_LT(r.counters.luFactorizations, static_cast<std::size_t>(r.iterations));
+    const std::size_t refreshes = static_cast<std::size_t>(r.iterations - 1);
+    EXPECT_EQ(r.counters.jacEvals, refreshes);
+    EXPECT_EQ(r.counters.luFactorizations, refreshes);
+    ASSERT_EQ(iterates.size(), refreshes);
+    iterates.push_back(x[0]);
+    // Compare while the error is far above rounding (e_k > 1e-4).
+    for (std::size_t k = 0; k + 1 < iterates.size() && iterates[k] - 2.0 > 1e-4; ++k) {
+        const double e = iterates[k] - 2.0, eNext = iterates[k + 1] - 2.0;
+        EXPECT_NEAR(eNext * 2.0 * iterates[k] / (e * e), 1.0, 1e-6) << "k=" << k;
+    }
 }
 
 TEST(Newton, InvalidateJacobianForcesRefresh) {
-    int jacCalls = 0;
-    const ResidualInPlaceFn f = [](const Vec& v, Vec& out) {
+    // A workspace reused on a changed system (slope 1, then 4) carries no
+    // stale Jacobian: the second solve lands on the new root in one update.
+    double slope = 1.0;
+    const ResidualInPlaceFn f = [&slope](const Vec& v, Vec& out) {
         out.resize(1);
-        out[0] = v[0] - 1.0;
+        out[0] = slope * v[0] - 1.0;
     };
-    const JacobianInPlaceFn j = [&jacCalls](const Vec&, Matrix& out) {
-        ++jacCalls;
+    const JacobianInPlaceFn j = [&slope](const Vec&, Matrix& out) {
         out.resize(1, 1);
-        out(0, 0) = 1.0;
+        out(0, 0) = slope;
     };
-    NewtonOptions opt;
-    opt.jacobianReuse = true;
     NewtonWorkspace ws;
     Vec x{5.0};
-    newtonSolve(f, j, x, ws, opt);
-    EXPECT_EQ(jacCalls, 1);
-    ws.invalidateJacobian();
-    EXPECT_FALSE(ws.hasFactorization());
+    ASSERT_TRUE(newtonSolve(f, j, x, ws).converged);
+    EXPECT_EQ(x[0], 1.0);
+    slope = 4.0;
     Vec y{5.0};
-    newtonSolve(f, j, y, ws, opt);
-    EXPECT_EQ(jacCalls, 2);
+    const NewtonResult r = newtonSolve(f, j, y, ws);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, 2);
+    EXPECT_EQ(y[0], 0.25);
 }
 
 TEST(FdJacobian, MatchesAnalyticOnSmoothSystem) {

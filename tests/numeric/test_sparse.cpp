@@ -427,8 +427,9 @@ TEST(NewtonSparse, MatchesDenseNewtonOnNonlinearSystem) {
 
 TEST(NewtonSparse, ChordReuseAcrossSolvesSharingWorkspace) {
     // Mildly nonlinear scalar system solved repeatedly through one
-    // workspace with jacobianReuse: later solves should start from the
-    // cached factorization (chord) and skip Jacobian work entirely.
+    // workspace: every Newton iteration factors its fresh Jacobian, but the
+    // workspace keeps the symbolic analysis, so only the very first
+    // factorization is a full one and the rest are numeric refactors.
     double target = 2.0;
     const ResidualInPlaceFn f = [&target](const Vec& x, Vec& out) {
         out.resize(1);
@@ -440,21 +441,18 @@ TEST(NewtonSparse, ChordReuseAcrossSolvesSharingWorkspace) {
         j.add(0, 0, 1.0 + 0.03 * x[0] * x[0]);
         j.endAssembly();
     };
-    NewtonOptions opt;
-    opt.jacobianReuse = true;
     NewtonWorkspace ws;
     Vec x{0.0};
     SolverCounters total;
     for (int k = 0; k < 4; ++k) {
         target = 2.0 + 0.01 * k;
-        const NewtonResult r = newtonSolveSparse(f, js, x, ws, opt);
+        const NewtonResult r = newtonSolveSparse(f, js, x, ws);
         ASSERT_TRUE(r.converged);
         total += r.counters;
     }
-    EXPECT_TRUE(ws.hasFactorization());
-    EXPECT_LT(total.jacEvals, total.newtonIters)
-        << "chord mode must bypass some Jacobian refreshes";
+    EXPECT_EQ(total.jacEvals, total.luFactorizations);
     EXPECT_EQ(total.sparseFactorizations, 1u) << "one symbolic analysis for the whole sequence";
+    EXPECT_EQ(total.sparseRefactors, total.luFactorizations - 1);
 }
 
 }  // namespace
