@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "analysis/dcop.hpp"
-#include "analysis/waveform.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
@@ -51,63 +49,21 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
         return res;
     }
 
-    // ---- warmup (same recipe as shooting: DC + kick + transient) ----------
-    const DcopResult dc = dcOperatingPoint(dae);
-    if (!dc.ok) {
-        res.message = "DC operating point failed: " + dc.message;
+    // ---- warm start (shared with shooting) --------------------------------
+    const WarmStart ws = warmStart(dae, opt.freqHint, opt.warmupCycles, opt.stepsPerCycleWarmup,
+                                   opt.kick, opt.phaseUnknown, TransientOptions{}.newton);
+    if (!ws.ok) {
+        res.message = ws.message;
         return res;
     }
-    Vec x = dc.x;
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] += opt.kick * std::sin(1.0 + 2.3 * static_cast<double>(i));
-    TransientOptions trOpt;
-    trOpt.dt = 1.0 / (opt.freqHint * static_cast<double>(opt.stepsPerCycleWarmup));
-    const TransientResult warm =
-        transient(dae, x, 0.0, static_cast<double>(opt.warmupCycles) / opt.freqHint, trOpt);
-    if (!warm.ok) {
-        res.message = "warmup transient failed: " + warm.message;
-        return res;
-    }
-    int phaseIdx = opt.phaseUnknown;
-    if (phaseIdx < 0) {
-        double bestSwing = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dae.netlist().unknownName(i).rfind("I(", 0) == 0) continue;
-            const double swing = peakToPeak(warm.column(i));
-            if (swing > bestSwing) {
-                bestSwing = swing;
-                phaseIdx = static_cast<int>(i);
-            }
-        }
-    }
-    if (phaseIdx < 0) {
-        res.message = "no oscillating unknown found";
-        return res;
-    }
-    const Vec sig = warm.column(static_cast<std::size_t>(phaseIdx));
-    const std::size_t half = sig.size() / 2;
-    const Vec tTail(warm.t.begin() + static_cast<long>(half), warm.t.end());
-    const Vec sTail(sig.begin() + static_cast<long>(half), sig.end());
-    const PeriodEstimate pe = estimatePeriod(tTail, sTail, mean(sTail));
-    if (!pe.ok) {
-        res.message = "oscillation did not settle during warmup";
-        return res;
-    }
-    double period = pe.period;
-    const double level = mean(sTail);
-
-    // Seed collocation samples from the last warmup cycle, anchored at the
-    // final rising crossing of `level` (transversal phase pin).
-    const Vec crossings = risingCrossings(tTail, sTail, level);
-    if (crossings.empty()) {
-        res.message = "no phase-pin crossing found";
-        return res;
-    }
-    const double tAnchor = crossings.back() - period;
+    const auto p = static_cast<std::size_t>(ws.phaseUnknown);
+    double period = ws.period;
+    // Seed collocation samples from the warm-up cycle that ends at the seed
+    // crossing.
     std::vector<Vec> xc(nc, Vec(n));
     for (std::size_t i = 0; i < n; ++i) {
-        const Vec col = warm.column(i);
-        const Vec u = num::resampleUniform(warm.t, col, tAnchor, period, nc);
+        const Vec u =
+            num::resampleUniform(ws.record.t, ws.record.column(i), ws.tSeed - period, period, nc);
         for (std::size_t k = 0; k < nc; ++k) xc[k][i] = u[k];
     }
 
@@ -142,7 +98,10 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
                 }
                 r[k * n + i] = dq / T + fs[k][i];
             }
-        r[big - 1] = xc[0][static_cast<std::size_t>(phaseIdx)] - level;
+        // Phase row: sample 0 of unknown p sits at its own collocation mean.
+        double meanP = 0.0;
+        for (std::size_t k = 0; k < nc; ++k) meanP += xc[k][p];
+        r[big - 1] = xc[0][p] - meanP / static_cast<double>(nc);
     };
 
     Vec r(big);
@@ -173,7 +132,10 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
             for (std::size_t i = 0; i < n; ++i)
                 jac(k * n + i, big - 1) = -(r[k * n + i] - fs[k][i]) / period;
         }
-        jac(big - 1, static_cast<std::size_t>(phaseIdx)) = 1.0;  // phase pin on x_0[p]
+        // Phase row: +1 at sample 0 of unknown p, -1/N at every sample of p.
+        jac(big - 1, p) = 1.0;
+        for (std::size_t k = 0; k < nc; ++k)
+            jac(big - 1, k * n + p) -= 1.0 / static_cast<double>(nc);
         const auto lu = LuFactor::factor(jac);
         if (!lu) {
             res.message = "HB: singular collocation Jacobian";
@@ -203,7 +165,7 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
     // ---- package as a PssResult -------------------------------------------
     res.period = period;
     res.f0 = 1.0 / period;
-    res.phaseUnknown = phaseIdx;
+    res.phaseUnknown = ws.phaseUnknown;
     res.shootResidual = rNorm;
     // Trig-upsample to the uniform output grid and a fine grid for PPV.
     const std::size_t fine = std::max<std::size_t>(400, 2 * nc);

@@ -9,9 +9,14 @@
 //
 //     (1/T) sum_j Dhat_kj q(x_j) + f(x_k) = 0,   k = 0..N-1,
 //
-// plus one phase-pinning condition.  Solved by damped Newton with the dense
-// (nN+1)^2 Jacobian; a transient warmup (shared with shooting) supplies the
-// initial cycle.
+// plus one phase condition, x_0[p] - (1/N) sum_k x_k[p] = 0: t = 0 is where
+// unknown p rises through its own collocation mean, the gauge shootingPss
+// uses (pss.hpp), so the two engines' waveforms line up sample by sample
+// when they pin the same unknown; a ring-oscillator characterization pins
+// its output n1, so pass phaseUnknown = outputUnknown() to compare with it.
+// Solved by damped Newton with the dense (nN+1)^2 Jacobian; the warm start
+// shared with shooting (an::warmStart) supplies the initial cycle and, for
+// phaseUnknown = -1, the unknown.
 //
 // Compared to shooting: no time-stepping error (spectral accuracy for
 // smooth waveforms), but a Gibbs penalty on strongly switching waveforms —
@@ -28,7 +33,7 @@ struct HbOptions {
     int maxIter = 60;
     double tol = 1e-8;      ///< on the collocation residual (current units)
     double freqHint = 10e3;
-    std::size_t warmupCycles = 60;
+    std::size_t warmupCycles = 15;  ///< seeds Newton only (see PssOptions)
     std::size_t stepsPerCycleWarmup = 150;
     double kick = 0.3;
     int phaseUnknown = -1;  ///< -1 = auto

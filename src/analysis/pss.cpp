@@ -58,10 +58,13 @@ struct PeriodWorkspace {
 
 /// Integrate `m` TRAP steps of size h from x0 (autonomous: t arbitrary),
 /// propagating the n x (n+1) sensitivity [dx/dx0 | dx/dT] when `sens` is
-/// non-null.  Fills states (m+1 entries).  Returns false on step failure.
+/// non-null; then `meanRow` receives the derivative of the trapezoid mean of
+/// unknown p over the period with respect to (x0, T).  Fills states (m+1
+/// entries).  Returns false on step failure.
 bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double period,
                      std::size_t m, const num::NewtonOptions& stepNewton,
-                     std::vector<Vec>& states, Matrix* sens, num::SolverCounters& counters) {
+                     std::vector<Vec>& states, Matrix* sens, std::size_t p, Vec& meanRow,
+                     num::SolverCounters& counters) {
     OBS_SPAN("pss.period");
     const std::size_t n = dae.size();
     const double h = period / static_cast<double>(m);
@@ -75,6 +78,8 @@ bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double 
     if (sens) {
         sens->resize(n, n + 1);
         for (std::size_t i = 0; i < n; ++i) (*sens)(i, i) = 1.0;
+        meanRow.assign(n + 1, 0.0);
+        meanRow[p] = 0.5 / static_cast<double>(m);
     }
 
     for (std::size_t k = 0; k < m; ++k) {
@@ -123,6 +128,8 @@ bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double 
             pw.sensLu.solveMatrixInto(pw.rhs, *sens);
             pw.ck = c1;
             pw.gk = pw.stepper.g1();
+            const double w = (k + 1 == m ? 0.5 : 1.0) / static_cast<double>(m);
+            for (std::size_t c = 0; c <= n; ++c) meanRow[c] += w * (*sens)(p, c);
         }
 
         pw.qk = pw.stepper.q1();
@@ -139,6 +146,77 @@ num::Vec PssResult::column(std::size_t idx) const {
     return out;
 }
 
+WarmStart warmStart(const Dae& dae, double freqHint, std::size_t cycles,
+                    std::size_t stepsPerCycle, double kick, int phaseUnknown,
+                    const num::NewtonOptions& newton) {
+    WarmStart ws;
+    const std::size_t n = dae.size();
+    const DcopResult dc = dcOperatingPoint(dae);
+    ws.counters += dc.counters;
+    if (!dc.ok) {
+        ws.message = "DC operating point failed: " + dc.message;
+        return ws;
+    }
+    // Deterministic asymmetric kick off the unstable equilibrium.
+    Vec x = dc.x;
+    for (std::size_t i = 0; i < n; ++i)
+        x[i] += kick * std::sin(1.0 + 2.3 * static_cast<double>(i));
+
+    TransientOptions trOpt;
+    trOpt.dt = 1.0 / (freqHint * static_cast<double>(stepsPerCycle));
+    trOpt.newton = newton;
+    double span = static_cast<double>(cycles) / freqHint;
+    int phaseIdx = phaseUnknown;
+    PeriodEstimate pe;
+    Vec sig;
+    double level = 0.0;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        OBS_SPAN("pss.warmup");
+        ws.record = transient(dae, x, 0.0, span, trOpt);
+        ws.counters += ws.record.counters;
+        if (!ws.record.ok) {
+            ws.message = "warmup transient failed: " + ws.record.message;
+            return ws;
+        }
+        if (phaseIdx < 0) phaseIdx = autoPhaseUnknown(dae, ws.record);
+        if (phaseIdx < 0) {
+            ws.message = "no oscillating unknown found";
+            return ws;
+        }
+        // Estimate the period from the second half of the record only.
+        sig = ws.record.column(static_cast<std::size_t>(phaseIdx));
+        const std::size_t half = sig.size() / 2;
+        const Vec tTail(ws.record.t.begin() + static_cast<long>(half), ws.record.t.end());
+        const Vec sTail(sig.begin() + static_cast<long>(half), sig.end());
+        level = mean(sTail);
+        pe = estimatePeriod(tTail, sTail, level);
+        if (pe.ok && pe.jitter < 0.05 * pe.period) break;
+        span *= 2.0;  // not settled yet: warm up longer
+        x = ws.record.x.back();
+        pe.ok = false;
+    }
+    if (!pe.ok) {
+        ws.message = "oscillation did not settle during warmup";
+        return ws;
+    }
+    ws.phaseUnknown = phaseIdx;
+    ws.period = pe.period;
+
+    // Seed on the last rising crossing of `level` (a settled estimate had at
+    // least three of them in the record's second half).
+    std::size_t kc = sig.size() - 1;
+    while (!(sig[kc - 1] < level && sig[kc] >= level)) --kc;
+    const double a = sig[kc - 1] - level, b = sig[kc] - level;
+    const double f = (b - a) != 0.0 ? -a / (b - a) : 0.0;
+    const Vec& xa = ws.record.x[kc - 1];
+    const Vec& xb = ws.record.x[kc];
+    ws.tSeed = ws.record.t[kc - 1] + f * (ws.record.t[kc] - ws.record.t[kc - 1]);
+    ws.xSeed.resize(n);
+    for (std::size_t i = 0; i < n; ++i) ws.xSeed[i] = xa[i] + f * (xb[i] - xa[i]);
+    ws.ok = true;
+    return ws;
+}
+
 PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     OBS_SPAN("pss.shoot");
     const auto wallStart = std::chrono::steady_clock::now();
@@ -150,119 +228,56 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     };
     const std::size_t n = dae.size();
 
-    // 1. DC operating point + deterministic asymmetric kick.
-    const DcopResult dc = dcOperatingPoint(dae);
-    res.counters += dc.counters;
-    if (!dc.ok) {
-        res.message = "DC operating point failed: " + dc.message;
+    // 1. Warm start: DC op, kick, warm-up, seed on a rising crossing.
+    const WarmStart ws = warmStart(dae, opt.freqHint, opt.warmupCycles, opt.stepsPerCycleWarmup,
+                                   opt.kick, opt.phaseUnknown, opt.stepNewton);
+    res.counters += ws.counters;
+    if (!ws.ok) {
+        res.message = ws.message;
         finish();
         return res;
     }
-    Vec x = dc.x;
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] += opt.kick * std::sin(1.0 + 2.3 * static_cast<double>(i));
+    res.phaseUnknown = ws.phaseUnknown;
+    const auto p = static_cast<std::size_t>(ws.phaseUnknown);
+    Vec x0 = ws.xSeed;
+    double period = ws.period;
 
-    // 2. Transient warmup to approach the limit cycle.
-    TransientOptions trOpt;
-    trOpt.dt = 1.0 / (opt.freqHint * static_cast<double>(opt.stepsPerCycleWarmup));
-    trOpt.newton = opt.stepNewton;
-    double warmupSpan = static_cast<double>(opt.warmupCycles) / opt.freqHint;
-    TransientResult warm;
-    PeriodEstimate pe;
-    int phaseIdx = opt.phaseUnknown;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        OBS_SPAN("pss.warmup");
-        warm = transient(dae, x, 0.0, warmupSpan, trOpt);
-        res.counters += warm.counters;
-        if (!warm.ok) {
-            res.message = "warmup transient failed: " + warm.message;
-            finish();
-            return res;
-        }
-        if (phaseIdx < 0) phaseIdx = autoPhaseUnknown(dae, warm);
-        if (phaseIdx < 0) {
-            res.message = "no oscillating unknown found";
-            finish();
-            return res;
-        }
-        const Vec sig = warm.column(static_cast<std::size_t>(phaseIdx));
-        // Estimate period from the second half of the record only.
-        const std::size_t half = sig.size() / 2;
-        const Vec tTail(warm.t.begin() + static_cast<long>(half), warm.t.end());
-        const Vec sTail(sig.begin() + static_cast<long>(half), sig.end());
-        pe = estimatePeriod(tTail, sTail, mean(sTail));
-        if (pe.ok && pe.jitter < 0.05 * pe.period) break;
-        warmupSpan *= 2.0;  // not settled yet: warm up longer
-        x = warm.x.back();
-        pe.ok = false;
-    }
-    if (!pe.ok) {
-        res.message = "oscillation did not settle during warmup";
-        finish();
-        return res;
-    }
-    res.phaseUnknown = phaseIdx;
-
-    // 3. Seed x0 on a steep rising crossing of the phase unknown's mean level
-    //    (transversal phase condition).
-    const Vec sig = warm.column(static_cast<std::size_t>(phaseIdx));
-    const double level = mean(Vec(sig.end() - static_cast<long>(sig.size() / 2), sig.end()));
-    Vec x0 = warm.x.back();
-    {
-        // Walk backward to the last rising crossing of `level`.
-        std::size_t kc = 0;
-        bool found = false;
-        for (std::size_t i = sig.size(); i-- > 1;) {
-            if (sig[i - 1] < level && sig[i] >= level) {
-                kc = i;
-                found = true;
-                break;
-            }
-        }
-        if (found) {
-            const double a = sig[kc - 1] - level, b = sig[kc] - level;
-            const double f = (b - a) != 0.0 ? -a / (b - a) : 0.0;
-            x0.resize(n);
-            for (std::size_t j = 0; j < n; ++j)
-                x0[j] = warm.x[kc - 1][j] + f * (warm.x[kc][j] - warm.x[kc - 1][j]);
-        }
-    }
-    double period = pe.period;
-
-    // 4. Shooting Newton on (x0, T).
+    // 2. Shooting Newton on (x0, T), phase row x0[p] - mean_p(x0, T).
     const std::size_t m = opt.shootingSteps;
     PeriodWorkspace pw(dae);
     std::vector<Vec> states;
     Matrix sens;
     Matrix j(n + 1, n + 1);
     LuFactor borderedLu;
-    Vec bigF(n + 1), dz;
+    Vec bigF(n + 1), dz, meanRow;
     double fNorm = 0.0;
     bool converged = false;
     for (int it = 0; it < opt.maxShootIter; ++it) {
         res.shootIterations = it + 1;
-        if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, &sens,
+        if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, &sens, p, meanRow,
                              res.counters)) {
             res.message = "shooting: period integration failed";
             finish();
             return res;
         }
-        // Residual.
+        // Residual; the phase row subtracts the trapezoid mean of x[p].
         for (std::size_t i = 0; i < n; ++i) bigF[i] = states[m][i] - x0[i];
-        bigF[n] = x0[static_cast<std::size_t>(phaseIdx)] - level;
+        double meanP = 0.5 * (states[0][p] + states[m][p]);
+        for (std::size_t k = 1; k < m; ++k) meanP += states[k][p];
+        bigF[n] = x0[p] - meanP / static_cast<double>(m);
         fNorm = num::normInf(bigF);
         res.shootResidual = fNorm;
         if (fNorm < opt.tol) {
             converged = true;
             break;
         }
-        // Bordered Jacobian: [S_x - I, s_T; e_p^T, 0].
-        j.fill(0.0);
+        // Bordered Jacobian: [S_x - I, s_T; e_p^T - dmean_p/dx0, -dmean_p/dT].
         for (std::size_t r = 0; r < n; ++r) {
             for (std::size_t c = 0; c < n; ++c) j(r, c) = sens(r, c) - (r == c ? 1.0 : 0.0);
             j(r, n) = sens(r, n);
         }
-        j(n, static_cast<std::size_t>(phaseIdx)) = 1.0;
+        for (std::size_t c = 0; c <= n; ++c) j(n, c) = -meanRow[c];
+        j(n, p) += 1.0;
         if (!borderedLu.refactor(j)) {
             if (std::getenv("PHLOGON_DEBUG_PSS")) {
                 std::fprintf(stderr, "[pss] iter %d period=%.6e fNorm=%.3e\nJ=\n%s\n", it, period,
@@ -291,8 +306,8 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
         return res;
     }
 
-    // 5. Final fine trajectory + uniform resampling.
-    if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, nullptr,
+    // 3. Final fine trajectory + uniform resampling.
+    if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, nullptr, p, meanRow,
                          res.counters)) {
         res.message = "final PSS integration failed";
         finish();

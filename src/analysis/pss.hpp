@@ -4,13 +4,20 @@
 // The oscillator's limit cycle xs(t) and exact period T0 are found by Newton
 // on the boundary-value problem
 //
-//     x(T; x0) - x0 = 0,    x0[p] - level = 0       (phase condition)
+//     x(T; x0) - x0 = 0,    x0[p] - mean_p(x0, T) = 0       (phase condition)
 //
 // with the monodromy/sensitivity matrix propagated through the trapezoidal
 // time discretization, plus a period-sensitivity column (the step size is
-// h = T/m, so T enters every step).  A transient warmup supplies the initial
-// cycle estimate; the phase condition pins x0 on a steep rising crossing so
-// the bordered Newton system stays well conditioned.
+// h = T/m, so T enters every step).  mean_p is the trapezoid mean of unknown
+// p over the m shooting steps, and the phase row carries its exact
+// derivative (the trapezoid-weighted sum of row p of the sensitivity chain).
+//
+// Gauge: t = 0 is where unknown p rises through its own mean on the
+// converged orbit, so the time origin, and every phase measured from it,
+// is a property of the orbit alone.  A transient warm-up (warmStart below)
+// only seeds Newton; any warm-up long enough to settle gives the same PSS to
+// shooting tolerance.  logic::RingOscCharacterization pins p to the stage
+// output n1; other callers get the node with the largest warm-up swing.
 //
 // The circuit must be autonomous (DC sources only); time-varying sources
 // would make the "period" ill-defined.
@@ -25,7 +32,9 @@ namespace phlogon::an {
 struct PssOptions {
     /// Rough frequency guess used only to size the warmup transient.
     double freqHint = 10e3;
-    std::size_t warmupCycles = 60;
+    /// Warm-up length; it only seeds Newton (doubled up to twice while the
+    /// period estimate has not settled).
+    std::size_t warmupCycles = 15;
     std::size_t stepsPerCycleWarmup = 150;
     /// TRAP steps per period inside shooting (also the fine output grid).
     std::size_t shootingSteps = 400;
@@ -37,7 +46,7 @@ struct PssOptions {
     /// Perturbation applied after the DC solve to kick the oscillator off
     /// its unstable equilibrium.
     double kick = 0.3;
-    /// Unknown used for the phase condition; -1 = auto (largest swing).
+    /// Unknown whose rising mean-crossing is t = 0; -1 = auto (largest swing).
     int phaseUnknown = -1;
     num::NewtonOptions stepNewton{.maxIter = 50, .absTol = 1e-9, .maxStep = 1.0};
 };
@@ -67,5 +76,25 @@ struct PssResult {
 };
 
 PssResult shootingPss(const Dae& dae, const PssOptions& opt = {});
+
+/// The seed shooting and harmonic balance start Newton from: DC operating
+/// point, a deterministic kick, then `cycles` warm-up cycles at `freqHint`,
+/// doubled up to twice until the period estimate settles.  A negative
+/// `phaseUnknown` picks the node voltage with the largest swing.  The seed
+/// is the last rising crossing of the warm-up mean of that unknown.
+struct WarmStart {
+    bool ok = false;
+    std::string message;
+    int phaseUnknown = -1;
+    double period = 0.0;     ///< period estimate from the settled record
+    double tSeed = 0.0;      ///< time of the seed crossing within `record`
+    Vec xSeed;               ///< state at tSeed (linear interpolation)
+    TransientResult record;  ///< the last warm-up transient
+    num::SolverCounters counters;  ///< DC solve + every warm-up attempt
+};
+
+WarmStart warmStart(const Dae& dae, double freqHint, std::size_t cycles,
+                    std::size_t stepsPerCycle, double kick, int phaseUnknown,
+                    const num::NewtonOptions& newton);
 
 }  // namespace phlogon::an

@@ -44,7 +44,8 @@ void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt) {
         .f64(opt.absTol)
         .f64(opt.stepTol)
         .u64(static_cast<std::uint64_t>(opt.maxDampings))
-        .f64(opt.maxStep);
+        .f64(opt.maxStep)
+        .u64(static_cast<std::uint64_t>(opt.linearSolver));
 }
 
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt) {

@@ -22,15 +22,18 @@ an::PssOptions RingOscCharacterization::defaultPssOptions() {
 
 RingOscCharacterization RingOscCharacterization::run(const ckt::RingOscSpec& spec,
                                                      an::PssOptions pssOpt,
-                                                     an::PpvOptions ppvOpt) {
+                                                     an::PpvOptions ppvOpt,
+                                                     const io::ArtifactCache& cache) {
     OBS_SPAN("latch.characterize");
     RingOscCharacterization c;
     c.nl_ = std::make_unique<ckt::Netlist>();
     const ckt::RingOscNodes nodes = ckt::buildRingOscillator(*c.nl_, "osc", spec);
     c.dae_ = std::make_unique<ckt::Dae>(*c.nl_);
     c.outputUnknown_ = static_cast<std::size_t>(c.nl_->findNode(nodes.out()));
+    if (pssOpt.phaseUnknown < 0) pssOpt.phaseUnknown = static_cast<int>(c.outputUnknown_);
 
-    io::CachedCharacterization cc = io::characterizeCached(*c.dae_, *c.nl_, pssOpt, ppvOpt);
+    io::CachedCharacterization cc =
+        io::characterizeCached(*c.dae_, *c.nl_, pssOpt, ppvOpt, cache);
     c.cacheOutcome_ = cc.outcome;
     c.cacheKey_ = cc.key;
     c.pss_ = std::move(cc.value.pss);

@@ -32,12 +32,13 @@ namespace phlogon::logic {
 class RingOscCharacterization {
 public:
     /// Build the netlist from `spec` and run PSS + time-domain PPV, consulting
-    /// the process-wide artifact cache (io::ArtifactCache::global) first: a
-    /// valid cached extraction is substituted without touching the solvers.
-    /// Throws std::runtime_error on analysis failure.
-    static RingOscCharacterization run(const ckt::RingOscSpec& spec,
-                                       an::PssOptions pssOpt = defaultPssOptions(),
-                                       an::PpvOptions ppvOpt = {});
+    /// `cache` first: a valid cached extraction is substituted without
+    /// touching the solvers.  A phaseUnknown of -1 is pinned to the output
+    /// n1, so t = 0 of the PSS (and every phase downstream) is n1's rising
+    /// mean-crossing.  Throws std::runtime_error on analysis failure.
+    static RingOscCharacterization run(
+        const ckt::RingOscSpec& spec, an::PssOptions pssOpt = defaultPssOptions(),
+        an::PpvOptions ppvOpt = {}, const io::ArtifactCache& cache = io::ArtifactCache::global());
 
     static an::PssOptions defaultPssOptions();
 

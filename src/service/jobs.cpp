@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "circuit/dae.hpp"
-#include "circuit/netlist.hpp"
 #include "circuit/subckt.hpp"
 #include "core/gae.hpp"
 #include "core/gae_transient.hpp"
@@ -83,37 +81,10 @@ void hashLatchParams(io::Fnv1a64& h, const LatchParams& lp) {
         .u64(lp.gridSize);
 }
 
-// ---- shared characterization step -----------------------------------------
-
-struct CharacterizedLatch {
-    core::PpvModel model;
-    std::size_t outputUnknown = 0;
-    io::CacheOutcome outcome = io::CacheOutcome::Disabled;
-    std::uint64_t key = 0;
-};
+// ---- cache plumbing -------------------------------------------------------
 
 const io::ArtifactCache* envCache(const JobEnv& env) {
     return env.cache ? env.cache : &io::ArtifactCache::global();
-}
-
-/// Build + characterize the ring oscillator through the daemon's cache
-/// (the explicit-cache twin of logic::RingOscCharacterization::run).
-CharacterizedLatch characterize(const LatchParams& lp, const io::ArtifactCache& cache) {
-    OBS_SPAN("service.characterize");
-    ckt::Netlist nl;
-    const ckt::RingOscNodes nodes = ckt::buildRingOscillator(nl, "osc", lp.spec);
-    const ckt::Dae dae(nl);
-    const auto outIdx = static_cast<std::size_t>(nl.findNode(nodes.out()));
-    const an::PssOptions pssOpt = logic::RingOscCharacterization::defaultPssOptions();
-    io::CachedCharacterization cc = io::characterizeCached(dae, nl, pssOpt, {}, cache);
-    if (!cc.value.pss.ok) throw std::runtime_error("PSS failed: " + cc.value.pss.message);
-    if (!cc.value.ppv.ok) throw std::runtime_error("PPV failed: " + cc.value.ppv.message);
-    CharacterizedLatch out;
-    out.model = core::PpvModel::build(cc.value.pss, cc.value.ppv, outIdx, nl.unknownNames());
-    out.outputUnknown = outIdx;
-    out.outcome = cc.outcome;
-    out.key = cc.key;
-    return out;
 }
 
 json::Value cacheJson(io::CacheOutcome outcome, std::uint64_t key) {
@@ -128,17 +99,18 @@ json::Value cacheJson(io::CacheOutcome outcome, std::uint64_t key) {
 JobBody makeCharacterizeLatch(const LatchParams& lp, const JobEnv& env) {
     const io::ArtifactCache* cache = envCache(env);
     return [lp, cache](JobContext&) {
-        const CharacterizedLatch ch = characterize(lp, *cache);
+        const auto ch = logic::RingOscCharacterization::run(
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
-            ch.model, ch.outputUnknown, lp.f1, lp.syncAmp, lp.spec.vdd);
+            ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         json::Value r = json::Value::object();
-        r.set("f0", json::Value::number(ch.model.f0()));
+        r.set("f0", json::Value::number(ch.model().f0()));
         r.set("f1", json::Value::number(d.f1));
         r.set("syncAmp", json::Value::number(d.syncAmp));
         r.set("phase1", json::Value::number(d.reference.phase1));
         r.set("phase0", json::Value::number(d.reference.phase0));
         r.set("inputPhaseOffset", json::Value::number(d.inputPhaseOffset));
-        r.set("cache", cacheJson(ch.outcome, ch.key));
+        r.set("cache", cacheJson(ch.cacheOutcome(), ch.cacheKey()));
         return r;
     };
 }
@@ -153,15 +125,16 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
     if (!(ampMin > 0) || !(ampMax > ampMin)) throw ParamError("need 0 < ampMin < ampMax");
     const io::ArtifactCache* cache = envCache(env);
     return [lp, ampMin, ampMax, ampCount, cache](JobContext&) {
-        const CharacterizedLatch ch = characterize(lp, *cache);
+        const auto ch = logic::RingOscCharacterization::run(
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
         core::Vec amps(ampCount);
         for (std::size_t i = 0; i < ampCount; ++i)
             amps[i] = ampMin + (ampMax - ampMin) * static_cast<double>(i) /
                                    static_cast<double>(ampCount - 1);
-        const core::Injection unit = core::Injection::tone(ch.outputUnknown, 1.0, 2, 0.0, "sync");
+        const core::Injection unit = core::Injection::tone(ch.outputUnknown(), 1.0, 2, 0.0, "sync");
         io::CachedSweepInfo info;
         const std::vector<core::LockingRangePoint> pts = io::cachedLockingRangeVsAmplitude(
-            ch.model, unit, amps, lp.gridSize, *cache, &info);
+            ch.model(), unit, amps, lp.gridSize, *cache, &info);
         json::Value rows = json::Value::array();
         for (const core::LockingRangePoint& pt : pts) {
             json::Value row = json::Value::object();
@@ -173,9 +146,9 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
             rows.push(row);
         }
         json::Value r = json::Value::object();
-        r.set("f0", json::Value::number(ch.model.f0()));
+        r.set("f0", json::Value::number(ch.model().f0()));
         r.set("points", rows);
-        r.set("cache", cacheJson(ch.outcome, ch.key));
+        r.set("cache", cacheJson(ch.cacheOutcome(), ch.cacheKey()));
         r.set("sweepCache", cacheJson(info.outcome, info.key));
         return r;
     };
@@ -222,9 +195,10 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
 
     return [lp, cSeconds, holdCycles, trials, chunk, seed, jobKey, ckptPath,
             cache](JobContext& ctx) {
-        const CharacterizedLatch ch = characterize(lp, *cache);
+        const auto ch = logic::RingOscCharacterization::run(
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
-            ch.model, ch.outputUnknown, lp.f1, lp.syncAmp, lp.spec.vdd);
+            ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         const core::Gae gae(d.model, d.f1, {d.sync()}, lp.gridSize);
         const double holdTime = holdCycles / d.f1;
 
@@ -287,7 +261,7 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
         r.set("holdTime", json::Value::number(holdTime));
         r.set("outcomeHash", json::Value::string(io::hashHex(st.outcomeHash)));
         r.set("resumedFrom", json::Value::integer(static_cast<std::int64_t>(resumedFrom)));
-        r.set("cache", cacheJson(ch.outcome, ch.key));
+        r.set("cache", cacheJson(ch.cacheOutcome(), ch.cacheKey()));
         if (!ckptPath.empty()) r.set("checkpoint", json::Value::string(ckptPath.string()));
         if (stopped) {
             r.set("resumable", json::Value::boolean(true));
@@ -367,9 +341,10 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
             : env.checkpointDir / ("fsm-" + io::hashHex(jobKey) + ".phlg");
 
     return [lp, bits, writeAmp, slotCycles, jobKey, ckptPath, cache](JobContext& ctx) {
-        const CharacterizedLatch ch = characterize(lp, *cache);
+        const auto ch = logic::RingOscCharacterization::run(
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
-            ch.model, ch.outputUnknown, lp.f1, lp.syncAmp, lp.spec.vdd);
+            ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         const double slotT = slotCycles / d.f1;
 
         FsmCheckpoint st;
@@ -430,7 +405,7 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
             if (got != bits[i]) allMatch = false;
         }
         json::Value r = json::Value::object();
-        r.set("f0", json::Value::number(ch.model.f0()));
+        r.set("f0", json::Value::number(ch.model().f0()));
         r.set("slots", json::Value::integer(static_cast<std::int64_t>(bits.size())));
         r.set("slotsDone", json::Value::integer(static_cast<std::int64_t>(st.endPhase.size())));
         r.set("decoded", written);
@@ -439,7 +414,7 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
         r.set("steps", json::Value::integer(static_cast<std::int64_t>(st.counters.steps)));
         r.set("rhsEvals", json::Value::integer(static_cast<std::int64_t>(st.counters.rhsEvals)));
         r.set("resumedFrom", json::Value::integer(static_cast<std::int64_t>(resumedFrom)));
-        r.set("cache", cacheJson(ch.outcome, ch.key));
+        r.set("cache", cacheJson(ch.cacheOutcome(), ch.cacheKey()));
         if (!ckptPath.empty()) r.set("checkpoint", json::Value::string(ckptPath.string()));
         if (stopped) {
             r.set("resumable", json::Value::boolean(true));

@@ -22,12 +22,15 @@ TEST(HarmonicBalance, AgreesWithShootingOnRingOscillator) {
 
 TEST(HarmonicBalance, WaveformMatchesShooting) {
     const auto& osc = testutil::sharedOsc();
-    const PssResult hb = harmonicBalancePss(osc.dae());
-    ASSERT_TRUE(hb.ok);
-    // Align by the phase pin (both runs pin the same unknown at the same
-    // level with rising slope at t=0), then compare the output waveform.
-    ASSERT_EQ(hb.xs.size(), osc.pss().xs.size());
     const std::size_t idx = osc.outputUnknown();
+    HbOptions opt;
+    opt.phaseUnknown = static_cast<int>(idx);
+    const PssResult hb = harmonicBalancePss(osc.dae(), opt);
+    ASSERT_TRUE(hb.ok);
+    // Align by the phase condition (both runs pin the same unknown, the
+    // output, to its own mean with rising slope at t=0), then compare the
+    // output waveform.
+    ASSERT_EQ(hb.xs.size(), osc.pss().xs.size());
     double maxDiff = 0.0;
     for (std::size_t k = 0; k < hb.xs.size(); ++k)
         maxDiff = std::max(maxDiff, std::abs(hb.xs[k][idx] - osc.pss().xs[k][idx]));

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "analysis/hb.hpp"
 #include "analysis/waveform.hpp"
 #include "circuit/subckt.hpp"
 #include "common/osc_fixture.hpp"
+#include "core/gae_sweep.hpp"
 
 namespace phlogon::an {
 namespace {
@@ -127,6 +131,73 @@ TEST(ShootingPss, WaveformPeakMatchesPaperConvention) {
     const auto& model = testutil::sharedOsc().model();
     EXPECT_GT(model.waveformPeak(), 0.0);
     EXPECT_LT(model.waveformPeak(), 1.0);
+}
+
+TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
+    // The warm-up only seeds Newton: t = 0 is n1's rising crossing of its own
+    // mean on the converged orbit, so the PSS, the PPV and every phase
+    // measured from them agree at any warm-up length that settles.
+    const auto characterize = [](std::size_t cycles) {
+        PssOptions opt = logic::RingOscCharacterization::defaultPssOptions();
+        opt.warmupCycles = cycles;
+        return logic::RingOscCharacterization::run(ckt::RingOscSpec{}, opt);
+    };
+    struct Outputs {
+        double f0, phase0, phase1, waveformPeak, ppv1, ppv2, width;
+    };
+    const auto outputs = [](const logic::RingOscCharacterization& osc) {
+        const std::size_t out = osc.outputUnknown();
+        const auto d = logic::designSyncLatch(osc.model(), out, testutil::kF1, 100e-6);
+        const auto range =
+            core::lockingRange(osc.model(), {core::Injection::tone(out, 100e-6, 2)});
+        return Outputs{osc.f0(),
+                       d.reference.phase0,
+                       d.reference.phase1,
+                       osc.model().waveformPeak(),
+                       osc.model().ppvHarmonic(out, 1),
+                       osc.model().ppvHarmonic(out, 2),
+                       range.width()};
+    };
+    const auto cycleDiff = [](double a, double b) {
+        const double d = a - b;
+        return std::abs(d - std::round(d));
+    };
+    const auto relDiff = [](double a, double b) { return std::abs(a / b - 1.0); };
+
+    const auto ref = characterize(15);
+    const Outputs want = outputs(ref);
+    for (const std::size_t cycles : {10u, 60u}) {
+        SCOPED_TRACE("warmupCycles = " + std::to_string(cycles));
+        const Outputs got = outputs(characterize(cycles));
+        EXPECT_LT(relDiff(got.f0, want.f0), 5e-8);
+        EXPECT_LT(cycleDiff(got.phase0, want.phase0), 1e-6);
+        EXPECT_LT(cycleDiff(got.phase1, want.phase1), 1e-6);
+        EXPECT_LT(cycleDiff(got.waveformPeak, want.waveformPeak), 1e-6);
+        EXPECT_LT(relDiff(got.ppv1, want.ppv1), 1e-6);
+        EXPECT_LT(relDiff(got.ppv2, want.ppv2), 1e-6);
+        EXPECT_LT(relDiff(got.width, want.width), 1e-6);
+    }
+
+    // Harmonic balance in the same gauge, pinned to n1: its output waveform
+    // lines up with shooting's sample by sample at either warm-up length.
+    const std::size_t out = ref.outputUnknown();
+    std::vector<double> hbF0;
+    for (const std::size_t cycles : {10u, 60u}) {
+        SCOPED_TRACE("HB warmupCycles = " + std::to_string(cycles));
+        HbOptions opt;
+        opt.warmupCycles = cycles;
+        opt.phaseUnknown = static_cast<int>(out);
+        const PssResult hb = harmonicBalancePss(ref.dae(), opt);
+        ASSERT_TRUE(hb.ok) << hb.message;
+        ASSERT_EQ(hb.xs.size(), ref.pss().xs.size());
+        double maxDiff = 0.0;
+        for (std::size_t k = 0; k < hb.xs.size(); ++k)
+            maxDiff = std::max(maxDiff, std::abs(hb.xs[k][out] - ref.pss().xs[k][out]));
+        EXPECT_LT(maxDiff, 0.1);
+        hbF0.push_back(hb.f0);
+    }
+    // HB's own Newton tolerance bounds the agreement of its two periods.
+    EXPECT_LT(relDiff(hbF0[0], hbF0[1]), 2e-6);
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 //
 // The circuit analyses run one integrator, fixed-step TRAP with full Newton,
 // and it must stay bit-for-bit the historical behaviour: the oscillator
-// frequency and the Fig. 10 / Fig. 12 values below were produced by the
-// pre-workspace implementation at %.17g and are pinned at 1e-12 relative,
-// like tests/core/test_sweep_golden.cpp, and the default ring PSS work
-// counters are pinned exactly.
+// frequency was produced by the pre-workspace implementation at %.17g; the
+// Fig. 10 / Fig. 12 values were re-pinned once when the PSS time origin moved
+// to n1's rising mean-crossing on the converged orbit (which shifts every
+// phase, not f0).  All are pinned at 1e-12 relative, like
+// tests/core/test_sweep_golden.cpp, and the default ring PSS work counters
+// are pinned exactly.
 //
 // A characterization at a tighter per-step Newton tolerance (absTol 1e-12)
 // must land on the same physics: f0 within 1e-9 relative of the golden and
@@ -50,8 +52,8 @@ core::GaeTransientResult bitFlip(const logic::RingOscCharacterization& osc) {
 
 // Fig. 12 bit-flip trajectory goldens (full Newton, default tolerances),
 // sampled at 5/10/20/40 reference cycles.
-constexpr double kFig12Golden[4] = {1.1019530691608248, 1.2213341151467096,
-                                    1.2227015591894446, 1.2227017411597056};
+constexpr double kFig12Golden[4] = {0.93499029402596467, 1.0543814991909677,
+                                    1.055748223766815, 1.0557483991713232};
 constexpr double kFig12Cycles[4] = {5.0, 10.0, 20.0, 40.0};
 
 TEST(SolverStrategies, FullNewtonPssPeriodGolden) {
@@ -67,11 +69,11 @@ TEST(SolverStrategies, FullNewtonFig10WaveformGolden) {
     const auto d =
         logic::designSyncLatch(osc.model(), osc.outputUnknown(), testutil::kF1, 100e-6);
     const core::Gae gae(osc.model(), d.f1, {d.sync(), d.dataInjection(30e-6, 1)});
-    expectGolden(gae.g(0.1), 0.027128584220064207);
-    expectGolden(gae.g(0.3), -0.019525365593185223);
-    expectGolden(gae.g(0.5), -0.022106702694265436);
-    expectGolden(gae.g(0.7), -0.00079012787553430451);
-    expectGolden(gae.g(0.9), 0.015293611942822588);
+    expectGolden(gae.g(0.1), -0.011778069776204245);
+    expectGolden(gae.g(0.3), -0.026310050579166501);
+    expectGolden(gae.g(0.5), -0.0025343519250481247);
+    expectGolden(gae.g(0.7), 0.010878095774702182);
+    expectGolden(gae.g(0.9), 0.029744376505710709);
 }
 
 TEST(SolverStrategies, FullNewtonFig12TransientGolden) {
@@ -97,9 +99,9 @@ TEST(SolverStrategies, ChordMatchesFig12TransientWithinOdeTolerance) {
 }
 
 TEST(SolverStrategies, ChordDoesFarFewerFactorizations) {
-    // The default ring PSS work, pinned exactly.  shootingPss is called
-    // directly: a characterization served from the artifact cache reports
-    // zero work.
+    // The default ring PSS work (15 warm-up cycles, 3 shooting iterations),
+    // pinned exactly.  shootingPss is called directly: a characterization
+    // served from the artifact cache reports zero work.
     ckt::Netlist nl;
     ckt::buildRingOscillator(nl, "osc", ckt::RingOscSpec{});
     const ckt::Dae dae(nl);
@@ -107,9 +109,10 @@ TEST(SolverStrategies, ChordDoesFarFewerFactorizations) {
         shootingPss(dae, logic::RingOscCharacterization::defaultPssOptions());
     ASSERT_TRUE(pss.ok) << pss.message;
     const num::SolverCounters& c = pss.counters;
-    EXPECT_EQ(c.luFactorizations, 22427u);
-    EXPECT_EQ(c.newtonIters, 31838u);
-    EXPECT_EQ(c.rhsEvals, 42443u);
+    EXPECT_EQ(c.steps, 3850u);
+    EXPECT_EQ(c.luFactorizations, 8927u);
+    EXPECT_EQ(c.newtonIters, 11588u);
+    EXPECT_EQ(c.rhsEvals, 15443u);
     // Counter sanity: one Jacobian per factorization at most, and at least
     // one residual evaluation per Newton iteration.
     EXPECT_LE(c.luFactorizations, c.jacEvals + c.steps);

@@ -1,6 +1,6 @@
 #pragma once
 // Shared, lazily-characterized ring oscillator for the analysis/core/logic
-// test suites.  The full PSS + PPV pipeline runs once per binary (~40 ms) and
+// test suites.  The full PSS + PPV pipeline runs once per binary (~12 ms) and
 // is reused by every test that needs a realistic oscillator macromodel.
 
 #include "phlogon/latch.hpp"

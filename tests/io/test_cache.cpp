@@ -324,6 +324,14 @@ TEST_F(ModelCacheTest, KeyChangesWithOptionsAndCircuit) {
     ASSERT_TRUE(k1 && k2);
     EXPECT_NE(*k1, *k2);
 
+    // The LU backend: dense and sparse agree only to solver tolerance, so
+    // they must not share an entry.
+    an::PssOptions sparse = pssOpt;
+    sparse.stepNewton.linearSolver = num::LinearSolver::Sparse;
+    const auto kSparse = characterizationKey(nl, sparse, {});
+    ASSERT_TRUE(kSparse.has_value());
+    EXPECT_NE(*k1, *kSparse);
+
     ckt::Netlist nl2;
     ckt::RingOscSpec spec;
     spec.capFarads *= 1.0000001;  // tiny parameter change must change the key

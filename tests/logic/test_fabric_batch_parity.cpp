@@ -4,12 +4,13 @@
 // The values below were printed at %.17g from the engine's last two-engine
 // version, where the recursive evaluator driving num::rk4 and the Program
 // pass driving BatchOde::rk4Lockstep agreed bitwise at every lane partition,
-// thread count and SIMD tier.  They pin point counts, final phases and a
-// 34-latch phase sum, so a change to the signal evaluation order, the delay
-// grouping or the RK4 arithmetic fails loudly.  Tolerance is 1e-12
-// relative, as in tests/core/test_sweep_golden.cpp.  The suite keeps the
-// names it had as a parity suite; CI runs it on the default SIMD tier and
-// under PHLOGON_SIMD=0.
+// thread count and SIMD tier, and re-pinned once when the PSS time origin
+// moved to n1's rising mean-crossing on the converged orbit.  They pin point
+// counts, final phases and a 34-latch phase sum, so a change to the signal
+// evaluation order, the delay grouping or the RK4 arithmetic fails loudly.
+// Tolerance is 1e-12 relative, as in tests/core/test_sweep_golden.cpp.  The
+// suite keeps the names it had as a parity suite; CI runs it on the default
+// SIMD tier and under PHLOGON_SIMD=0.
 
 #include <gtest/gtest.h>
 
@@ -62,8 +63,8 @@ TEST(FabricBatchParity, SerialAdderScalarVsBatched) {
     ASSERT_TRUE(res.ok);
     ASSERT_EQ(res.t.size(), 3201u);
     ASSERT_EQ(res.dphi.size(), 2u);
-    expectGolden(res.dphi[0].back(), 1.2666167947396747);  // carry.master
-    expectGolden(res.dphi[1].back(), 1.2905964615701999);  // carry.slave
+    expectGolden(res.dphi[0].back(), 1.0514362011521465);  // carry.master
+    expectGolden(res.dphi[1].back(), 1.071834668148288);   // carry.slave
 
     // 1011 + 1101 (LSB first) decodes to the golden answer.
     const auto [sums, couts] = decodeSerialAdderRun(sys, adder, res, design.reference);
@@ -88,13 +89,13 @@ TEST(FabricBatchParity, RippleAdder16ScalarVsBatchedAcrossPartitions) {
     const auto finalPhase = [&](int latch) {
         return res.dphi[static_cast<std::size_t>(latch)].back();
     };
-    expectGolden(finalPhase(fab.dffs.front().master), 0.72020217996082569);
-    expectGolden(finalPhase(fab.dffs.front().slave), 0.73732711906257897);
-    expectGolden(finalPhase(fab.dffs.back().master), 1.2582425658895349);
-    expectGolden(finalPhase(fab.dffs.back().slave), 1.2890198930928085);
+    expectGolden(finalPhase(fab.dffs.front().master), 0.59034710041008698);
+    expectGolden(finalPhase(fab.dffs.front().slave), 0.62184546527630868);
+    expectGolden(finalPhase(fab.dffs.back().master), 1.0540633397306955);
+    expectGolden(finalPhase(fab.dffs.back().slave), 1.0705699201241581);
     double sum = 0.0;
     for (const auto& d : res.dphi) sum += d.back();
-    expectGolden(sum, 34.262829741318413);
+    expectGolden(sum, 28.324347196565938);
 }
 
 TEST(FabricBatchParity, ThreadsFromEnvironmentAreBitwiseNeutral) {

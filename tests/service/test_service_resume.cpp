@@ -16,7 +16,9 @@
 
 #include "common/temp_path.hpp"
 #include "io/cache.hpp"
+#include "io/hash.hpp"
 #include "io/json.hpp"
+#include "phlogon/latch.hpp"
 #include "service/daemon.hpp"
 #include "service/job_queue.hpp"
 #include "service/jobs.hpp"
@@ -118,6 +120,22 @@ svc::JobSnapshot runAndCancel(const std::string& type, const std::string& paramT
 }
 
 }  // namespace
+
+TEST(ServiceJobs, CharacterizeLatchKeyIsTheLibraryRunKey) {
+    // The job bodies characterize through logic::RingOscCharacterization::run
+    // itself, so the daemon and a library caller share cache entries.
+    const svc::JobSnapshot snap =
+        runJob("characterize-latch", R"({"cap": 4.6e-9, "f1": 9.8e3})", fs::path());
+    ASSERT_EQ(snap.state, svc::JobState::Done) << snap.error;
+    const json::Value* cache = snap.result.field("cache");
+    ASSERT_NE(cache, nullptr);
+    ckt::RingOscSpec spec;
+    spec.capFarads = 4.6e-9;
+    const auto osc = logic::RingOscCharacterization::run(
+        spec, logic::RingOscCharacterization::defaultPssOptions(), {}, sharedCache());
+    EXPECT_EQ(cache->fieldString("key", ""), io::hashHex(osc.cacheKey()));
+    EXPECT_TRUE(osc.fromCache());  // the job stored it
+}
 
 TEST(ServiceResume, McCancelResumeBitwiseIdentical) {
     // Uninterrupted baseline: no checkpoint directory at all.
