@@ -34,7 +34,6 @@
 #include "core/gae_sweep.hpp"
 #include "core/gae_transient.hpp"
 #include "core/noise.hpp"
-#include "io/checkpoint.hpp"
 #include "io/model_cache.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
@@ -238,39 +237,9 @@ void BM_GaeBitFlipScalarLoop(benchmark::State& state) {
 BENCHMARK(BM_GaeBitFlipScalarLoop)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// The SPICE-level D-latch bit write (dt = T/300) that the checkpoint rows
-// below time.
+// Artifact cache (io/): cold-vs-warm extraction cost.
 
-struct LatchWorkload {
-    ckt::Netlist nl;
-    ckt::Dae dae;
-    num::Vec x0;
-    double t1 = 0.0;
-    double dt = 0.0;
-
-    explicit LatchWorkload(double cycles) : dae((buildNetlist(nl), nl)) {
-        const auto& d = bench::design100();
-        const an::DcopResult dc = an::dcOperatingPoint(dae);
-        x0 = dc.x;
-        for (std::size_t i = 0; i < x0.size(); ++i)
-            x0[i] += 0.3 * std::sin(1.0 + 2.3 * static_cast<double>(i));
-        dt = 1.0 / (d.f1 * 300.0);
-        t1 = cycles / d.f1;
-    }
-
-    static void buildNetlist(ckt::Netlist& nl) {
-        const auto& d = bench::design100();
-        logic::buildDLatchEnCircuit(nl, "dl", ckt::RingOscSpec{}, d.syncAmp, d.f1,
-                                    logic::dataCurrentWaveform(d, 150e-6, {1}, 1.0),
-                                    [](double) { return true; });
-    }
-};
-
-// ---------------------------------------------------------------------------
-// Artifact cache & checkpointing (io/): cold-vs-warm extraction cost and the
-// overhead of periodic solver snapshots plus a restore.
-
-void reportCacheAndCheckpoint() {
+void reportCache() {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "phlogon_bench_cache";
     fs::remove_all(dir);
@@ -297,47 +266,13 @@ void reportCacheAndCheckpoint() {
     std::printf("  cold (%-4s): %8.2f ms  (%zu extraction LU factorizations)\n",
                 io::cacheOutcomeName(cold.outcome).c_str(), coldMs,
                 cold.value.pss.counters.luFactorizations);
-    std::printf("  warm (%-4s): %8.2f ms  (%zu extraction LU factorizations) -> speedup x%.1f\n",
+    std::printf("  warm (%-4s): %8.2f ms  (%zu extraction LU factorizations) -> speedup x%.1f\n\n",
                 io::cacheOutcomeName(warm.outcome).c_str(), warmMs,
                 warm.value.pss.counters.luFactorizations, coldMs / warmMs);
 
-    // Checkpoint overhead: the D-latch SPICE transient with and without
-    // periodic snapshots, then a restore from the surviving snapshot.
-    const double cycles = smokeMode() ? 6.0 : 40.0;
-    LatchWorkload w(cycles);
-    an::TransientOptions opt;
-    opt.dt = w.dt;
-    opt.storeEvery = 16;
-    const auto wallMs = [&](const an::TransientOptions& o) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto r = an::transient(w.dae, w.x0, 0.0, w.t1, o);
-        benchmark::DoNotOptimize(r.ok);
-        return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-    wallMs(opt);  // warm up
-    const double plainMs = wallMs(opt);
-    an::TransientOptions ckOpt = opt;
-    ckOpt.checkpoint.interval = w.t1 / 10.0;  // ~10 snapshots over the run
-    ckOpt.checkpoint.path = dir / "latch.ckpt.phlg";
-    const double ckMs = wallMs(ckOpt);
-    const auto resumeT0 = std::chrono::steady_clock::now();
-    const auto resumed = io::resumeTransient(w.dae, ckOpt.checkpoint.path, w.t1, opt);
-    const double resumeMs =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - resumeT0)
-            .count();
-    std::printf("Checkpointing: D-latch SPICE transient, %.0f cycles, ~10 snapshots:\n", cycles);
-    std::printf("  no checkpoints:   %8.2f ms\n", plainMs);
-    std::printf("  with checkpoints: %8.2f ms  -> overhead %+.1f%%\n", ckMs,
-                100.0 * (ckMs - plainMs) / plainMs);
-    std::printf("  resume last snapshot -> t1: %8.2f ms (%s)\n\n", resumeMs,
-                resumed.ok ? "bit-identical tail" : "FAILED");
     jsonOut().set("cache", "coldMs", coldMs);
     jsonOut().set("cache", "warmMs", warmMs);
     jsonOut().set("cache", "speedup", coldMs / warmMs);
-    jsonOut().set("checkpoint", "plainMs", plainMs);
-    jsonOut().set("checkpoint", "withCheckpointsMs", ckMs);
-    jsonOut().set("checkpoint", "overheadPct", 100.0 * (ckMs - plainMs) / plainMs);
     fs::remove_all(dir);
 }
 
@@ -713,7 +648,7 @@ int main(int argc, char** argv) {
     reportSweepSpeedup();
     reportSimdSpeedup();
     reportSparseScaling();
-    reportCacheAndCheckpoint();
+    reportCache();
     if (jsonOut().write("speedup"))
         std::printf("[exported bench_out/speedup.json]\n\n");
     benchmark::Initialize(&argc, argv);

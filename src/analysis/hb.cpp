@@ -1,5 +1,6 @@
 #include "analysis/hb.hpp"
 
+#include <chrono>
 #include <cmath>
 #include <numbers>
 
@@ -37,10 +38,9 @@ Vec trigResample(const Vec& samples, std::size_t m) {
     return out;
 }
 
-}  // namespace
-
-PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
-    OBS_SPAN("hb.solve");
+/// harmonicBalancePss without the wall clock, which the caller sets once for
+/// every exit.
+PssResult solveHb(const ckt::Dae& dae, const HbOptions& opt) {
     PssResult res;
     const std::size_t n = dae.size();
     const std::size_t nc = opt.nColloc;
@@ -52,6 +52,7 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
     // ---- warm start (shared with shooting) --------------------------------
     const WarmStart ws = warmStart(dae, opt.freqHint, opt.warmupCycles, opt.stepsPerCycleWarmup,
                                    opt.kick, opt.phaseUnknown, TransientOptions{}.newton);
+    res.counters += ws.counters;
     if (!ws.ok) {
         res.message = ws.message;
         return res;
@@ -83,9 +84,10 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
     const std::size_t big = n * nc + 1;
     std::vector<Vec> qs(nc), fs(nc);
     std::vector<Matrix> cs(nc), gs(nc);
-    const auto evalAll = [&](const std::vector<Vec>& xs, bool jac) {
-        for (std::size_t k = 0; k < nc; ++k)
-            dae.eval(0.0, xs[k], qs[k], fs[k], jac ? &cs[k] : nullptr, jac ? &gs[k] : nullptr);
+    const auto evalAll = [&](const std::vector<Vec>& xs) {
+        for (std::size_t k = 0; k < nc; ++k) dae.eval(0.0, xs[k], qs[k], fs[k], &cs[k], &gs[k]);
+        res.counters.rhsEvals += nc;
+        res.counters.jacEvals += nc;
     };
     const auto residual = [&](double T, Vec& r) {
         r.assign(big, 0.0);
@@ -108,7 +110,7 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
     bool converged = false;
     double rNorm = 0.0;
     for (int it = 0; it < opt.maxIter; ++it) {
-        evalAll(xc, true);
+        evalAll(xc);
         residual(period, r);
         rNorm = num::normInf(r);
         if (rNorm < opt.tol) {
@@ -141,6 +143,10 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
             res.message = "HB: singular collocation Jacobian";
             return res;
         }
+        // One factorization per Newton update (the converged pass stops
+        // before factoring), so the two counts agree.
+        ++res.counters.luFactorizations;
+        ++res.counters.newtonIters;
         Vec dz = lu->solve(r);
         // Damping: clamp state updates and the period update.
         double scale = 1.0;
@@ -183,6 +189,17 @@ PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
     res.tFine = num::linspace(0.0, period, fine + 1);
     res.ok = true;
     res.message = "ok";
+    return res;
+}
+
+}  // namespace
+
+PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt) {
+    OBS_SPAN("hb.solve");
+    const auto wallStart = std::chrono::steady_clock::now();
+    PssResult res = solveHb(dae, opt);
+    res.counters.wallSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
     return res;
 }
 

@@ -42,7 +42,9 @@ struct HbOptions {
 
 /// Returns the same PssResult as shootingPss (xFine carries the collocation
 /// samples upsampled to a uniform fine grid so PPV extraction works
-/// unchanged).
+/// unchanged).  `counters` hold the warm start's work plus the collocation
+/// Newton's: one residual and one Jacobian evaluation per collocation point
+/// per pass, one LU factorization per Newton iteration, and the wall time.
 PssResult harmonicBalancePss(const ckt::Dae& dae, const HbOptions& opt = {});
 
 }  // namespace phlogon::an

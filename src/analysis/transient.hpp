@@ -11,10 +11,8 @@
 // The inner loop runs on the zero-allocation ImplicitStepper: all Newton
 // temporaries live in a workspace reused across steps.
 
-#include <cstdint>
-#include <filesystem>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "circuit/dae.hpp"
 #include "numeric/counters.hpp"
@@ -26,17 +24,6 @@ using ckt::Dae;
 using num::Matrix;
 using num::Vec;
 
-/// Periodic solver-state snapshots (io/checkpoint.hpp artifact): every
-/// `interval` of simulated time, after an accepted step, the current
-/// (t, x, stepIndex, counters) is written atomically to `path`.
-/// io::resumeTransient() restarts from the snapshot and reproduces the
-/// uninterrupted run's remaining trajectory bit-for-bit.
-struct CheckpointOptions {
-    double interval = 0.0;        ///< simulated seconds between snapshots; <= 0 disables
-    std::filesystem::path path;   ///< snapshot file, rewritten in place (atomic)
-    bool enabled() const { return interval > 0.0 && !path.empty(); }
-};
-
 struct TransientOptions {
     double dt = 0.0;  ///< time step; required (> 0)
     num::NewtonOptions newton{.maxIter = 50, .absTol = 1e-9, .maxStep = 1.0};
@@ -46,9 +33,6 @@ struct TransientOptions {
     /// On a Newton failure the step is retried with dt/2 up to this many
     /// times (then the run aborts).
     int maxStepHalvings = 8;
-
-    /// Optional periodic checkpointing (disabled by default).
-    CheckpointOptions checkpoint;
 };
 
 struct TransientResult {
@@ -64,27 +48,15 @@ struct TransientResult {
     Vec column(std::size_t idx) const;
 };
 
-/// Integrate the DAE from consistent initial state x0 over [t0, t1].
+/// Integrate the DAE from consistent initial state x0 over [t0, t1].  An x0
+/// whose size is not dae.size() returns ok = false with a message.
+///
+/// The stepper re-derives its old-point charges and currents from (t, x),
+/// so restarting from a stored point (t[k], x[k]) of a run, with the same
+/// options and t1, reproduces that run's remaining points bitwise: stored
+/// points sit on multiples of storeEvery steps, so the restart stores the
+/// same ones.  That is how a long transient is resumed.
 TransientResult transient(const Dae& dae, const Vec& x0, double t0, double t1,
                           const TransientOptions& opt);
-
-/// Mid-run integration state, as captured in a checkpoint.  `t0` is the
-/// original span start, which later snapshots record again; `stepIndex`
-/// preserves the storeEvery phase.
-struct TransientResumeState {
-    double t0 = 0.0;
-    double t = 0.0;
-    Vec x;
-    std::uint64_t stepIndex = 0;
-    num::SolverCounters counters;
-};
-
-/// Continue an integration from `st` to t1.  With `st` taken from a
-/// checkpoint written after an accepted step, the produced points and final
-/// state are bit-identical to the tail of the uninterrupted run (the result
-/// starts at the checkpoint point).  transient() is this with a fresh state;
-/// io::resumeTransient() binds it to checkpoint files.
-TransientResult transientResumed(const Dae& dae, const TransientResumeState& st, double t1,
-                                 const TransientOptions& opt);
 
 }  // namespace phlogon::an

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/gae_sweep.hpp"
-#include "io/checkpoint.hpp"
 #include "numeric/batch_ode.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,14 +31,11 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 
 /// The engine behind every entry point (see the header): lanes phi0[l] from
 /// tStart to t1.  Failed lanes drop out, so later segments batch only live
-/// ones.  `firstSegInitialStep` (> 0) overrides the initial step of the
-/// first integrated segment.  A checkpoint needs a one-lane call.
+/// ones.
 std::vector<GaeTransientResult> integrate(const PpvModel& model, double f1,
                                           const std::vector<GaeSegment>& schedule,
                                           const Vec& phi0, double tStart, double t1,
-                                          const num::OdeOptions& opt, std::size_t gridSize,
-                                          const GaeCheckpointOptions& checkpoint,
-                                          double firstSegInitialStep) {
+                                          const num::OdeOptions& opt, std::size_t gridSize) {
     if (schedule.empty()) throw std::invalid_argument("gaeTransient: empty schedule");
     for (std::size_t i = 1; i < schedule.size(); ++i)
         if (schedule[i].tStart < schedule[i - 1].tStart)
@@ -55,8 +51,6 @@ std::vector<GaeTransientResult> integrate(const PpvModel& model, double f1,
     std::iota(live.begin(), live.end(), std::size_t{0});
     num::BatchOde batch(lanes);
     double tCur = tStart;
-    double lastSnapshotT = tStart;
-    bool firstIntegratedSegment = true;
 
     for (std::size_t s = 0; s < schedule.size() && !live.empty(); ++s) {
         const double segEnd = (s + 1 < schedule.size()) ? std::min(schedule[s + 1].tStart, t1) : t1;
@@ -65,41 +59,13 @@ std::vector<GaeTransientResult> integrate(const PpvModel& model, double f1,
             throw std::invalid_argument("gaeTransient: first segment starts after t0");
 
         const Gae gae(model, f1, schedule[s].injections, gridSize);
-        std::size_t rhsCalls = 0;
-        const num::BatchRhs1 rhs = [&gae, &rhsCalls](const double* /*t*/, const double* y,
-                                                     double* dydt,
-                                                     const unsigned char* /*active*/,
-                                                     std::size_t n) {
-            ++rhsCalls;
+        const num::BatchRhs1 rhs = [&gae](const double* /*t*/, const double* y, double* dydt,
+                                          const unsigned char* /*active*/, std::size_t n) {
             gae.rhsMany(y, dydt, n);
         };
-        num::OdeOptions segOpt = opt;
-        if (firstIntegratedSegment && firstSegInitialStep > 0)
-            segOpt.initialStep = firstSegInitialStep;
-        firstIntegratedSegment = false;
-        std::size_t segAccepted = 0;
-        if (checkpoint.enabled()) {
-            // One lane: each attempted step is six rhs calls, so the counters
-            // are exact.  The hook only observes; it never perturbs the numerics.
-            segOpt.onAccept = [&](double t, const Vec& y, double hNext) {
-                ++segAccepted;
-                if (opt.onAccept) opt.onAccept(t, y, hNext);
-                if (t - lastSnapshotT < checkpoint.interval) return;
-                io::GaeCheckpoint c;
-                c.t = t;
-                c.dphi = y[0];
-                c.h = hNext;
-                c.counters = res[0].counters;
-                c.counters.steps += segAccepted;
-                c.counters.rejectedSteps += rhsCalls / 6 - segAccepted;
-                c.counters.rhsEvals += rhsCalls;
-                io::saveGaeCheckpoint(checkpoint.path, c);
-                lastSnapshotT = t;
-            };
-        }
         Vec y0(live.size());
         for (std::size_t i = 0; i < live.size(); ++i) y0[i] = res[live[i]].dphi.back();
-        const num::BatchOdeSolution sol = batch.rkf45(rhs, y0, tCur, segEnd, segOpt);
+        const num::BatchOdeSolution sol = batch.rkf45(rhs, y0, tCur, segEnd, opt);
 
         std::vector<std::size_t> nextLive;
         nextLive.reserve(live.size());
@@ -128,20 +94,11 @@ std::vector<GaeTransientResult> integrate(const PpvModel& model, double f1,
 
 GaeTransientResult gaeTransient(const PpvModel& model, double f1,
                                 const std::vector<GaeSegment>& schedule, double dphi0, double t0,
-                                double t1, const num::OdeOptions& opt, std::size_t gridSize,
-                                const GaeCheckpointOptions& checkpoint) {
-    return gaeTransientFrom(model, f1, schedule, dphi0, t0, t1, opt, gridSize, checkpoint, 0.0);
-}
-
-GaeTransientResult gaeTransientFrom(const PpvModel& model, double f1,
-                                    const std::vector<GaeSegment>& schedule, double phi0,
-                                    double tStart, double t1, const num::OdeOptions& opt,
-                                    std::size_t gridSize, const GaeCheckpointOptions& checkpoint,
-                                    double firstSegInitialStep) {
+                                double t1, const num::OdeOptions& opt, std::size_t gridSize) {
     OBS_SPAN("gae.transient");
     const auto wallStart = std::chrono::steady_clock::now();
-    GaeTransientResult res = std::move(integrate(model, f1, schedule, Vec{phi0}, tStart, t1, opt,
-                                                 gridSize, checkpoint, firstSegInitialStep)[0]);
+    GaeTransientResult res =
+        std::move(integrate(model, f1, schedule, Vec{dphi0}, t0, t1, opt, gridSize)[0]);
     res.counters.wallSeconds = secondsSince(wallStart);
     obs::recordSolverCounters("gae", res.counters);
     return res;
@@ -154,7 +111,7 @@ GaeEnsembleResult gaeTransientEnsemble(const PpvModel& model, double f1,
     OBS_SPAN("gae.ensemble");
     const auto wallStart = std::chrono::steady_clock::now();
     GaeEnsembleResult res;
-    res.trials = integrate(model, f1, schedule, dphi0, t0, t1, opt, gridSize, {}, 0.0);
+    res.trials = integrate(model, f1, schedule, dphi0, t0, t1, opt, gridSize);
     res.ok = std::all_of(res.trials.begin(), res.trials.end(),
                          [](const GaeTransientResult& tr) { return tr.ok; });
     if (res.trials.empty()) return res;

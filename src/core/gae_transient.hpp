@@ -9,7 +9,6 @@
 // its one-lane call.  A lane whose segment fails (step budget or underflow)
 // adds that segment's counters but none of its points, and stops.
 
-#include <filesystem>
 #include <vector>
 
 #include "core/gae.hpp"
@@ -23,17 +22,6 @@ namespace phlogon::core {
 struct GaeSegment {
     double tStart = 0.0;
     std::vector<Injection> injections;
-};
-
-/// Periodic snapshots of the GAE integration (io/checkpoint.hpp artifact):
-/// every `interval` of simulated time, after an accepted RK step, the
-/// current (t, dphi, next step size, counters) is written atomically to
-/// `path`.  io::resumeGaeTransient() restarts from the snapshot and
-/// reproduces the uninterrupted trajectory and counters bit-for-bit.
-struct GaeCheckpointOptions {
-    double interval = 0.0;       ///< simulated seconds between snapshots; <= 0 disables
-    std::filesystem::path path;  ///< snapshot file, rewritten in place (atomic)
-    bool enabled() const { return interval > 0.0 && !path.empty(); }
 };
 
 struct GaeTransientResult {
@@ -52,23 +40,17 @@ struct GaeTransientResult {
 
 /// Integrate from (t0, dphi0) to t1: the engine's one-lane call.  `schedule`
 /// must be sorted by tStart; the first segment should start at or before t0.
-/// opt.onAccept fires after every accepted step.
+/// Segments that end at or before t0 are skipped.
+///
+/// Every segment starts a fresh RKF45 solve, so two calls split at a segment
+/// boundary tB (the second starting from the first's final dphi at tB)
+/// reproduce the uninterrupted run's points bitwise, and their counters sum
+/// to its counters.  That is how a GAE run is resumed (the daemon's
+/// fsm-transient job checkpoints at slot boundaries this way).
 GaeTransientResult gaeTransient(const PpvModel& model, double f1,
                                 const std::vector<GaeSegment>& schedule, double dphi0, double t0,
                                 double t1, const num::OdeOptions& opt = {},
-                                std::size_t gridSize = 1024,
-                                const GaeCheckpointOptions& checkpoint = {});
-
-/// Resume entry point behind io::resumeGaeTransient: the one-lane call from
-/// (tStart, phi0), skipping schedule segments that end at or before tStart.
-/// `firstSegInitialStep` (> 0) overrides the RK initial step inside the
-/// segment containing tStart — passing a checkpoint's saved step there makes
-/// the resumed tail bit-identical; later segments use `opt` untouched.
-GaeTransientResult gaeTransientFrom(const PpvModel& model, double f1,
-                                    const std::vector<GaeSegment>& schedule, double phi0,
-                                    double tStart, double t1, const num::OdeOptions& opt,
-                                    std::size_t gridSize, const GaeCheckpointOptions& checkpoint,
-                                    double firstSegInitialStep);
+                                std::size_t gridSize = 1024);
 
 /// Time at which the trajectory first settles within `tol` cycles of
 /// `target` and stays there; returns t1-end if it never settles.
@@ -84,8 +66,7 @@ struct GaeEnsembleResult {
 /// conditions): one pass over the g table per RK stage for all lanes, and
 /// one g-grid correlation per segment instead of per trial.  Lane l is
 /// bitwise gaeTransient(model, f1, schedule, dphi0[l], ...) at any ensemble
-/// size.  A multi-lane call that sets opt.onAccept throws
-/// std::invalid_argument; checkpoint/resume is per trial, on gaeTransient.
+/// size.
 GaeEnsembleResult gaeTransientEnsemble(const PpvModel& model, double f1,
                                        const std::vector<GaeSegment>& schedule, const Vec& dphi0,
                                        double t0, double t1, const num::OdeOptions& opt = {},

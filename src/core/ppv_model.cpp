@@ -49,32 +49,6 @@ PpvModel PpvModel::build(const an::PssResult& pss, const an::PpvResult& ppv,
     return m;
 }
 
-PpvModel PpvModel::restore(std::size_t outputUnknown, double f0, double dphiPeak,
-                           double waveformPeak, double outputMean, double outputAmplitude,
-                           double normalizationSpread, std::vector<std::string> unknownNames,
-                           std::vector<Vec> xsSamples, std::vector<Vec> ppvSamples) {
-    const std::size_t n = xsSamples.size();
-    if (n == 0 || ppvSamples.size() != n || outputUnknown >= n)
-        throw std::invalid_argument("PpvModel::restore: inconsistent sample sets");
-    PpvModel m;
-    m.nUnknowns_ = n;
-    m.outputUnknown_ = outputUnknown;
-    m.f0_ = f0;
-    m.dphiPeak_ = dphiPeak;
-    m.wavePeak_ = waveformPeak;
-    m.outMean_ = outputMean;
-    m.outAmp_ = outputAmplitude;
-    m.normSpread_ = normalizationSpread;
-    m.names_ = std::move(unknownNames);
-    for (std::size_t i = 0; i < n; ++i) {
-        m.xs_.emplace_back(xsSamples[i]);
-        m.ppv_.emplace_back(ppvSamples[i]);
-    }
-    m.xsSamples_ = std::move(xsSamples);
-    m.ppvSamples_ = std::move(ppvSamples);
-    return m;
-}
-
 std::size_t PpvModel::indexOf(const std::string& name) const {
     for (std::size_t i = 0; i < names_.size(); ++i)
         if (names_[i] == name) return i;

@@ -33,16 +33,6 @@ public:
     static PpvModel build(const an::PssResult& pss, const an::PpvResult& ppv,
                           std::size_t outputUnknown, std::vector<std::string> unknownNames);
 
-    /// Reassemble a model from previously extracted (e.g. deserialized) data:
-    /// all scalar metadata is taken verbatim and the interpolating splines
-    /// are rebuilt from the samples, so a restored model is bit-identical in
-    /// every query to the one it was saved from.  `xsSamples`/`ppvSamples`
-    /// hold one per-unknown sample vector each (all the same length).
-    static PpvModel restore(std::size_t outputUnknown, double f0, double dphiPeak,
-                            double waveformPeak, double outputMean, double outputAmplitude,
-                            double normalizationSpread, std::vector<std::string> unknownNames,
-                            std::vector<Vec> xsSamples, std::vector<Vec> ppvSamples);
-
     bool valid() const { return nUnknowns_ > 0; }
     double f0() const { return f0_; }
     double period() const { return 1.0 / f0_; }

@@ -2,19 +2,6 @@
 
 namespace phlogon::io {
 
-namespace {
-
-/// File-backed load helper: read + validate, then decode.
-template <class T>
-std::optional<T> loadFile(const std::filesystem::path& path, std::uint32_t type,
-                          std::optional<T> (*decode)(const std::vector<std::uint8_t>&)) {
-    const ArtifactReadResult r = readArtifactFile(path, type);
-    if (!r.ok()) return std::nullopt;
-    return decode(r.payload);
-}
-
-}  // namespace
-
 // ---- SolverCounters -------------------------------------------------------
 
 void encodeCounters(BinaryWriter& w, const num::SolverCounters& c) {
@@ -83,14 +70,6 @@ std::optional<an::PssResult> decodePssResult(const std::vector<std::uint8_t>& pa
     return pss;
 }
 
-bool savePssResult(const std::filesystem::path& path, const an::PssResult& pss) {
-    return writeArtifactFile(path, kTypePssResult, encodePssResult(pss));
-}
-
-std::optional<an::PssResult> loadPssResult(const std::filesystem::path& path) {
-    return loadFile<an::PssResult>(path, kTypePssResult, decodePssResult);
-}
-
 // ---- PpvResult ------------------------------------------------------------
 
 std::vector<std::uint8_t> encodePpvResult(const an::PpvResult& ppv) {
@@ -119,60 +98,6 @@ std::optional<an::PpvResult> decodePpvResult(const std::vector<std::uint8_t>& pa
     if (!r.u64(v)) return std::nullopt;
     ppv.sweepsUsed = static_cast<int>(static_cast<std::int64_t>(v));
     return ppv;
-}
-
-bool savePpvResult(const std::filesystem::path& path, const an::PpvResult& ppv) {
-    return writeArtifactFile(path, kTypePpvResult, encodePpvResult(ppv));
-}
-
-std::optional<an::PpvResult> loadPpvResult(const std::filesystem::path& path) {
-    return loadFile<an::PpvResult>(path, kTypePpvResult, decodePpvResult);
-}
-
-// ---- PpvModel -------------------------------------------------------------
-
-std::vector<std::uint8_t> encodePpvModel(const core::PpvModel& model) {
-    BinaryWriter w;
-    const std::size_t n = model.size();
-    w.u64(n);
-    w.u64(model.outputUnknown());
-    w.f64(model.f0());
-    w.f64(model.dphiPeak());
-    w.f64(model.waveformPeak());
-    w.f64(model.outputMean());
-    w.f64(model.outputAmplitude());
-    w.f64(model.normalizationSpread());
-    w.strList(model.unknownNames());
-    for (std::size_t i = 0; i < n; ++i) w.vec(model.xsSamples(i));
-    for (std::size_t i = 0; i < n; ++i) w.vec(model.ppvSamples(i));
-    return w.take();
-}
-
-std::optional<core::PpvModel> decodePpvModel(const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
-    std::uint64_t n, outIdx;
-    double f0, dphiPeak, wavePeak, outMean, outAmp, normSpread;
-    std::vector<std::string> names;
-    if (!r.u64(n) || !r.u64(outIdx) || !r.f64(f0) || !r.f64(dphiPeak) || !r.f64(wavePeak) ||
-        !r.f64(outMean) || !r.f64(outAmp) || !r.f64(normSpread) || !r.strList(names))
-        return std::nullopt;
-    std::vector<num::Vec> xs(static_cast<std::size_t>(n)), ppv(static_cast<std::size_t>(n));
-    for (num::Vec& v : xs)
-        if (!r.vec(v)) return std::nullopt;
-    for (num::Vec& v : ppv)
-        if (!r.vec(v)) return std::nullopt;
-    if (n == 0 || outIdx >= n) return std::nullopt;
-    return core::PpvModel::restore(static_cast<std::size_t>(outIdx), f0, dphiPeak, wavePeak,
-                                   outMean, outAmp, normSpread, std::move(names), std::move(xs),
-                                   std::move(ppv));
-}
-
-bool savePpvModel(const std::filesystem::path& path, const core::PpvModel& model) {
-    return writeArtifactFile(path, kTypePpvModel, encodePpvModel(model));
-}
-
-std::optional<core::PpvModel> loadPpvModel(const std::filesystem::path& path) {
-    return loadFile<core::PpvModel>(path, kTypePpvModel, decodePpvModel);
 }
 
 // ---- characterization bundle ----------------------------------------------
@@ -208,67 +133,6 @@ std::optional<Characterization> decodeCharacterization(const std::vector<std::ui
     return c;
 }
 
-// ---- waveforms / ODE solutions -------------------------------------------
-
-std::vector<std::uint8_t> encodeOdeSolution(const num::OdeSolution& sol) {
-    BinaryWriter w;
-    w.u8(sol.ok ? 1 : 0);
-    w.u64(sol.rejectedSteps);
-    w.vec(sol.t);
-    w.vecList(sol.y);
-    return w.take();
-}
-
-std::optional<num::OdeSolution> decodeOdeSolution(const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
-    num::OdeSolution sol;
-    std::uint8_t b;
-    std::uint64_t v;
-    if (!r.u8(b) || !r.u64(v)) return std::nullopt;
-    sol.ok = b != 0;
-    sol.rejectedSteps = static_cast<std::size_t>(v);
-    if (!r.vec(sol.t) || !r.vecList(sol.y)) return std::nullopt;
-    return sol;
-}
-
-bool saveOdeSolution(const std::filesystem::path& path, const num::OdeSolution& sol) {
-    return writeArtifactFile(path, kTypeWaveform, encodeOdeSolution(sol));
-}
-
-std::optional<num::OdeSolution> loadOdeSolution(const std::filesystem::path& path) {
-    return loadFile<num::OdeSolution>(path, kTypeWaveform, decodeOdeSolution);
-}
-
-std::vector<std::uint8_t> encodeTransientResult(const an::TransientResult& res) {
-    BinaryWriter w;
-    w.u8(res.ok ? 1 : 0);
-    w.str(res.message);
-    w.vec(res.t);
-    w.vecList(res.x);
-    encodeCounters(w, res.counters);
-    return w.take();
-}
-
-std::optional<an::TransientResult> decodeTransientResult(
-    const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
-    an::TransientResult res;
-    std::uint8_t b;
-    if (!r.u8(b)) return std::nullopt;
-    res.ok = b != 0;
-    if (!r.str(res.message) || !r.vec(res.t) || !r.vecList(res.x)) return std::nullopt;
-    if (!decodeCounters(r, res.counters)) return std::nullopt;
-    return res;
-}
-
-bool saveTransientResult(const std::filesystem::path& path, const an::TransientResult& res) {
-    return writeArtifactFile(path, kTypeWaveform, encodeTransientResult(res));
-}
-
-std::optional<an::TransientResult> loadTransientResult(const std::filesystem::path& path) {
-    return loadFile<an::TransientResult>(path, kTypeWaveform, decodeTransientResult);
-}
-
 // ---- GAE sweep tables -----------------------------------------------------
 
 std::vector<std::uint8_t> encodeLockingRangeTable(
@@ -299,17 +163,6 @@ std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
     return pts;
 }
 
-bool saveLockingRangeTable(const std::filesystem::path& path,
-                           const std::vector<core::LockingRangePoint>& pts) {
-    return writeArtifactFile(path, kTypeSweepLockingRange, encodeLockingRangeTable(pts));
-}
-
-std::optional<std::vector<core::LockingRangePoint>> loadLockingRangeTable(
-    const std::filesystem::path& path) {
-    return loadFile<std::vector<core::LockingRangePoint>>(path, kTypeSweepLockingRange,
-                                                          decodeLockingRangeTable);
-}
-
 std::vector<std::uint8_t> encodePhaseErrorTable(const std::vector<core::PhaseErrorPoint>& pts) {
     BinaryWriter w;
     w.u64(pts.size());
@@ -335,17 +188,6 @@ std::optional<std::vector<core::PhaseErrorPoint>> decodePhaseErrorTable(
             return std::nullopt;
     }
     return pts;
-}
-
-bool savePhaseErrorTable(const std::filesystem::path& path,
-                         const std::vector<core::PhaseErrorPoint>& pts) {
-    return writeArtifactFile(path, kTypeSweepPhaseError, encodePhaseErrorTable(pts));
-}
-
-std::optional<std::vector<core::PhaseErrorPoint>> loadPhaseErrorTable(
-    const std::filesystem::path& path) {
-    return loadFile<std::vector<core::PhaseErrorPoint>>(path, kTypeSweepPhaseError,
-                                                        decodePhaseErrorTable);
 }
 
 }  // namespace phlogon::io

@@ -1,31 +1,27 @@
 #pragma once
-// Typed save/load of the library's result structs on the binary artifact
-// container (io/serialize.hpp).
+// Payload codecs for the result structs that the artifact cache stores, on
+// the binary artifact container (io/serialize.hpp).
 //
 // Encoding and decoding are exact: doubles travel as IEEE-754 bit patterns,
-// so  save(x); load() == x  holds bitwise for every field, which is what the
-// round-trip tests assert and what makes cached extractions substitutable
-// for freshly computed ones.
+// so  decode(encode(x)) == x  holds bitwise for every field, which is what
+// the round-trip tests assert and what makes cached extractions
+// substitutable for freshly computed ones.
 //
-// Each encodePayload/decodePayload pair works on raw payload bytes (used by
-// the ArtifactCache, which stores payloads under content-hash keys); the
-// save*/load* wrappers bind them to standalone artifact files.  All load
-// paths are total: any truncation or type mismatch yields std::nullopt, and
-// callers recompute.
+// Each encode/decode pair works on raw payload bytes; the ArtifactCache
+// stores them under content-hash keys (io/model_cache.hpp): a
+// Characterization (PSS + PPV) as CHAR, the Fig. 7/8 sweep tables as SWLR
+// and SWPE.  Decoding is total: any truncation or inconsistent length
+// yields std::nullopt, and callers recompute.
 
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <vector>
 
 #include "analysis/ppv.hpp"
 #include "analysis/pss.hpp"
-#include "analysis/transient.hpp"
 #include "core/gae_sweep.hpp"
-#include "core/ppv_model.hpp"
 #include "io/serialize.hpp"
 #include "numeric/counters.hpp"
-#include "numeric/ode.hpp"
 
 namespace phlogon::io {
 
@@ -36,20 +32,10 @@ bool decodeCounters(BinaryReader& r, num::SolverCounters& c);
 // ---- PssResult ------------------------------------------------------------
 std::vector<std::uint8_t> encodePssResult(const an::PssResult& pss);
 std::optional<an::PssResult> decodePssResult(const std::vector<std::uint8_t>& payload);
-bool savePssResult(const std::filesystem::path& path, const an::PssResult& pss);
-std::optional<an::PssResult> loadPssResult(const std::filesystem::path& path);
 
 // ---- PpvResult ------------------------------------------------------------
 std::vector<std::uint8_t> encodePpvResult(const an::PpvResult& ppv);
 std::optional<an::PpvResult> decodePpvResult(const std::vector<std::uint8_t>& payload);
-bool savePpvResult(const std::filesystem::path& path, const an::PpvResult& ppv);
-std::optional<an::PpvResult> loadPpvResult(const std::filesystem::path& path);
-
-// ---- PpvModel -------------------------------------------------------------
-std::vector<std::uint8_t> encodePpvModel(const core::PpvModel& model);
-std::optional<core::PpvModel> decodePpvModel(const std::vector<std::uint8_t>& payload);
-bool savePpvModel(const std::filesystem::path& path, const core::PpvModel& model);
-std::optional<core::PpvModel> loadPpvModel(const std::filesystem::path& path);
 
 // ---- characterization bundle (PSS + PPV, one extraction artifact) ---------
 struct Characterization {
@@ -59,32 +45,13 @@ struct Characterization {
 std::vector<std::uint8_t> encodeCharacterization(const Characterization& c);
 std::optional<Characterization> decodeCharacterization(const std::vector<std::uint8_t>& payload);
 
-// ---- waveforms / ODE solutions -------------------------------------------
-std::vector<std::uint8_t> encodeOdeSolution(const num::OdeSolution& sol);
-std::optional<num::OdeSolution> decodeOdeSolution(const std::vector<std::uint8_t>& payload);
-bool saveOdeSolution(const std::filesystem::path& path, const num::OdeSolution& sol);
-std::optional<num::OdeSolution> loadOdeSolution(const std::filesystem::path& path);
-
-std::vector<std::uint8_t> encodeTransientResult(const an::TransientResult& r);
-std::optional<an::TransientResult> decodeTransientResult(const std::vector<std::uint8_t>& payload);
-bool saveTransientResult(const std::filesystem::path& path, const an::TransientResult& r);
-std::optional<an::TransientResult> loadTransientResult(const std::filesystem::path& path);
-
 // ---- GAE sweep tables -----------------------------------------------------
 std::vector<std::uint8_t> encodeLockingRangeTable(const std::vector<core::LockingRangePoint>& pts);
 std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
     const std::vector<std::uint8_t>& payload);
-bool saveLockingRangeTable(const std::filesystem::path& path,
-                           const std::vector<core::LockingRangePoint>& pts);
-std::optional<std::vector<core::LockingRangePoint>> loadLockingRangeTable(
-    const std::filesystem::path& path);
 
 std::vector<std::uint8_t> encodePhaseErrorTable(const std::vector<core::PhaseErrorPoint>& pts);
 std::optional<std::vector<core::PhaseErrorPoint>> decodePhaseErrorTable(
     const std::vector<std::uint8_t>& payload);
-bool savePhaseErrorTable(const std::filesystem::path& path,
-                         const std::vector<core::PhaseErrorPoint>& pts);
-std::optional<std::vector<core::PhaseErrorPoint>> loadPhaseErrorTable(
-    const std::filesystem::path& path);
 
 }  // namespace phlogon::io

@@ -147,6 +147,16 @@ bool ArtifactCache::store(std::uint64_t key, std::uint32_t type,
 }
 
 std::vector<ArtifactCache::Entry> ArtifactCache::entries() const {
+    std::vector<Entry> out = list();
+    for (Entry& e : out) {
+        const ArtifactProbe probe = probeArtifactFile(e.path);
+        e.type = probe.header.type;
+        e.valid = probe.status == ArtifactStatus::Ok;
+    }
+    return out;
+}
+
+std::vector<ArtifactCache::Entry> ArtifactCache::list() const {
     std::vector<Entry> out;
     if (!enabled()) return out;
     std::error_code ec;
@@ -165,9 +175,6 @@ std::vector<ArtifactCache::Entry> ArtifactCache::entries() const {
         }
         e.fileBytes = de.file_size(ec);
         e.mtime = de.last_write_time(ec);
-        const ArtifactProbe probe = probeArtifactFile(de.path());
-        e.type = probe.header.type;
-        e.valid = probe.status == ArtifactStatus::Ok;
         out.push_back(std::move(e));
     }
     std::sort(out.begin(), out.end(),
@@ -184,7 +191,9 @@ std::size_t ArtifactCache::evictToFit() const {
 fs::path ArtifactCache::lockPath() const { return dir_ / ".lock"; }
 
 std::size_t ArtifactCache::evictLocked() const {
-    std::vector<Entry> all = entries();
+    // Sizes and mtimes decide eviction, so no entry is read here: a store
+    // costs one directory scan, whatever the entries hold.
+    const std::vector<Entry> all = list();
     std::uintmax_t total = 0;
     for (const Entry& e : all) total += e.fileBytes;
     std::size_t removed = 0;

@@ -23,8 +23,9 @@
 //     the old unlocked-but-atomic behaviour.
 //
 // Size control: after each store the directory is LRU-pruned to maxBytes
-// (default 256 MiB, override PHLOGON_CACHE_MAX_MB) using file mtimes;
-// fetch hits touch the entry's mtime so hot artifacts survive eviction.
+// (default 256 MiB, override PHLOGON_CACHE_MAX_MB) using file sizes and
+// mtimes from one directory scan, without reading any entry; fetch hits
+// touch the entry's mtime so hot artifacts survive eviction.
 
 #include <atomic>
 #include <cstdint>
@@ -92,7 +93,8 @@ public:
         std::filesystem::file_time_type mtime;
         bool valid = false;  ///< header + CRC check passed
     };
-    /// All *.phlg entries in the cache directory, oldest mtime first.
+    /// All *.phlg entries in the cache directory, oldest mtime first, each
+    /// read and CRC-checked (the inspection tool's listing).
     /// Only files whose stem is a full 16-hex-digit key (the only names the
     /// cache ever writes) are listed: anything else is a foreign file —
     /// counted in CacheStats::foreign, never keyed, never LRU-evicted.
@@ -116,6 +118,9 @@ private:
         std::atomic<std::uint64_t> foreign{0};
     };
 
+    /// entries() from names, sizes and mtimes alone: no file is read, so
+    /// `type` and `valid` stay unset.
+    std::vector<Entry> list() const;
     /// Eviction body; caller holds the directory lock.
     std::size_t evictLocked() const;
 

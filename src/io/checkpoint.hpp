@@ -1,81 +1,25 @@
 #pragma once
-// Checkpoint/restore for the long-running integrations.
+// The daemon's job checkpoints (service/jobs.hpp): one artifact file per
+// long-running job, rewritten atomically at each chunk or slot boundary
+// (io/serialize.hpp), so a killed run leaves either the previous or the
+// current snapshot, never a torn one.  A missing, mistyped or truncated
+// file loads as absent, and the job starts from the beginning.
 //
-// A checkpoint is a complete restart point for a deterministic integrator:
-// everything the solver loop reads besides its (re-derivable or
-// caller-supplied) inputs.  Because both integrators are memoryless step to
-// step — the implicit stepper re-derives qk/fk from (t, x), and the RKF45
-// controller's only carried state is the next step proposal h — resuming
-// from a checkpoint written after an accepted step reproduces the remaining
-// trajectory bit-for-bit.  The round-trip tests assert exactly that against
-// uninterrupted runs.
-//
-// Snapshots are single artifact files (io/serialize.hpp) rewritten
-// atomically at each checkpoint interval, so a killed run always leaves
-// either the previous or the current snapshot, never a torn one.
+// Both formats resume at boundaries where the uninterrupted run starts
+// afresh as well, so no solver state is saved: Monte-Carlo trial seeds are
+// counter-based over absolute trial indices, and every FSM slot is a fresh
+// gaeTransient call.  An integration is resumed the same way, by restarting
+// it from a stored point (an::transient) or at a schedule-segment boundary
+// (core::gaeTransient).
 
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <vector>
 
-#include "analysis/transient.hpp"
-#include "core/gae_transient.hpp"
 #include "numeric/counters.hpp"
-#include "numeric/matrix.hpp"
 
 namespace phlogon::io {
-
-// ---- circuit transient ----------------------------------------------------
-
-/// Snapshot of analysis/transient.cpp solver state after an accepted step.
-struct TransientCheckpoint {
-    double t0 = 0.0;  ///< original span start
-    double t1 = 0.0;  ///< span end the run was headed for (informational)
-    double t = 0.0;   ///< checkpoint time
-    std::uint64_t stepIndex = 0;
-    num::Vec x;
-    num::SolverCounters counters;
-};
-
-std::vector<std::uint8_t> encodeTransientCheckpoint(const TransientCheckpoint& c);
-std::optional<TransientCheckpoint> decodeTransientCheckpoint(
-    const std::vector<std::uint8_t>& payload);
-bool saveTransientCheckpoint(const std::filesystem::path& path, const TransientCheckpoint& c);
-std::optional<TransientCheckpoint> loadTransientCheckpoint(const std::filesystem::path& path);
-
-/// Resume a transient run from the snapshot at `path` and integrate to t1.
-/// Unreadable/corrupt snapshots yield ok = false with a diagnostic message —
-/// callers fall back to a fresh transient() from t0.  The result's first
-/// point is the checkpoint point, so  head-points + tail[1:]  reassembles
-/// the uninterrupted run exactly.
-an::TransientResult resumeTransient(const ckt::Dae& dae, const std::filesystem::path& path,
-                                    double t1, const an::TransientOptions& opt);
-
-// ---- GAE transient --------------------------------------------------------
-
-/// Snapshot of a gaeTransient integration after an accepted RK step.
-struct GaeCheckpoint {
-    double t = 0.0;
-    double dphi = 0.0;
-    double h = 0.0;  ///< RKF45 next-step proposal
-    num::SolverCounters counters;  ///< work counters at snapshot time (exact)
-};
-
-std::vector<std::uint8_t> encodeGaeCheckpoint(const GaeCheckpoint& c);
-std::optional<GaeCheckpoint> decodeGaeCheckpoint(const std::vector<std::uint8_t>& payload);
-bool saveGaeCheckpoint(const std::filesystem::path& path, const GaeCheckpoint& c);
-std::optional<GaeCheckpoint> loadGaeCheckpoint(const std::filesystem::path& path);
-
-/// Resume a gaeTransient run from the snapshot at `path` through the same
-/// schedule to t1.  The t/dphi tail is bit-identical to the uninterrupted
-/// run's from the checkpoint time on, and the counters, which fold in the
-/// snapshot's, equal its totals.  Unreadable snapshots yield ok = false.
-core::GaeTransientResult resumeGaeTransient(const core::PpvModel& model, double f1,
-                                            const std::vector<core::GaeSegment>& schedule,
-                                            const std::filesystem::path& path, double t1,
-                                            const num::OdeOptions& opt = {},
-                                            std::size_t gridSize = 1024,
-                                            const core::GaeCheckpointOptions& ckpt = {});
 
 // ---- Monte-Carlo hold-error -----------------------------------------------
 
@@ -100,5 +44,23 @@ std::vector<std::uint8_t> encodeMcCheckpoint(const McCheckpoint& c);
 std::optional<McCheckpoint> decodeMcCheckpoint(const std::vector<std::uint8_t>& payload);
 bool saveMcCheckpoint(const std::filesystem::path& path, const McCheckpoint& c);
 std::optional<McCheckpoint> loadMcCheckpoint(const std::filesystem::path& path);
+
+// ---- FSM write sequence ---------------------------------------------------
+
+/// Snapshot of a slot-chunked FSM write sequence (the service's
+/// fsm-transient job): the phase at the last completed slot boundary plus
+/// every completed slot's end phase (needed to decode the full output after
+/// a resume).  Slot boundaries are fresh RKF45 starts in an uninterrupted
+/// run too, so the resumed tail is bit-identical.
+struct FsmCheckpoint {
+    std::uint64_t jobKey = 0;
+    std::uint64_t slotsTotal = 0;
+    double dphi = 0.0;             ///< phase at the last completed slot boundary
+    std::vector<double> endPhase;  ///< per completed slot
+    num::SolverCounters counters;
+};
+
+bool saveFsmCheckpoint(const std::filesystem::path& path, const FsmCheckpoint& c);
+std::optional<FsmCheckpoint> loadFsmCheckpoint(const std::filesystem::path& path);
 
 }  // namespace phlogon::io

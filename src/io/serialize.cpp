@@ -134,9 +134,13 @@ bool BinaryReader::str(std::string& s) {
     return true;
 }
 
+// The element counts below are compared as n > remaining() / 8, never as
+// remaining() < n * 8: the product wraps for n >= 2^61, and a wrapped check
+// would pass a count the resize() after it cannot allocate.
+
 bool BinaryReader::vec(num::Vec& v) {
     std::uint64_t n;
-    if (!u64(n) || remaining() < n * 8) return false;
+    if (!u64(n) || n > remaining() / 8) return false;
     v.resize(static_cast<std::size_t>(n));
     for (double& x : v) {
         if (!f64(x)) return false;
@@ -146,7 +150,7 @@ bool BinaryReader::vec(num::Vec& v) {
 
 bool BinaryReader::vecList(std::vector<num::Vec>& vs) {
     std::uint64_t n;
-    if (!u64(n) || remaining() < n * 8) return false;  // each vec is >= 8 bytes
+    if (!u64(n) || n > remaining() / 8) return false;  // each vec is >= 8 bytes
     vs.resize(static_cast<std::size_t>(n));
     for (num::Vec& v : vs) {
         if (!vec(v)) return false;
@@ -156,7 +160,7 @@ bool BinaryReader::vecList(std::vector<num::Vec>& vs) {
 
 bool BinaryReader::strList(std::vector<std::string>& ss) {
     std::uint64_t n;
-    if (!u64(n) || remaining() < n * 8) return false;
+    if (!u64(n) || n > remaining() / 8) return false;  // each string is >= 8 bytes
     ss.resize(static_cast<std::size_t>(n));
     for (std::string& s : ss) {
         if (!str(s)) return false;
@@ -254,6 +258,17 @@ ArtifactReadResult readArtifactFile(const std::filesystem::path& path,
     if (r.status != ArtifactStatus::Ok) return r;
     if (expectedType != 0 && r.header.type != expectedType) {
         r.status = ArtifactStatus::WrongType;
+        return r;
+    }
+    // A header may claim any size: check it against the bytes the file holds
+    // before allocating, so a corrupt size reads as truncation, not as a
+    // huge zero-filled buffer or std::bad_alloc.
+    const std::streampos payloadStart = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff fileLeft = in.tellg() - payloadStart;
+    in.seekg(payloadStart);
+    if (!in || fileLeft < 0 || r.header.payloadSize > static_cast<std::uint64_t>(fileLeft)) {
+        r.status = ArtifactStatus::Truncated;
         return r;
     }
     r.payload.resize(static_cast<std::size_t>(r.header.payloadSize));

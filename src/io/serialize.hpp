@@ -1,13 +1,13 @@
 #pragma once
 // Versioned, endian-explicit binary artifact format.
 //
-// Every persistent artifact (PSS steady states, PPV macromodels, GAE sweep
-// tables, transient checkpoints) is a single file with a fixed header:
+// Every persistent artifact (cached characterizations and GAE sweep tables,
+// the daemon's job checkpoints) is a single file with a fixed header:
 //
 //   offset  size  field
 //        0     4  magic "PHLG"
 //        4     4  format version (u32, little-endian) — kFormatVersion
-//        8     4  payload type (fourcc, e.g. "PSSR")
+//        8     4  payload type (fourcc, e.g. "CHAR")
 //       12     8  payload size in bytes (u64)
 //       20     4  CRC32 of the payload bytes
 //       24     -  payload
@@ -23,8 +23,10 @@
 // observe a half-written artifact and a crash mid-write leaves any previous
 // version intact.
 // Readers verify magic, version, size and CRC and report a typed status —
-// callers (the ArtifactCache, checkpoint restore) treat anything but Ok as
-// "absent" and recompute rather than fail.
+// callers (the ArtifactCache, the daemon's checkpoint loads) treat anything
+// but Ok as "absent" and recompute rather than fail.  Readers are total: a
+// length field larger than the bytes that follow is reported as truncation
+// before anything is allocated for it.
 
 #include <cstdint>
 #include <filesystem>
@@ -48,20 +50,15 @@ inline constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
            static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-/// Payload type tags.
-inline constexpr std::uint32_t kTypePssResult = fourcc('P', 'S', 'S', 'R');
-inline constexpr std::uint32_t kTypePpvResult = fourcc('P', 'P', 'V', 'R');
-inline constexpr std::uint32_t kTypePpvModel = fourcc('P', 'M', 'O', 'D');
+/// Payload type tags: the cache's entries (io/artifact.hpp) and the
+/// daemon's job checkpoints (io/checkpoint.hpp).
 inline constexpr std::uint32_t kTypeCharacterization = fourcc('C', 'H', 'A', 'R');
-inline constexpr std::uint32_t kTypeWaveform = fourcc('W', 'A', 'V', 'E');
 inline constexpr std::uint32_t kTypeSweepLockingRange = fourcc('S', 'W', 'L', 'R');
 inline constexpr std::uint32_t kTypeSweepPhaseError = fourcc('S', 'W', 'P', 'E');
-inline constexpr std::uint32_t kTypeTransientCheckpoint = fourcc('T', 'C', 'K', 'P');
-inline constexpr std::uint32_t kTypeGaeCheckpoint = fourcc('G', 'C', 'K', 'P');
 inline constexpr std::uint32_t kTypeMcCheckpoint = fourcc('M', 'C', 'K', 'P');
 inline constexpr std::uint32_t kTypeFsmCheckpoint = fourcc('F', 'C', 'K', 'P');
 
-/// Human-readable name of a type tag ("PSSR", or "????" when unknown).
+/// Human-readable name of a type tag ("CHAR", or "????" when unknown).
 std::string typeName(std::uint32_t type);
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range.

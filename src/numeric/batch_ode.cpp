@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "numeric/rkf45_tableau.hpp"
 #include "numeric/simd/simd.hpp"
@@ -28,8 +27,6 @@ void BatchOde::reserve(std::size_t lanes) {
 BatchOdeSolution BatchOde::rkf45(const BatchRhs1& f, const Vec& y0, double t0, double t1,
                                  const OdeOptions& opt) {
     const std::size_t lanes = y0.size();
-    if (opt.onAccept && lanes > 1)
-        throw std::invalid_argument("BatchOde::rkf45: onAccept needs a one-lane solve");
     BatchOdeSolution sol;
     sol.lanes.resize(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -134,7 +131,6 @@ BatchOdeSolution BatchOde::rkf45(const BatchRhs1& f, const Vec& y0, double t0, d
                 const double grow = errNorm > 0 ? 0.9 * std::pow(errNorm, -0.2) : 5.0;
                 h_[l] *= std::clamp(grow, 0.2, 5.0);
                 if (opt.maxStep > 0) h_[l] = std::min(h_[l], opt.maxStep);
-                if (opt.onAccept) opt.onAccept(t_[l], Vec{y_[l]}, h_[l]);
             } else {
                 ++sol.lanes[l].rejectedSteps;
                 ++rejected;

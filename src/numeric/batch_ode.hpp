@@ -18,9 +18,9 @@
 //     SIMD tier (numeric/simd/simd.hpp), whose kernels are bitwise equal to
 //     the scalar loops, so the above holds on every tier.
 //
-// OdeOptions::onAccept fires after every accepted step of a one-lane solve,
-// exactly where num::rkf45 fires it (the GAE checkpoint hook); a multi-lane
-// solve that sets it throws std::invalid_argument.
+// A solve keeps no state between calls, and every GAE schedule segment is a
+// fresh solve; that is why a GAE run split at a segment boundary reproduces
+// the uninterrupted run bitwise (core/gae_transient.hpp).
 
 #include <vector>
 

@@ -102,7 +102,6 @@ OdeSolution rkf45(const OdeRhs& f, const Vec& y0, double t0, double t1, const Od
             const double grow = errNorm > 0 ? 0.9 * std::pow(errNorm, -0.2) : 5.0;
             h *= std::clamp(grow, 0.2, 5.0);
             if (opt.maxStep > 0) h = std::min(h, opt.maxStep);
-            if (opt.onAccept) opt.onAccept(t, y, h);
         } else {
             ++sol.rejectedSteps;
             h *= std::clamp(0.9 * std::pow(errNorm, -0.25), 0.1, 0.9);

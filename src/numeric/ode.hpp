@@ -27,12 +27,6 @@ struct OdeOptions {
     double initialStep = 0.0;  ///< 0 = auto
     double maxStep = 0.0;      ///< 0 = unlimited
     std::size_t maxSteps = 2'000'000;
-    /// Fired after every accepted step with (t, y, hNext), where hNext is the
-    /// proposed next step size after growth and the maxStep clamp.  The RK
-    /// controller is memoryless, so re-entering rkf45 at (t, y) with
-    /// initialStep = hNext reproduces the remaining trajectory bit-for-bit —
-    /// this is the checkpointing hook (io/checkpoint.hpp).
-    std::function<void(double, const Vec&, double)> onAccept;
 };
 
 struct OdeSolution {

@@ -7,11 +7,9 @@
 #include "core/gae.hpp"
 #include "core/gae_transient.hpp"
 #include "core/noise.hpp"
-#include "io/artifact.hpp"
 #include "io/checkpoint.hpp"
 #include "io/hash.hpp"
 #include "io/model_cache.hpp"
-#include "io/serialize.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "phlogon/latch.hpp"
@@ -273,44 +271,6 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
 
 // ---- fsm-transient ---------------------------------------------------------
 
-/// §11 snapshot of a slot-chunked FSM write sequence: the integration state
-/// at the last completed slot boundary plus every completed slot's end
-/// phase (needed to decode the full output after a resume).  Slot
-/// boundaries are fresh RKF45 starts in an uninterrupted run too, so the
-/// resumed tail is bit-identical.
-struct FsmCheckpoint {
-    std::uint64_t jobKey = 0;
-    std::uint64_t slotsTotal = 0;
-    double dphi = 0.0;  ///< phase at the last completed slot boundary
-    std::vector<double> endPhase;  ///< per completed slot
-    num::SolverCounters counters;
-};
-
-bool saveFsmCheckpoint(const std::filesystem::path& path, const FsmCheckpoint& c) {
-    io::BinaryWriter w;
-    w.u64(c.jobKey);
-    w.u64(c.slotsTotal);
-    w.f64(c.dphi);
-    num::Vec phases(c.endPhase.size());
-    for (std::size_t i = 0; i < c.endPhase.size(); ++i) phases[i] = c.endPhase[i];
-    w.vec(phases);
-    io::encodeCounters(w, c.counters);
-    return io::writeArtifactFile(path, io::kTypeFsmCheckpoint, w.take());
-}
-
-std::optional<FsmCheckpoint> loadFsmCheckpoint(const std::filesystem::path& path) {
-    const io::ArtifactReadResult r = io::readArtifactFile(path, io::kTypeFsmCheckpoint);
-    if (!r.ok()) return std::nullopt;
-    io::BinaryReader br(r.payload);
-    FsmCheckpoint c;
-    num::Vec phases;
-    if (!br.u64(c.jobKey) || !br.u64(c.slotsTotal) || !br.f64(c.dphi) || !br.vec(phases) ||
-        !io::decodeCounters(br, c.counters))
-        return std::nullopt;
-    c.endPhase.assign(phases.begin(), phases.end());
-    return c;
-}
-
 JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
     const LatchParams lp = parseLatchParams(p);
     std::vector<int> bits{1, 0, 1};
@@ -347,13 +307,13 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
             ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         const double slotT = slotCycles / d.f1;
 
-        FsmCheckpoint st;
+        io::FsmCheckpoint st;
         st.jobKey = jobKey;
         st.slotsTotal = bits.size();
         st.dphi = d.reference.phase0 + 0.02;  // start just off the 0 lock
         std::uint64_t resumedFrom = 0;
         if (!ckptPath.empty()) {
-            if (const auto saved = loadFsmCheckpoint(ckptPath);
+            if (const auto saved = io::loadFsmCheckpoint(ckptPath);
                 saved && saved->jobKey == jobKey && saved->slotsTotal == bits.size() &&
                 saved->endPhase.size() <= bits.size()) {
                 st = *saved;
@@ -387,7 +347,7 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
                 st.endPhase.push_back(st.dphi);
                 st.counters += r.counters;
                 if (!ckptPath.empty()) {
-                    saveFsmCheckpoint(ckptPath, st);
+                    io::saveFsmCheckpoint(ckptPath, st);
                     PHLOGON_LOG_DEBUG("service.job.checkpoint", {"key", io::hashHex(jobKey)},
                                       {"slotsDone", st.endPhase.size()});
                 }

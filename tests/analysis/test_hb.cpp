@@ -18,6 +18,24 @@ TEST(HarmonicBalance, AgreesWithShootingOnRingOscillator) {
     ASSERT_TRUE(hb.ok) << hb.message;
     EXPECT_NEAR(hb.f0, osc.f0(), 2e-4 * osc.f0());
     EXPECT_LT(hb.shootResidual, 1e-8);
+    // The counters cover the whole run: the warm start's work (all of the
+    // time steps), then one LU factorization per collocation Newton
+    // iteration, and the wall time.
+    const HbOptions opt;
+    const WarmStart ws = warmStart(osc.dae(), opt.freqHint, opt.warmupCycles,
+                                   opt.stepsPerCycleWarmup, opt.kick, opt.phaseUnknown,
+                                   TransientOptions{}.newton);
+    ASSERT_TRUE(ws.ok);
+    EXPECT_GT(hb.counters.steps, 0u);
+    EXPECT_EQ(hb.counters.steps, ws.counters.steps);
+    ASSERT_GE(hb.counters.luFactorizations, ws.counters.luFactorizations);
+    ASSERT_GE(hb.counters.newtonIters, ws.counters.newtonIters);
+    const std::size_t hbLu = hb.counters.luFactorizations - ws.counters.luFactorizations;
+    const std::size_t hbNewton = hb.counters.newtonIters - ws.counters.newtonIters;
+    EXPECT_EQ(hbLu, hbNewton);
+    EXPECT_EQ(hbNewton, static_cast<std::size_t>(hb.shootIterations));
+    EXPECT_GT(hb.counters.rhsEvals, ws.counters.rhsEvals);
+    EXPECT_GT(hb.counters.wallSeconds, 0.0);
 }
 
 TEST(HarmonicBalance, WaveformMatchesShooting) {

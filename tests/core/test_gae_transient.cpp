@@ -169,12 +169,6 @@ TEST(GaeEnsemble, EmptyEnsembleAndValidation) {
     EXPECT_TRUE(none.trials.empty());
     EXPECT_THROW(gaeTransientEnsemble(model(), d.f1, {}, Vec{0.0}, 0.0, 1.0),
                  std::invalid_argument);
-    // BatchOde::rkf45 fires onAccept (the checkpoint hook) on one lane only.
-    num::OdeOptions hooked;
-    hooked.onAccept = [](double, const Vec&, double) {};
-    EXPECT_THROW(gaeTransientEnsemble(model(), d.f1, {{0.0, {d.sync()}}}, Vec{0.0, 0.1}, 0.0,
-                                      1.0 / d.f1, hooked),
-                 std::invalid_argument);
 }
 
 // Goldens printed at %.17g from the scalar-RKF45 engine that gaeTransient

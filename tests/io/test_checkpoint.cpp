@@ -1,9 +1,16 @@
+// Resume = restart from a stored point.  The circuit transient and the GAE
+// transient keep no solver state worth saving, so a run restarted from one
+// of its own stored points (an::transient) or at a schedule-segment
+// boundary (core::gaeTransient) reproduces the uninterrupted run bitwise.
+// The only checkpoint files are the daemon's job snapshots (McCheckpoint,
+// FsmCheckpoint), which round-trip bitwise and load as absent when damaged.
+
 #include "io/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
-#include <fstream>
 
 #include "analysis/transient.hpp"
 #include "circuit/subckt.hpp"
@@ -37,67 +44,85 @@ protected:
     fs::path file(const char* name) const { return dir_ / name; }
 };
 
-// ---- snapshot payload round-trips ------------------------------------------
+// ---- job snapshot round-trips ----------------------------------------------
 
 TEST_F(CheckpointTest, TransientCheckpointRoundTripsBitwise) {
-    TransientCheckpoint c;
-    c.t0 = 0.0;
-    c.t1 = 3e-3;
-    c.t = 1.337e-3;
-    c.stepIndex = 421;
-    c.x = Vec{0.123456789, -3.25, 1e-300};
-    c.counters.steps = 421;
-    c.counters.newtonIters = 900;
-    c.counters.wallSeconds = 0.125;
+    // The Monte-Carlo job snapshot (MCKP): every field survives bitwise.
+    McCheckpoint c;
+    c.jobKey = 0xFEDCBA9876543210ull;
+    c.trialsTotal = 1024;
+    c.trialsDone = 640;
+    c.trials = 638;
+    c.errors = 17;
+    c.outcomeHash = 0x0123456789ABCDEFull;
 
-    ASSERT_TRUE(saveTransientCheckpoint(file("t.phlg"), c));
-    const auto back = loadTransientCheckpoint(file("t.phlg"));
+    ASSERT_TRUE(saveMcCheckpoint(file("mc.phlg"), c));
+    const auto back = loadMcCheckpoint(file("mc.phlg"));
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->t0, c.t0);
-    EXPECT_EQ(back->t1, c.t1);
-    EXPECT_EQ(back->t, c.t);
-    EXPECT_EQ(back->stepIndex, c.stepIndex);
-    ASSERT_EQ(back->x.size(), c.x.size());
-    for (std::size_t i = 0; i < c.x.size(); ++i) EXPECT_EQ(back->x[i], c.x[i]);
-    EXPECT_EQ(back->counters.steps, c.counters.steps);
-    EXPECT_EQ(back->counters.newtonIters, c.counters.newtonIters);
-    EXPECT_EQ(back->counters.wallSeconds, c.counters.wallSeconds);
+    EXPECT_EQ(back->jobKey, c.jobKey);
+    EXPECT_EQ(back->trialsTotal, c.trialsTotal);
+    EXPECT_EQ(back->trialsDone, c.trialsDone);
+    EXPECT_EQ(back->trials, c.trials);
+    EXPECT_EQ(back->errors, c.errors);
+    EXPECT_EQ(back->outcomeHash, c.outcomeHash);
+    const auto decoded = decodeMcCheckpoint(encodeMcCheckpoint(c));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->outcomeHash, c.outcomeHash);
 }
 
 TEST_F(CheckpointTest, GaeCheckpointRoundTripsBitwise) {
-    GaeCheckpoint c;
-    c.t = 7.5e-4;
-    c.dphi = -1.2578125;
-    c.h = 3.0517578125e-05;
+    // The FSM job snapshot (FCKP): every field, counters included, survives
+    // bitwise; -0.0 and a subnormal check that doubles travel as bit patterns.
+    FsmCheckpoint c;
+    c.jobKey = 0xABCDEF0123456789ull;
+    c.slotsTotal = 200;
+    c.dphi = -1.2578125e-3;
+    c.endPhase = {0.5123, -0.0, 4.9e-324, 1.0 / 3.0};
     c.counters.rhsEvals = 1234;
+    c.counters.jacEvals = 5;
+    c.counters.luFactorizations = 6;
+    c.counters.newtonIters = 7;
+    c.counters.dampingEvents = 8;
     c.counters.steps = 200;
-    ASSERT_TRUE(saveGaeCheckpoint(file("g.phlg"), c));
-    const auto back = loadGaeCheckpoint(file("g.phlg"));
+    c.counters.rejectedSteps = 21;
+    c.counters.wallSeconds = 0.125;
+
+    ASSERT_TRUE(saveFsmCheckpoint(file("fsm.phlg"), c));
+    const auto back = loadFsmCheckpoint(file("fsm.phlg"));
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->t, c.t);
+    EXPECT_EQ(back->jobKey, c.jobKey);
+    EXPECT_EQ(back->slotsTotal, c.slotsTotal);
     EXPECT_EQ(back->dphi, c.dphi);
-    EXPECT_EQ(back->h, c.h);
+    ASSERT_EQ(back->endPhase.size(), c.endPhase.size());
+    for (std::size_t i = 0; i < c.endPhase.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back->endPhase[i]),
+                  std::bit_cast<std::uint64_t>(c.endPhase[i]))
+            << "slot " << i;
     EXPECT_EQ(back->counters.rhsEvals, c.counters.rhsEvals);
+    EXPECT_EQ(back->counters.jacEvals, c.counters.jacEvals);
+    EXPECT_EQ(back->counters.luFactorizations, c.counters.luFactorizations);
+    EXPECT_EQ(back->counters.newtonIters, c.counters.newtonIters);
+    EXPECT_EQ(back->counters.dampingEvents, c.counters.dampingEvents);
     EXPECT_EQ(back->counters.steps, c.counters.steps);
+    EXPECT_EQ(back->counters.rejectedSteps, c.counters.rejectedSteps);
+    EXPECT_EQ(back->counters.wallSeconds, c.counters.wallSeconds);
 }
 
 TEST_F(CheckpointTest, CorruptSnapshotsLoadAsAbsent) {
-    EXPECT_FALSE(loadTransientCheckpoint(file("missing.phlg")).has_value());
-    // Wrong artifact type.
-    GaeCheckpoint g;
-    ASSERT_TRUE(saveGaeCheckpoint(file("g.phlg"), g));
-    EXPECT_FALSE(loadTransientCheckpoint(file("g.phlg")).has_value());
-    // Truncated payload.
-    TransientCheckpoint c;
-    c.x = Vec{1.0, 2.0};
-    ASSERT_TRUE(saveTransientCheckpoint(file("t.phlg"), c));
-    fs::resize_file(file("t.phlg"), fs::file_size(file("t.phlg")) - 5);
-    EXPECT_FALSE(loadTransientCheckpoint(file("t.phlg")).has_value());
-    EXPECT_FALSE(decodeTransientCheckpoint({1, 2, 3}).has_value());
-    EXPECT_FALSE(decodeGaeCheckpoint({}).has_value());
+    // MC snapshots: missing, mistyped and truncated files load as absent.
+    EXPECT_FALSE(loadMcCheckpoint(file("missing.phlg")).has_value());
+    ASSERT_TRUE(saveFsmCheckpoint(file("fsm.phlg"), FsmCheckpoint{}));
+    EXPECT_FALSE(loadMcCheckpoint(file("fsm.phlg")).has_value());
+    McCheckpoint c;
+    c.trialsDone = 10;
+    ASSERT_TRUE(saveMcCheckpoint(file("mc.phlg"), c));
+    fs::resize_file(file("mc.phlg"), fs::file_size(file("mc.phlg")) - 5);
+    EXPECT_FALSE(loadMcCheckpoint(file("mc.phlg")).has_value());
+    EXPECT_FALSE(decodeMcCheckpoint({1, 2, 3}).has_value());
+    EXPECT_FALSE(decodeMcCheckpoint({}).has_value());
 }
 
-// ---- circuit transient resume ---------------------------------------------
+// ---- circuit transient: restart from a stored point ------------------------
 
 ckt::Netlist& rcNetlist() {
     static ckt::Netlist nl = [] {
@@ -113,10 +138,10 @@ void expectTailIdentical(const an::TransientResult& full, const an::TransientRes
     ASSERT_TRUE(full.ok) << full.message;
     ASSERT_TRUE(tail.ok) << tail.message;
     ASSERT_GE(tail.t.size(), 2u);
-    // Locate the tail's first point (the checkpoint point) in the full run.
+    // Locate the tail's first point (the restart point) in the full run.
     std::size_t j = 0;
     while (j < full.t.size() && full.t[j] != tail.t[0]) ++j;
-    ASSERT_LT(j, full.t.size()) << "checkpoint time not a stored point of the full run";
+    ASSERT_LT(j, full.t.size()) << "restart time not a stored point of the full run";
     ASSERT_EQ(full.t.size() - j, tail.t.size());
     for (std::size_t i = 0; i < tail.t.size(); ++i) {
         EXPECT_EQ(full.t[j + i], tail.t[i]) << "time diverged at tail index " << i;
@@ -126,6 +151,12 @@ void expectTailIdentical(const an::TransientResult& full, const an::TransientRes
     }
 }
 
+/// Restart `full` from its stored point k with the same options and end time.
+an::TransientResult restartFrom(const ckt::Dae& dae, const an::TransientResult& full,
+                                std::size_t k, double t1, const an::TransientOptions& opt) {
+    return an::transient(dae, full.x.at(k), full.t.at(k), t1, opt);
+}
+
 TEST_F(CheckpointTest, FixedStepResumeIsBitIdentical) {
     ckt::Dae dae(rcNetlist());
     an::TransientOptions opt;
@@ -133,30 +164,10 @@ TEST_F(CheckpointTest, FixedStepResumeIsBitIdentical) {
 
     const an::TransientResult full = an::transient(dae, Vec{1.0}, 0.0, 3e-3, opt);
     ASSERT_TRUE(full.ok);
-
-    // Same run with one mid-span snapshot (interval > half the span, so the
-    // surviving file is a genuine mid-run checkpoint, not the final state).
-    an::TransientOptions ckOpt = opt;
-    ckOpt.checkpoint.interval = 1.7e-3;
-    ckOpt.checkpoint.path = file("rc.ckpt.phlg");
-    const an::TransientResult withCk = an::transient(dae, Vec{1.0}, 0.0, 3e-3, ckOpt);
-    ASSERT_TRUE(withCk.ok);
-    // Checkpointing must not perturb the trajectory.
-    ASSERT_EQ(withCk.t.size(), full.t.size());
-    for (std::size_t i = 0; i < full.t.size(); ++i) EXPECT_EQ(withCk.x[i][0], full.x[i][0]);
-
-    const auto ck = loadTransientCheckpoint(ckOpt.checkpoint.path);
-    ASSERT_TRUE(ck.has_value());
-    EXPECT_GT(ck->t, 1e-3);
-    EXPECT_LT(ck->t, 3e-3);
-
-    const an::TransientResult tail = resumeTransient(dae, ckOpt.checkpoint.path, 3e-3, opt);
+    const an::TransientResult tail = restartFrom(dae, full, 180, 3e-3, opt);
     expectTailIdentical(full, tail);
-    // Resumed counters continue from the checkpoint: total accepted steps
-    // across the whole resumed run equal the uninterrupted run's.
-    EXPECT_EQ(tail.counters.steps, full.counters.steps);
-    EXPECT_EQ(tail.counters.newtonIters, full.counters.newtonIters);
-    EXPECT_EQ(tail.counters.rhsEvals, full.counters.rhsEvals);
+    // The restart does the remaining steps, no more.
+    EXPECT_EQ(tail.counters.steps, full.counters.steps - 180);
 }
 
 TEST_F(CheckpointTest, FixedStepResumePreservesStoreEveryPhase) {
@@ -166,29 +177,17 @@ TEST_F(CheckpointTest, FixedStepResumePreservesStoreEveryPhase) {
     opt.storeEvery = 7;  // deliberately not a divisor of the step count
 
     const an::TransientResult full = an::transient(dae, Vec{1.0}, 0.0, 3e-3, opt);
-
-    an::TransientOptions ckOpt = opt;
-    ckOpt.checkpoint.interval = 1.6e-3;
-    ckOpt.checkpoint.path = file("rc7.ckpt.phlg");
-    ASSERT_TRUE(an::transient(dae, Vec{1.0}, 0.0, 3e-3, ckOpt).ok);
-
-    const an::TransientResult tail = resumeTransient(dae, ckOpt.checkpoint.path, 3e-3, opt);
-    ASSERT_TRUE(tail.ok) << tail.message;
-    // Every stored tail point (after the checkpoint point itself) must appear
-    // at the same times as in the full run — the stepIndex phase survived.
-    std::size_t j = 0;
-    while (j < full.t.size() && full.t[j] < tail.t[1]) ++j;
-    ASSERT_LT(j, full.t.size());
-    for (std::size_t i = 1; i < tail.t.size(); ++i, ++j) {
-        ASSERT_LT(j, full.t.size());
-        EXPECT_EQ(full.t[j], tail.t[i]);
-        EXPECT_EQ(full.x[j][0], tail.x[i][0]);
-    }
+    ASSERT_TRUE(full.ok);
+    // Stored point 26 is step 182: the restart stores steps 189, 196, ...
+    // exactly where the full run did, plus the final point.
+    const an::TransientResult tail = restartFrom(dae, full, 26, 3e-3, opt);
+    expectTailIdentical(full, tail);
+    EXPECT_EQ(tail.counters.steps, full.counters.steps - 182);
 }
 
 TEST_F(CheckpointTest, AdaptiveResumeIsBitIdentical) {
-    // A cosine-driven RC over 4000 fixed steps, checkpointed once mid-run:
-    // the resumed tail and its work counters equal the uninterrupted run's.
+    // A cosine-driven RC over 4000 fixed steps: the source is evaluated at
+    // absolute time, so the restart must carry t exactly, not just x.
     ckt::Netlist nl;
     nl.addVoltageSource("v", "in", "0", ckt::Waveform::cosine(1.0, 1e3));
     nl.addResistor("r", "in", "n", 1e3);
@@ -203,131 +202,127 @@ TEST_F(CheckpointTest, AdaptiveResumeIsBitIdentical) {
     ASSERT_TRUE(full.ok);
     EXPECT_EQ(full.counters.steps, 4000u);
 
-    an::TransientOptions ckOpt = opt;
-    ckOpt.checkpoint.interval = 2.3e-3;
-    ckOpt.checkpoint.path = file("ad.ckpt.phlg");
-    const an::TransientResult withCk = an::transient(dae, x0, 0.0, 4e-3, ckOpt);
-    ASSERT_TRUE(withCk.ok);
-    ASSERT_EQ(withCk.t.size(), full.t.size());
-
-    const auto ck = loadTransientCheckpoint(ckOpt.checkpoint.path);
-    ASSERT_TRUE(ck.has_value());
-
-    const an::TransientResult tail = resumeTransient(dae, ckOpt.checkpoint.path, 4e-3, opt);
+    const an::TransientResult tail = restartFrom(dae, full, 2300, 4e-3, opt);
     expectTailIdentical(full, tail);
-    EXPECT_EQ(tail.counters.steps, full.counters.steps);
+    EXPECT_EQ(tail.counters.steps, 1700u);
     EXPECT_EQ(tail.counters.rejectedSteps, full.counters.rejectedSteps);
-    EXPECT_EQ(tail.counters.newtonIters, full.counters.newtonIters);
 }
 
 TEST_F(CheckpointTest, ResumeRejectsBadSnapshots) {
-    ckt::Dae dae(rcNetlist());
+    // A restart state of the wrong size (another circuit's, or none) is
+    // refused with a message instead of being integrated or crashing.
+    ckt::Dae dae(rcNetlist());  // 1 unknown
     an::TransientOptions opt;
     opt.dt = 1e-5;
-    // Missing file.
-    const an::TransientResult r1 = resumeTransient(dae, file("nope.phlg"), 1e-3, opt);
-    EXPECT_FALSE(r1.ok);
-    EXPECT_FALSE(r1.message.empty());
-    // Snapshot of a different circuit (state size mismatch).
-    TransientCheckpoint c;
-    c.t = 1e-4;
-    c.stepIndex = 10;
-    c.x = Vec{1.0, 2.0, 3.0};  // RC circuit has 1 unknown
-    ASSERT_TRUE(saveTransientCheckpoint(file("wrong.phlg"), c));
-    const an::TransientResult r2 = resumeTransient(dae, file("wrong.phlg"), 1e-3, opt);
-    EXPECT_FALSE(r2.ok);
-    EXPECT_FALSE(r2.message.empty());
+    for (const Vec& x : {Vec{1.0, 2.0, 3.0}, Vec{}}) {
+        const an::TransientResult r = an::transient(dae, x, 1e-4, 1e-3, opt);
+        EXPECT_FALSE(r.ok) << "state size " << x.size();
+        EXPECT_FALSE(r.message.empty());
+        EXPECT_TRUE(r.t.empty());
+        EXPECT_EQ(r.counters.steps, 0u);
+    }
 }
 
-// ---- GAE transient resume --------------------------------------------------
+// ---- GAE transient: restart at a schedule-segment boundary -----------------
+
+/// Write schedule of three 40-cycle slots (bits 1, 0, 1 at 150 uA, SYNC
+/// 100 uA): every slot boundary starts a fresh RKF45 solve.
+struct GaeSplitRun {
+    std::vector<core::GaeSegment> sched;
+    double bitT = 0.0;
+    double t1 = 0.0;
+    core::GaeTransientResult full, head, tail;
+
+    GaeSplitRun() {
+        const auto& d = testutil::sharedDesign();
+        bitT = 40.0 / d.f1;
+        t1 = 3.0 * bitT;
+        const double start = d.reference.phase0 + 0.02;
+        const int bits[] = {1, 0, 1};
+        for (int s = 0; s < 3; ++s)
+            sched.push_back({s * bitT, {d.sync(), d.dataInjection(150e-6, bits[s])}});
+        full = core::gaeTransient(model(), d.f1, sched, start, 0.0, t1);
+        head = core::gaeTransient(model(), d.f1, sched, start, 0.0, bitT);
+        tail = core::gaeTransient(model(), d.f1, sched, head.final(), bitT, t1);
+    }
+};
+
+/// part's points equal full's from index `from` on.  A restarted part
+/// begins at the boundary time itself, where full holds its previous
+/// segment's last point, so its first point is compared by phase only.
+void expectRunSlice(const core::GaeTransientResult& full, std::size_t from,
+                    const core::GaeTransientResult& part) {
+    ASSERT_FALSE(part.t.empty());
+    ASSERT_LE(from + part.t.size(), full.t.size());
+    EXPECT_EQ(part.dphi[0], full.dphi[from]);
+    for (std::size_t i = 1; i < part.t.size(); ++i) {
+        EXPECT_EQ(part.t[i], full.t[from + i]) << "point " << i;
+        EXPECT_EQ(part.dphi[i], full.dphi[from + i]) << "point " << i;
+    }
+}
 
 TEST_F(CheckpointTest, GaeResumeIsBitIdentical) {
-    const core::PpvModel& model = testutil::sharedOsc().model();
-    const std::size_t node = testutil::sharedOsc().outputUnknown();
-    const std::vector<core::GaeSegment> sched{
-        {0.0, {core::Injection::tone(node, 100e-6, 2)}}};
-    const double t1 = 40.0 / testutil::kF1;
-    const double start = 0.3;
-
-    const auto full = core::gaeTransient(model, testutil::kF1, sched, start, 0.0, t1);
-    ASSERT_TRUE(full.ok);
-
-    core::GaeCheckpointOptions ck;
-    ck.interval = 0.55 * t1;  // exactly one mid-run snapshot survives
-    ck.path = file("gae.ckpt.phlg");
-    const auto withCk = core::gaeTransient(model, testutil::kF1, sched, start, 0.0, t1, {}, 1024, ck);
-    ASSERT_TRUE(withCk.ok);
-    // Checkpointing must not perturb the trajectory.
-    ASSERT_EQ(withCk.t.size(), full.t.size());
-    for (std::size_t i = 0; i < full.t.size(); ++i) {
-        EXPECT_EQ(withCk.t[i], full.t[i]);
-        EXPECT_EQ(withCk.dphi[i], full.dphi[i]);
-    }
-
-    const auto snap = loadGaeCheckpoint(ck.path);
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_GT(snap->t, 0.0);
-    EXPECT_LT(snap->t, t1);
-    EXPECT_GT(snap->h, 0.0);
-
-    const auto tail = resumeGaeTransient(model, testutil::kF1, sched, ck.path, t1);
-    ASSERT_TRUE(tail.ok);
-    // The tail (from the checkpoint time) matches the uninterrupted run
-    // bit-for-bit.
-    std::size_t j = 0;
-    while (j < full.t.size() && full.t[j] != tail.t[0]) ++j;
-    ASSERT_LT(j, full.t.size()) << "checkpoint time not on the uninterrupted grid";
-    ASSERT_EQ(full.t.size() - j, tail.t.size());
-    for (std::size_t i = 0; i < tail.t.size(); ++i) {
-        EXPECT_EQ(full.t[j + i], tail.t[i]);
-        EXPECT_EQ(full.dphi[j + i], tail.dphi[i]);
-    }
-    EXPECT_EQ(tail.final(), full.final());
-    // Counters fold the checkpoint's pre-resume work back in, exactly.
-    EXPECT_EQ(tail.counters.rhsEvals, full.counters.rhsEvals);
-    EXPECT_EQ(tail.counters.steps, full.counters.steps);
-    EXPECT_EQ(tail.counters.rejectedSteps, full.counters.rejectedSteps);
+    const GaeSplitRun run;
+    ASSERT_TRUE(run.full.ok);
+    ASSERT_TRUE(run.head.ok);
+    ASSERT_TRUE(run.tail.ok);
+    // The head is the full run's prefix up to the boundary, and the tail,
+    // which starts on the head's last point, is the rest of it.
+    ASSERT_EQ(run.head.t.size() + run.tail.t.size() - 1, run.full.t.size());
+    expectRunSlice(run.full, 0, run.head);
+    expectRunSlice(run.full, run.head.t.size() - 1, run.tail);
+    EXPECT_EQ(run.tail.final(), run.full.final());
+    // The work splits exactly too.
+    EXPECT_EQ(run.head.counters.steps + run.tail.counters.steps, run.full.counters.steps);
+    EXPECT_EQ(run.head.counters.rejectedSteps + run.tail.counters.rejectedSteps,
+              run.full.counters.rejectedSteps);
+    EXPECT_EQ(run.head.counters.rhsEvals + run.tail.counters.rhsEvals,
+              run.full.counters.rhsEvals);
 }
 
 TEST_F(CheckpointTest, GaeResumeCrossesScheduleSegments) {
+    const GaeSplitRun run;
+    ASSERT_TRUE(run.tail.ok);
+    // The tail runs through the later boundary at 2 bitT into the third
+    // slot, switching injections there exactly as the full run did.
+    std::size_t before = 0, after = 0;
+    for (double t : run.tail.t) (t < 2.0 * run.bitT ? before : after) += 1;
+    EXPECT_GT(before, 1u);
+    EXPECT_GT(after, 1u);
+    expectRunSlice(run.full, run.head.t.size() - 1, run.tail);
+    // Splitting again at that boundary changes nothing either.
     const auto& d = testutil::sharedDesign();
-    const double bitT = 40.0 / d.f1;
-    const std::vector<core::GaeSegment> sched{
-        {0.0, {d.sync(), d.dataInjection(150e-6, 1)}},
-        {bitT, {d.sync(), d.dataInjection(150e-6, 0)}},
-    };
-    const double t1 = 2.0 * bitT;
-    const double start = d.reference.phase0 + 0.02;
-
-    const auto full = core::gaeTransient(model(), d.f1, sched, start, 0.0, t1);
-    ASSERT_TRUE(full.ok);
-
-    core::GaeCheckpointOptions ck;
-    // The snapshot file is rewritten at each interval; the survivor is the
-    // last one, landing inside the SECOND segment — resuming from it must
-    // pick up mid-schedule with that segment's injections.
-    ck.interval = 0.3 * bitT;
-    ck.path = file("gae2.ckpt.phlg");
-    ASSERT_TRUE(core::gaeTransient(model(), d.f1, sched, start, 0.0, t1, {}, 1024, ck).ok);
-
-    const auto snap = loadGaeCheckpoint(ck.path);
-    ASSERT_TRUE(snap.has_value());
-
-    const auto tail = resumeGaeTransient(model(), d.f1, sched, ck.path, t1);
-    ASSERT_TRUE(tail.ok);
-    EXPECT_EQ(tail.final(), full.final());
-    // The resumed endpoint answers the logic question identically, and the
-    // snapshot counted the rejected steps of the segment it interrupted.
-    EXPECT_EQ(tail.dphi.back(), full.dphi.back());
-    EXPECT_EQ(tail.counters.steps, full.counters.steps);
-    EXPECT_EQ(tail.counters.rejectedSteps, full.counters.rejectedSteps);
+    const double t2 = 2.0 * run.bitT;
+    const auto mid = core::gaeTransient(model(), d.f1, run.sched, run.head.final(), run.bitT, t2);
+    const auto last = core::gaeTransient(model(), d.f1, run.sched, mid.final(), t2, run.t1);
+    ASSERT_TRUE(mid.ok);
+    ASSERT_TRUE(last.ok);
+    expectRunSlice(run.full, run.head.t.size() + mid.t.size() - 2, last);
+    EXPECT_EQ(last.final(), run.full.final());
+    EXPECT_EQ(mid.counters.steps + last.counters.steps, run.tail.counters.steps);
+    EXPECT_EQ(mid.counters.rejectedSteps + last.counters.rejectedSteps,
+              run.tail.counters.rejectedSteps);
+    // And the write sequence decodes the same: 1, 0, 1.
+    EXPECT_EQ(d.reference.decode(run.head.final()), 1);
+    EXPECT_EQ(d.reference.decode(mid.final()), 0);
+    EXPECT_EQ(d.reference.decode(last.final()), 1);
 }
 
 TEST_F(CheckpointTest, GaeResumeRejectsBadSnapshot) {
-    const auto r = resumeGaeTransient(testutil::sharedOsc().model(), testutil::kF1,
-                                      {{0.0, {core::Injection::tone(0, 1e-6, 2)}}},
-                                      file("absent.phlg"), 1e-3);
-    EXPECT_FALSE(r.ok);
+    // FSM snapshots: missing, mistyped and truncated files load as absent,
+    // so the job starts from slot 0.
+    EXPECT_FALSE(loadFsmCheckpoint(file("absent.phlg")).has_value());
+    ASSERT_TRUE(saveMcCheckpoint(file("mc.phlg"), McCheckpoint{}));
+    EXPECT_FALSE(loadFsmCheckpoint(file("mc.phlg")).has_value());
+    FsmCheckpoint c;
+    c.endPhase = {0.25, 0.75};
+    ASSERT_TRUE(saveFsmCheckpoint(file("fsm.phlg"), c));
+    fs::resize_file(file("fsm.phlg"), fs::file_size(file("fsm.phlg")) - 5);
+    EXPECT_FALSE(loadFsmCheckpoint(file("fsm.phlg")).has_value());
+    // A well-formed artifact whose payload is cut short inside its own
+    // fields (valid CRC) is absent as well.
+    ASSERT_TRUE(writeArtifactFile(file("short.phlg"), kTypeFsmCheckpoint, {1, 2, 3}));
+    EXPECT_FALSE(loadFsmCheckpoint(file("short.phlg")).has_value());
 }
 
 }  // namespace

@@ -121,13 +121,13 @@ TEST_F(SerializeTest, Crc32MatchesKnownVector) {
 
 TEST_F(SerializeTest, ArtifactFileRoundTrips) {
     const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 250, 251};
-    ASSERT_TRUE(writeArtifactFile(file("a.phlg"), kTypePssResult, payload));
+    ASSERT_TRUE(writeArtifactFile(file("a.phlg"), kTypeCharacterization, payload));
 
-    const ArtifactReadResult r = readArtifactFile(file("a.phlg"), kTypePssResult);
+    const ArtifactReadResult r = readArtifactFile(file("a.phlg"), kTypeCharacterization);
     ASSERT_TRUE(r.ok()) << statusName(r.status);
     EXPECT_EQ(r.payload, payload);
     EXPECT_EQ(r.header.version, kFormatVersion);
-    EXPECT_EQ(r.header.type, kTypePssResult);
+    EXPECT_EQ(r.header.type, kTypeCharacterization);
     EXPECT_EQ(r.header.payloadSize, payload.size());
 
     const ArtifactProbe p = probeArtifactFile(file("a.phlg"));
@@ -146,7 +146,7 @@ TEST_F(SerializeTest, MissingFileIsIoError) {
 }
 
 TEST_F(SerializeTest, TruncatedFileDetected) {
-    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeWaveform, {9, 8, 7, 6, 5, 4, 3, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeSweepPhaseError, {9, 8, 7, 6, 5, 4, 3, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("t.phlg"));
     bytes.resize(bytes.size() - 3);  // cut into the payload
     dump(file("t.phlg"), bytes);
@@ -158,7 +158,7 @@ TEST_F(SerializeTest, TruncatedFileDetected) {
 }
 
 TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeWaveform, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeSweepPhaseError, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c.phlg"));
     bytes[kHeaderSize + 1] ^= 0x40;
     dump(file("c.phlg"), bytes);
@@ -166,7 +166,7 @@ TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeWaveform, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeSweepPhaseError, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c2.phlg"));
     bytes[20] ^= 0x01;  // CRC field lives at offset 20..23
     dump(file("c2.phlg"), bytes);
@@ -174,7 +174,7 @@ TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, WrongVersionRejected) {
-    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeWaveform, {1, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeSweepPhaseError, {1, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("v.phlg"));
     bytes[4] = static_cast<std::uint8_t>(kFormatVersion + 1);  // version field
     dump(file("v.phlg"), bytes);
@@ -182,14 +182,14 @@ TEST_F(SerializeTest, WrongVersionRejected) {
 }
 
 TEST_F(SerializeTest, BadMagicAndWrongTypeRejected) {
-    ASSERT_TRUE(writeArtifactFile(file("m.phlg"), kTypePssResult, {1}));
+    ASSERT_TRUE(writeArtifactFile(file("m.phlg"), kTypeCharacterization, {1}));
     std::vector<std::uint8_t> bytes = slurp(file("m.phlg"));
     bytes[0] = 'X';
     dump(file("m.phlg"), bytes);
     EXPECT_EQ(readArtifactFile(file("m.phlg")).status, ArtifactStatus::BadMagic);
 
-    ASSERT_TRUE(writeArtifactFile(file("ty.phlg"), kTypePssResult, {1}));
-    EXPECT_EQ(readArtifactFile(file("ty.phlg"), kTypePpvModel).status, ArtifactStatus::WrongType);
+    ASSERT_TRUE(writeArtifactFile(file("ty.phlg"), kTypeCharacterization, {1}));
+    EXPECT_EQ(readArtifactFile(file("ty.phlg"), kTypeSweepLockingRange).status, ArtifactStatus::WrongType);
     EXPECT_TRUE(readArtifactFile(file("ty.phlg")).ok());  // expectedType 0 = any
 }
 
@@ -202,7 +202,7 @@ TEST_F(SerializeTest, ConcurrentWritersPublishWholeArtifacts) {
     for (std::size_t w = 0; w < kWriters; ++w)
         payloads.emplace_back(100000 + 50000 * w, static_cast<std::uint8_t>(w + 1));
     const fs::path path = file("shared.phlg");
-    ASSERT_TRUE(writeArtifactFile(path, kTypePssResult, payloads[0]));
+    ASSERT_TRUE(writeArtifactFile(path, kTypeCharacterization, payloads[0]));
 
     const auto isKnown = [&payloads](const std::vector<std::uint8_t>& p) {
         return std::find(payloads.begin(), payloads.end(), p) != payloads.end();
@@ -211,7 +211,7 @@ TEST_F(SerializeTest, ConcurrentWritersPublishWholeArtifacts) {
     std::atomic<bool> done{false};
     std::thread reader([&] {
         while (!done.load()) {
-            const ArtifactReadResult r = readArtifactFile(path, kTypePssResult);
+            const ArtifactReadResult r = readArtifactFile(path, kTypeCharacterization);
             if (!r.ok() || !isKnown(r.payload)) ++badReads;
             ++reads;
         }
@@ -220,7 +220,7 @@ TEST_F(SerializeTest, ConcurrentWritersPublishWholeArtifacts) {
     for (std::size_t w = 0; w < kWriters; ++w)
         writers.emplace_back([&, w] {
             for (std::size_t k = 0; k < kWrites; ++k)
-                if (!writeArtifactFile(path, kTypePssResult, payloads[w])) ++failedWrites;
+                if (!writeArtifactFile(path, kTypeCharacterization, payloads[w])) ++failedWrites;
         });
     for (std::thread& t : writers) t.join();
     done = true;
@@ -228,7 +228,7 @@ TEST_F(SerializeTest, ConcurrentWritersPublishWholeArtifacts) {
 
     EXPECT_EQ(failedWrites.load(), 0u);
     EXPECT_EQ(badReads.load(), 0u) << "of " << reads.load() << " reads";
-    const ArtifactReadResult last = readArtifactFile(path, kTypePssResult);
+    const ArtifactReadResult last = readArtifactFile(path, kTypeCharacterization);
     ASSERT_TRUE(last.ok()) << statusName(last.status);
     EXPECT_TRUE(isKnown(last.payload));
 }
@@ -289,11 +289,6 @@ TEST_F(SerializeTest, PssResultRoundTripsBitwise) {
     const auto back = decodePssResult(encodePssResult(pss));
     ASSERT_TRUE(back.has_value());
     expectBitwiseEqual(pss, *back);
-
-    ASSERT_TRUE(savePssResult(file("pss.phlg"), pss));
-    const auto loaded = loadPssResult(file("pss.phlg"));
-    ASSERT_TRUE(loaded.has_value());
-    expectBitwiseEqual(pss, *loaded);
 }
 
 TEST_F(SerializeTest, PpvResultRoundTripsBitwise) {
@@ -311,7 +306,8 @@ TEST_F(SerializeTest, PpvResultRoundTripsBitwise) {
 }
 
 TEST_F(SerializeTest, PpvModelRoundTripReproducesEveryQueryBitwise) {
-    // Build a small but realistic model from synthetic extraction data.
+    // The cache-hit path: a model built from a decoded CHAR payload answers
+    // every query bitwise like the model built from the computed results.
     an::PssResult pss = fakePss();
     an::PpvResult ppv = fakePpv();
     // Make sizes consistent: 2 unknowns, 3 samples.
@@ -319,27 +315,31 @@ TEST_F(SerializeTest, PpvModelRoundTripReproducesEveryQueryBitwise) {
     const core::PpvModel model = core::PpvModel::build(pss, ppv, 1, {"n1", "n2"});
     ASSERT_TRUE(model.valid());
 
-    const auto back = decodePpvModel(encodePpvModel(model));
-    ASSERT_TRUE(back.has_value());
-    ASSERT_TRUE(back->valid());
-    EXPECT_EQ(back->f0(), model.f0());
-    EXPECT_EQ(back->size(), model.size());
-    EXPECT_EQ(back->outputUnknown(), model.outputUnknown());
-    EXPECT_EQ(back->unknownNames(), model.unknownNames());
-    ASSERT_EQ(back->sampleCount(), model.sampleCount());
+    const auto decoded = decodeCharacterization(encodeCharacterization({pss, ppv}));
+    ASSERT_TRUE(decoded.has_value());
+    const core::PpvModel back = core::PpvModel::build(decoded->pss, decoded->ppv, 1, {"n1", "n2"});
+    ASSERT_TRUE(back.valid());
+    EXPECT_EQ(back.f0(), model.f0());
+    EXPECT_EQ(back.size(), model.size());
+    EXPECT_EQ(back.outputUnknown(), model.outputUnknown());
+    EXPECT_EQ(back.unknownNames(), model.unknownNames());
+    EXPECT_EQ(back.dphiPeak(), model.dphiPeak());
+    EXPECT_EQ(back.waveformPeak(), model.waveformPeak());
+    EXPECT_EQ(back.outputMean(), model.outputMean());
+    EXPECT_EQ(back.outputAmplitude(), model.outputAmplitude());
+    EXPECT_EQ(back.normalizationSpread(), model.normalizationSpread());
+    ASSERT_EQ(back.sampleCount(), model.sampleCount());
     for (std::size_t idx = 0; idx < model.size(); ++idx)
         for (std::size_t k = 0; k < model.sampleCount(); ++k) {
-            EXPECT_EQ(back->xsSamples(idx)[k], model.xsSamples(idx)[k]);
-            EXPECT_EQ(back->ppvSamples(idx)[k], model.ppvSamples(idx)[k]);
+            EXPECT_EQ(back.xsSamples(idx)[k], model.xsSamples(idx)[k]);
+            EXPECT_EQ(back.ppvSamples(idx)[k], model.ppvSamples(idx)[k]);
         }
-    // Restored splines answer interpolated queries identically.
+    // Rebuilt splines answer interpolated queries identically.
     for (double theta : {0.0, 0.17, 0.33, 0.5, 0.77, 0.999})
         for (std::size_t idx = 0; idx < model.size(); ++idx) {
-            EXPECT_EQ(back->xsAt(idx, theta), model.xsAt(idx, theta));
-            EXPECT_EQ(back->ppvAt(idx, theta), model.ppvAt(idx, theta));
+            EXPECT_EQ(back.xsAt(idx, theta), model.xsAt(idx, theta));
+            EXPECT_EQ(back.ppvAt(idx, theta), model.ppvAt(idx, theta));
         }
-    ASSERT_TRUE(savePpvModel(file("model.phlg"), model));
-    ASSERT_TRUE(loadPpvModel(file("model.phlg")).has_value());
 }
 
 TEST_F(SerializeTest, CharacterizationBundleRoundTrips) {
@@ -361,8 +361,6 @@ TEST_F(SerializeTest, SweepTablesRoundTrip) {
     EXPECT_EQ((*lrBack)[1].amplitude, 50e-6);
     EXPECT_EQ((*lrBack)[1].range.fLow, 9.31e3);
     EXPECT_FALSE((*lrBack)[2].range.locks);
-    ASSERT_TRUE(saveLockingRangeTable(file("lr.phlg"), lr));
-    ASSERT_TRUE(loadLockingRangeTable(file("lr.phlg")).has_value());
 
     std::vector<core::PhaseErrorPoint> pe(2);
     pe[0] = {9.6e3, 0.0, {0.25, 0.75}, {0.25, 0.75}, {0.0, 0.0}};
@@ -376,27 +374,26 @@ TEST_F(SerializeTest, SweepTablesRoundTrip) {
 }
 
 TEST_F(SerializeTest, OdeSolutionAndTransientResultRoundTrip) {
-    num::OdeSolution sol;
-    sol.ok = true;
-    sol.t = Vec{0.0, 0.125, 0.25};
-    sol.y = {Vec{1.0, 2.0}, Vec{1.5, 2.5}, Vec{1.75, 2.75}};
-    sol.rejectedSteps = 3;
-    const auto solBack = decodeOdeSolution(encodeOdeSolution(sol));
-    ASSERT_TRUE(solBack.has_value());
-    EXPECT_EQ(solBack->rejectedSteps, 3u);
-    EXPECT_EQ(solBack->y[2][1], 2.75);
-
-    an::TransientResult tr;
-    tr.ok = true;
-    tr.message = "done";
-    tr.t = Vec{0.0, 1e-5};
-    tr.x = {Vec{1.0}, Vec{0.99}};
-    tr.counters.newtonIters = 12;
-    const auto trBack = decodeTransientResult(encodeTransientResult(tr));
-    ASSERT_TRUE(trBack.has_value());
-    EXPECT_EQ(trBack->message, "done");
-    EXPECT_EQ(trBack->x[1][0], 0.99);
-    EXPECT_EQ(trBack->counters.newtonIters, 12u);
+    // The waveform shape that survives: a PSS result's fine trajectory
+    // (time grid, per-point states, counters) round-trips bitwise, ragged
+    // and empty state vectors included.
+    an::PssResult pss;
+    pss.ok = true;
+    pss.message = "done";
+    pss.tFine = Vec{0.0, 0.125, 0.25};
+    pss.xFine = {Vec{1.0, 2.0}, Vec{}, Vec{1.75, 2.75, -0.0}};
+    pss.counters.newtonIters = 12;
+    pss.counters.rejectedSteps = 3;
+    const auto back = decodePssResult(encodePssResult(pss));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->message, "done");
+    EXPECT_EQ(back->tFine, pss.tFine);
+    ASSERT_EQ(back->xFine.size(), 3u);
+    EXPECT_TRUE(back->xFine[1].empty());
+    EXPECT_EQ(back->xFine[2][1], 2.75);
+    EXPECT_TRUE(std::signbit(back->xFine[2][2]));
+    EXPECT_EQ(back->counters.newtonIters, 12u);
+    EXPECT_EQ(back->counters.rejectedSteps, 3u);
 }
 
 TEST_F(SerializeTest, DecodersRejectTruncatedAndMistypedPayloads) {
@@ -407,8 +404,33 @@ TEST_F(SerializeTest, DecodersRejectTruncatedAndMistypedPayloads) {
                                        payload.begin() + static_cast<std::ptrdiff_t>(cut));
         EXPECT_FALSE(decodePssResult(part).has_value()) << "cut=" << cut;
     }
-    // A PSS payload is not a PPV model.
-    EXPECT_FALSE(decodePpvModel(payload).has_value());
+
+    // Element counts that cannot fit in the bytes left decode to nullopt.
+    // A count of 2^61 or more wraps count * 8 in 64 bits, so the check must
+    // not multiply: the first vec length in a CHAR payload (the PSS
+    // result's first sample list) is set to 2^61 and 2^61 + 1 here.
+    const std::vector<std::uint8_t> good = encodeCharacterization({fakePss(), fakePpv()});
+    ASSERT_TRUE(decodeCharacterization(good).has_value());
+    // CHAR = u64 PSS length, then the PSS payload: u8 ok, str message,
+    // f64 period, f64 f0, u64 phaseUnknown, f64 residual, u64 iterations,
+    // then the xs list count.
+    const std::size_t xsCount = 8 + 1 + 8 + fakePss().message.size() + 5 * 8;
+    for (std::uint64_t n : {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1}) {
+        std::vector<std::uint8_t> bad = good;
+        for (int i = 0; i < 8; ++i)
+            bad[xsCount + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(n >> (8 * i));
+        EXPECT_FALSE(decodeCharacterization(bad).has_value()) << "count " << n;
+        // The same count as a single vec and as a string list.
+        BinaryWriter w;
+        w.u64(n);
+        w.f64(1.0);
+        Vec v;
+        std::vector<Vec> vs;
+        std::vector<std::string> ss;
+        EXPECT_FALSE(BinaryReader(w.bytes()).vec(v));
+        EXPECT_FALSE(BinaryReader(w.bytes()).vecList(vs));
+        EXPECT_FALSE(BinaryReader(w.bytes()).strList(ss));
+    }
 }
 
 }  // namespace
