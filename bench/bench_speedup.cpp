@@ -138,11 +138,11 @@ void reportSweepSpeedup() {
                 std::thread::hardware_concurrency());
 }
 
-// One-shot SIMD kernel tier table (DESIGN.md §18): the batched spline
-// evaluation on the scalar loops and on the process-wide tier (the detected
-// one unless PHLOGON_SIMD=0), compared through evalManyAffine's tier
-// argument.  The contract makes this a pure wall-clock comparison: both
-// produce bit-identical results.  The Monte-Carlo engine end to end is
+// One-shot SIMD kernel tier table (DESIGN.md §18): the spline kernel
+// (simd::Kernels::splineAffine over a PeriodicCubicSpline's cell table) on
+// the scalar loops and on the process-wide tier (the detected one unless
+// PHLOGON_SIMD=0).  The contract makes this a pure wall-clock comparison:
+// both produce bit-identical results.  The Monte-Carlo engine end to end is
 // measured by perfbench's hold_error_mc workload.
 void reportSimdSpeedup() {
     using num::simd::Tier;
@@ -152,7 +152,7 @@ void reportSimdSpeedup() {
                 tier == Tier::Scalar ? " — no vector tier in use, expect x1.0" : "");
 
     // Batched spline evaluation — the GAE RHS primitive (gather + Horner
-    // over the packed per-segment cubics).
+    // over the per-cell cubics).
     const std::size_t knots = 1024;
     num::Vec s(knots);
     for (std::size_t i = 0; i < knots; ++i) {
@@ -160,15 +160,15 @@ void reportSimdSpeedup() {
         s[i] = std::sin(2.0 * std::numbers::pi * u) + 0.3 * std::cos(6.0 * std::numbers::pi * u);
     }
     const num::PeriodicCubicSpline spline(s);
-    const num::PackedPeriodicSpline packed(spline);
     const std::size_t lanes = 4096;
     num::Vec t(lanes), out(lanes);
     for (std::size_t l = 0; l < lanes; ++l) t[l] = 0.6180339887498949 * static_cast<double>(l);
     const std::size_t reps = smokeMode() ? 1000 : 10000;
     const auto evalMs = [&](Tier tr) {
         const auto t0 = std::chrono::steady_clock::now();
+        const num::simd::Kernels& k = num::simd::kernels(tr);
         for (std::size_t r = 0; r < reps; ++r)
-            packed.evalManyAffine(t.data(), out.data(), lanes, 1.7, -0.3, tr);
+            k.splineAffine(spline.coeffs().data(), knots, t.data(), out.data(), lanes, 1.7, -0.3);
         benchmark::DoNotOptimize(out.data());
         return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -176,7 +176,7 @@ void reportSimdSpeedup() {
     evalMs(tier);  // warm up (table + instruction caches)
     const double scalarMs = evalMs(Tier::Scalar);
     const double simdMs = evalMs(tier);
-    std::printf("  spline evalManyAffine (%zu lanes x %zu reps): scalar %8.2f ms | "
+    std::printf("  spline splineAffine (%zu lanes x %zu reps): scalar %8.2f ms | "
                 "%s %8.2f ms  -> speedup x%.2f\n\n",
                 lanes, reps, scalarMs, num::simd::tierName(tier), simdMs, scalarMs / simdMs);
     jsonOut().addRow("simdSpeedup", {{"workload", 0},

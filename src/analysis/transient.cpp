@@ -49,6 +49,7 @@ TransientResult transient(const Dae& dae, const Vec& x0, double t0, double t1,
 
     Vec xNew;
     std::size_t stepIndex = 0;
+    const std::size_t storeEvery = std::max<std::size_t>(opt.storeEvery, 1);
 
     // March on the dt grid, halving only to rescue Newton failures.  The
     // 1e-3 dt guard ends the run when t has reached t1 up to rounding drift,
@@ -76,7 +77,7 @@ TransientResult transient(const Dae& dae, const Vec& x0, double t0, double t1,
         fk = stepper.f1();
         ++stepIndex;
         ++res.counters.steps;
-        if (stepIndex % opt.storeEvery == 0) {
+        if (stepIndex % storeEvery == 0) {
             res.t.push_back(tk);
             res.x.push_back(xk);
         }

@@ -27,8 +27,8 @@ using num::Vec;
 struct TransientOptions {
     double dt = 0.0;  ///< time step; required (> 0)
     num::NewtonOptions newton{.maxIter = 50, .absTol = 1e-9, .maxStep = 1.0};
-    /// Store every `storeEvery`-th point (1 = all); the initial point and the
-    /// final point are always stored.
+    /// Store every `storeEvery`-th point (1 = all, and so does 0); the
+    /// initial point and the final point are always stored.
     std::size_t storeEvery = 1;
     /// On a Newton failure the step is retried with dt/2 up to this many
     /// times (then the run aborts).

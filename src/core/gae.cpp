@@ -49,7 +49,6 @@ Gae::Gae(const PpvModel& model, double f1, const std::vector<Injection>& injecti
     gMin_ = *mn;
     gMax_ = *mx;
     gSpline_ = num::PeriodicCubicSpline(gGrid_);
-    gPacked_ = num::PackedPeriodicSpline(gSpline_);
 }
 
 std::vector<GaeEquilibrium> Gae::equilibria() const {

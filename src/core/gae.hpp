@@ -46,29 +46,12 @@ public:
     /// Full averaged RHS: d(dphi)/dt = -(f1-f0) + f0*g(dphi).
     double rhs(double dphi) const { return -(f1_ - f0_) + f0_ * g(dphi); }
 
-    /// Batched forms over contiguous lanes — one pass over the g table per
-    /// call instead of `n` scalar lookups.  gMany/rhsMany run the exact
-    /// spline arithmetic of g()/rhs() per element (bitwise identical; used
-    /// by the deterministic BatchOde ensembles).
-    void gMany(const double* dphi, double* out, std::size_t n) const {
-        gSpline_.evalMany(dphi, out, n);
-    }
+    /// rhs() over n contiguous lanes in one pass over the g table, on the
+    /// process-wide SIMD tier and bitwise equal to n scalar calls: the one
+    /// batched right-hand side of the GAE transient and Monte-Carlo engines.
     void rhsMany(const double* dphi, double* out, std::size_t n) const {
-        gSpline_.evalMany(dphi, out, n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = -(f1_ - f0_) + f0_ * out[i];
+        gSpline_.evalMany(dphi, out, n, f0_, -(f1_ - f0_));
     }
-    /// Fast packed-polynomial RHS for the stochastic Monte-Carlo hot path:
-    /// agrees with rhs() to rounding, not bitwise (numeric/interp.hpp).
-    void rhsManyPacked(const double* dphi, double* out, std::size_t n) const {
-        gPacked_.evalManyAffine(dphi, out, n, f0_, -(f1_ - f0_));
-    }
-    /// Tier-selected variant: bitwise-equal to the above on every SIMD tier
-    /// (numeric/simd/simd.hpp lane contract).
-    void rhsManyPacked(const double* dphi, double* out, std::size_t n,
-                       num::simd::Tier tier) const {
-        gPacked_.evalManyAffine(dphi, out, n, f0_, -(f1_ - f0_), tier);
-    }
-    const num::PackedPeriodicSpline& gPacked() const { return gPacked_; }
 
     double gMin() const { return gMin_; }
     double gMax() const { return gMax_; }
@@ -90,7 +73,6 @@ private:
     double gMax_ = 0.0;
     Vec gGrid_;
     num::PeriodicCubicSpline gSpline_;
-    num::PackedPeriodicSpline gPacked_;
 };
 
 }  // namespace phlogon::core

@@ -85,19 +85,20 @@ StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, doub
     if (!(t1 > t0)) return res;
     const EmGrid g = emGrid(gae, cSeconds, t1 - t0, opt.dt);
     // The ensemble engine's step on one lane: the same seed mixing, normal
-    // sampler, packed right-hand side and update as holdErrorProbabilityRange.
+    // sampler, right-hand side and update as holdErrorProbabilityRange.
     num::SplitMix64 rng(mixSeed(opt.seed));
     const auto& zig = num::ZigguratNormal::instance();
+    const std::size_t storeEvery = std::max<std::size_t>(opt.storeEvery, 1);
     double phi = dphi0;
     double drift = 0.0;
-    res.t.reserve(g.nSteps / opt.storeEvery + 2);
-    res.dphi.reserve(g.nSteps / opt.storeEvery + 2);
+    res.t.reserve(g.nSteps / storeEvery + 2);
+    res.dphi.reserve(g.nSteps / storeEvery + 2);
     res.t.push_back(t0);
     res.dphi.push_back(phi);
     for (std::size_t k = 0; k < g.nSteps; ++k) {
-        gae.rhsManyPacked(&phi, &drift, 1);
+        gae.rhsMany(&phi, &drift, 1);
         phi += drift * g.h + g.sigmaSqrtH * zig(rng);
-        if ((k + 1) % opt.storeEvery == 0 || k + 1 == g.nSteps) {
+        if ((k + 1) % storeEvery == 0 || k + 1 == g.nSteps) {
             res.t.push_back(t0 + g.h * static_cast<double>(k + 1));
             res.dphi.push_back(phi);
         }
@@ -141,8 +142,8 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
     };
 
     // kLanesPerBlock trials per thread-pool slot advance in lockstep over SoA
-    // lanes; each Euler-Maruyama step is one packed-polynomial pass over the
-    // g table for the block, one ziggurat draw per lane and the update, all
+    // lanes; each Euler-Maruyama step is one rhsMany pass over the g table
+    // for the block, one ziggurat draw per lane and the update, all
     // on the process-wide SIMD tier.  Lane l's state and RNG stream depend
     // only on its trial index, so the outcomes are bitwise invariant under
     // thread count, block size, chunking and tier; and since lane streams
@@ -151,9 +152,8 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
     OBS_SPAN("noise.holdError.batch");
     const EmGrid g = emGrid(gae, cSeconds, holdTime, opt.dt);
     const auto& zig = num::ZigguratNormal::instance();
-    const num::simd::Tier tier = num::simd::resolveTier();
-    const num::simd::Kernels& kr = num::simd::kernels(tier);
-    if (tier != num::simd::Tier::Scalar) PHLOGON_COUNT_METRIC("batch.mc.simd");
+    const num::simd::Kernels& kr = num::simd::kernels(num::simd::resolveTier());
+    if (kr.tier != num::simd::Tier::Scalar) PHLOGON_COUNT_METRIC("batch.mc.simd");
     // One outcome slot per trial; the serial reduction below then sees the
     // same values in the same order at any thread count.
     std::vector<unsigned char> outcome(trials, 0);
@@ -167,7 +167,7 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
         for (std::size_t l = 0; l < n; ++l)
             rngs.emplace_back(deriveTrialSeed(opt.seed, firstTrial + lo + l));
         for (std::size_t k = 0; k < g.nSteps; ++k) {
-            gae.rhsManyPacked(phi.data(), drift.data(), n, tier);
+            gae.rhsMany(phi.data(), drift.data(), n);
             kr.normalFill(zig, rngs.data(), z.data(), n);
             kr.mcUpdate(phi.data(), drift.data(), g.h, g.sigmaSqrtH, z.data(), n);
         }

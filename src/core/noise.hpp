@@ -55,7 +55,7 @@ std::uint64_t deriveTrialSeed(std::uint64_t base, std::uint64_t trial);
 struct StochasticGaeOptions {
     double dt = 0.0;        ///< Euler-Maruyama step; 0 = (20 f0)^-1
     std::uint64_t seed = 1;
-    std::size_t storeEvery = 8;
+    std::size_t storeEvery = 8;  ///< keep every storeEvery-th step (0 counts as 1)
 };
 
 struct StochasticGaeResult {
@@ -67,8 +67,8 @@ struct StochasticGaeResult {
 /// One sample path of the stochastic GAE with diffusion constant
 /// `cSeconds` (as returned by phaseDiffusion).  It takes the Monte-Carlo
 /// engine's step on one lane: a SplitMix64(mixSeed(opt.seed)) stream, a
-/// ziggurat normal (numeric/rng.hpp), the packed-polynomial right-hand side
-/// Gae::rhsManyPacked and phi += drift*h + sigma*sqrt(h)*z.  So trial k of
+/// ziggurat normal (numeric/rng.hpp), the right-hand side Gae::rhsMany and
+/// phi += drift*h + sigma*sqrt(h)*z.  So trial k of
 /// holdErrorProbability(..., opt) is exactly this path with seed
 /// opt.seed + 0x9e3779b97f4a7c15 * k.
 StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, double dphi0,

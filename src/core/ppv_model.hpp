@@ -47,13 +47,9 @@ public:
     /// PPV component `idx` at normalized phase theta (cycles).
     double ppvAt(std::size_t idx, double theta) const { return ppv_[idx](theta); }
 
-    /// Batched forms: out[i] = xsAt/ppvAt(idx, theta[i]) over contiguous
-    /// lanes, one table pass per call and bitwise identical to n scalar
-    /// calls (PeriodicCubicSpline::evalMany) — the evaluators BatchOde
-    /// ensembles and batched waveform reconstruction go through.
-    void xsMany(std::size_t idx, const double* theta, double* out, std::size_t n) const {
-        xs_[idx].evalMany(theta, out, n);
-    }
+    /// Batched form: out[i] = ppvAt(idx, theta[i]) over contiguous lanes,
+    /// one table pass per call on the process-wide SIMD tier and bitwise
+    /// identical to n scalar calls (PeriodicCubicSpline::evalMany).
     void ppvMany(std::size_t idx, const double* theta, double* out, std::size_t n) const {
         ppv_[idx].evalMany(theta, out, n);
     }

@@ -133,7 +133,7 @@ std::optional<Characterization> decodeCharacterization(const std::vector<std::ui
     return c;
 }
 
-// ---- GAE sweep tables -----------------------------------------------------
+// ---- GAE locking-range sweep table ----------------------------------------
 
 std::vector<std::uint8_t> encodeLockingRangeTable(
     const std::vector<core::LockingRangePoint>& pts) {
@@ -159,33 +159,6 @@ std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
         if (!r.f64(p.amplitude) || !r.u8(b) || !r.f64(p.range.fLow) || !r.f64(p.range.fHigh))
             return std::nullopt;
         p.range.locks = b != 0;
-    }
-    return pts;
-}
-
-std::vector<std::uint8_t> encodePhaseErrorTable(const std::vector<core::PhaseErrorPoint>& pts) {
-    BinaryWriter w;
-    w.u64(pts.size());
-    for (const core::PhaseErrorPoint& p : pts) {
-        w.f64(p.f1);
-        w.f64(p.detune);
-        w.vec(p.phases);
-        w.vec(p.references);
-        w.vec(p.errors);
-    }
-    return w.take();
-}
-
-std::optional<std::vector<core::PhaseErrorPoint>> decodePhaseErrorTable(
-    const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
-    std::uint64_t n;
-    if (!r.u64(n) || r.remaining() < n) return std::nullopt;
-    std::vector<core::PhaseErrorPoint> pts(static_cast<std::size_t>(n));
-    for (core::PhaseErrorPoint& p : pts) {
-        if (!r.f64(p.f1) || !r.f64(p.detune) || !r.vec(p.phases) || !r.vec(p.references) ||
-            !r.vec(p.errors))
-            return std::nullopt;
     }
     return pts;
 }

@@ -9,9 +9,9 @@
 //
 // Each encode/decode pair works on raw payload bytes; the ArtifactCache
 // stores them under content-hash keys (io/model_cache.hpp): a
-// Characterization (PSS + PPV) as CHAR, the Fig. 7/8 sweep tables as SWLR
-// and SWPE.  Decoding is total: any truncation or inconsistent length
-// yields std::nullopt, and callers recompute.
+// Characterization (PSS + PPV) as CHAR, the Fig. 7 sweep table as SWLR.
+// Decoding is total: any truncation or inconsistent length yields
+// std::nullopt, and callers recompute.
 
 #include <cstdint>
 #include <optional>
@@ -45,13 +45,9 @@ struct Characterization {
 std::vector<std::uint8_t> encodeCharacterization(const Characterization& c);
 std::optional<Characterization> decodeCharacterization(const std::vector<std::uint8_t>& payload);
 
-// ---- GAE sweep tables -----------------------------------------------------
+// ---- GAE locking-range sweep table ----------------------------------------
 std::vector<std::uint8_t> encodeLockingRangeTable(const std::vector<core::LockingRangePoint>& pts);
 std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
-    const std::vector<std::uint8_t>& payload);
-
-std::vector<std::uint8_t> encodePhaseErrorTable(const std::vector<core::PhaseErrorPoint>& pts);
-std::optional<std::vector<core::PhaseErrorPoint>> decodePhaseErrorTable(
     const std::vector<std::uint8_t>& payload);
 
 }  // namespace phlogon::io

@@ -52,7 +52,7 @@ CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlis
                                           const an::PpvOptions& ppvOpt,
                                           const ArtifactCache& cache = ArtifactCache::global());
 
-/// Key + outcome reporting for the cached sweep wrappers.
+/// Key + outcome reporting for the cached sweep wrapper.
 struct CachedSweepInfo {
     CacheOutcome outcome = CacheOutcome::Disabled;
     std::uint64_t key = 0;
@@ -66,11 +66,5 @@ std::vector<core::LockingRangePoint> cachedLockingRangeVsAmplitude(
     const core::PpvModel& model, const core::Injection& unitInjection, const num::Vec& amplitudes,
     std::size_t gridSize = 1024, const ArtifactCache& cache = ArtifactCache::global(),
     CachedSweepInfo* info = nullptr);
-
-/// Cached core::lockPhaseErrorSweep (Fig. 8 table).
-std::vector<core::PhaseErrorPoint> cachedLockPhaseErrorSweep(
-    const core::PpvModel& model, const std::vector<core::Injection>& injections,
-    const num::Vec& f1Grid, std::size_t gridSize = 1024,
-    const ArtifactCache& cache = ArtifactCache::global(), CachedSweepInfo* info = nullptr);
 
 }  // namespace phlogon::io

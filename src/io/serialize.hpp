@@ -54,7 +54,6 @@ inline constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
 /// daemon's job checkpoints (io/checkpoint.hpp).
 inline constexpr std::uint32_t kTypeCharacterization = fourcc('C', 'H', 'A', 'R');
 inline constexpr std::uint32_t kTypeSweepLockingRange = fourcc('S', 'W', 'L', 'R');
-inline constexpr std::uint32_t kTypeSweepPhaseError = fourcc('S', 'W', 'P', 'E');
 inline constexpr std::uint32_t kTypeMcCheckpoint = fourcc('M', 'C', 'K', 'P');
 inline constexpr std::uint32_t kTypeFsmCheckpoint = fourcc('F', 'C', 'K', 'P');
 

@@ -11,7 +11,7 @@
 //     exact arithmetic of num::rkf45 on a 1-dimensional state, lane by lane;
 //   * lanes never interact: lane l's trajectory depends only on (y0[l], rhs);
 //   * therefore, when the batched RHS evaluates each lane with the same
-//     arithmetic as the scalar RHS (e.g. PeriodicCubicSpline::evalMany), the
+//     arithmetic as the scalar RHS (Gae::rhsMany against Gae::rhs), the
 //     per-lane trajectories are bitwise identical to rkf45Scalar, at ANY
 //     batch size and any partition of an ensemble into batches;
 //   * the stage combinations and the error norm run on the process-wide

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numeric/lu.hpp"
 #include "numeric/simd/simd.hpp"
 
 namespace phlogon::num {
@@ -46,8 +45,8 @@ Vec solveTridiag(double diagFirst, double diag, double diagLast, double off, Vec
 
 }  // namespace
 
-PeriodicCubicSpline::PeriodicCubicSpline(Vec samples) : x_(std::move(samples)) {
-    const std::size_t n = x_.size();
+PeriodicCubicSpline::PeriodicCubicSpline(const Vec& x) : n_(x.size()) {
+    const std::size_t n = n_;
     if (n < 3) throw std::invalid_argument("PeriodicCubicSpline needs >= 3 samples");
     // Solve the cyclic tridiagonal system for second derivatives m_i:
     //   (h/6) m_{i-1} + (2h/3) m_i + (h/6) m_{i+1} = (x_{i+1} - 2 x_i + x_{i-1}) / h
@@ -61,7 +60,7 @@ PeriodicCubicSpline::PeriodicCubicSpline(Vec samples) : x_(std::move(samples)) {
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t im = (i + n - 1) % n;
         const std::size_t ip = (i + 1) % n;
-        rhs[i] = (x_[ip] - 2.0 * x_[i] + x_[im]) / h;
+        rhs[i] = (x[ip] - 2.0 * x[i] + x[im]) / h;
     }
     // Cyclic correction (Numerical Recipes): gamma = -diag; corners alpha =
     // beta = off.
@@ -75,53 +74,19 @@ PeriodicCubicSpline::PeriodicCubicSpline(Vec samples) : x_(std::move(samples)) {
     const Vec z = solveTridiag(diagFirst, diag, diagLast, off, u);
     const double fact =
         (y[0] + off * y[n - 1] / gamma) / (1.0 + z[0] + off * z[n - 1] / gamma);
-    m_ = y;
-    for (std::size_t i = 0; i < n; ++i) m_[i] -= fact * z[i];
-}
+    Vec m = y;
+    for (std::size_t i = 0; i < n; ++i) m[i] -= fact * z[i];
 
-double PeriodicCubicSpline::operator()(double t) const {
-    const std::size_t n = x_.size();
-    const double h = 1.0 / static_cast<double>(n);
-    const double u = wrap01(t) * static_cast<double>(n);
-    const std::size_t i = static_cast<std::size_t>(u) % n;
-    const std::size_t j = (i + 1) % n;
-    const double s = (u - std::floor(u)) * h;  // local coordinate in [0, h)
-    const double a = (h - s) / h;
-    const double b = s / h;
-    return a * x_[i] + b * x_[j] +
-           ((a * a * a - a) * m_[i] + (b * b * b - b) * m_[j]) * (h * h) / 6.0;
-}
-
-void PeriodicCubicSpline::evalMany(const double* t, double* out, std::size_t n) const {
-    const std::size_t kn = x_.size();
-    const double h = 1.0 / static_cast<double>(kn);
-    for (std::size_t e = 0; e < n; ++e) {
-        // Exact replica of operator(): bitwise-identical batched results.
-        const double u = wrap01(t[e]) * static_cast<double>(kn);
-        const std::size_t i = static_cast<std::size_t>(u) % kn;
-        const std::size_t j = (i + 1) % kn;
-        const double s = (u - std::floor(u)) * h;
-        const double a = (h - s) / h;
-        const double b = s / h;
-        out[e] = a * x_[i] + b * x_[j] +
-                 ((a * a * a - a) * m_[i] + (b * b * b - b) * m_[j]) * (h * h) / 6.0;
-    }
-}
-
-PackedPeriodicSpline::PackedPeriodicSpline(const PeriodicCubicSpline& s) : n_(s.size()) {
-    // Rewrite the Hermite form a*x_i + b*x_j + ((a^3-a)m_i + (b^3-b)m_j)h^2/6
-    // (a = 1-u, b = u) as a cubic in the local fraction u:
+    // Rewrite cell i's Hermite form a*x_i + b*x_j + ((a^3-a)m_i + (b^3-b)m_j)h^2/6
+    // (j = i + 1 mod n, a = 1-s, b = s) as a cubic in the local fraction s:
     //   c0 = x_i
     //   c1 = (x_j - x_i) - h^2/6 * (2 m_i + m_j)
     //   c2 = h^2/2 * m_i
     //   c3 = h^2/6 * (m_j - m_i)
-    const Vec& x = s.samples();
-    const Vec& m = s.curvatures();
-    const double h = 1.0 / static_cast<double>(n_);
     const double h2over6 = h * h / 6.0;
-    c_.assign(4 * n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        const std::size_t j = (i + 1) % n_;
+    c_.resize(4 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t j = (i + 1) % n;
         c_[4 * i + 0] = x[i];
         c_[4 * i + 1] = (x[j] - x[i]) - h2over6 * (2.0 * m[i] + m[j]);
         c_[4 * i + 2] = 3.0 * h2over6 * m[i];
@@ -129,51 +94,21 @@ PackedPeriodicSpline::PackedPeriodicSpline(const PeriodicCubicSpline& s) : n_(s.
     }
 }
 
-double PackedPeriodicSpline::operator()(double t) const {
-    const double u = wrap01(t) * static_cast<double>(n_);
-    std::size_t i = static_cast<std::size_t>(u);
-    double s = u - static_cast<double>(i);
-    if (i >= n_) {
-        // wrap01 < 1, but *n_ can round up to n_.  Wrap to segment 0 at its
-        // left knot (value exactly x_[0]) the way PeriodicCubicSpline's
-        // i % n does, instead of the old clamp to segment n_-1 at s = 1,
-        // which disagreed with the source spline by a rounding step.
-        i = 0;
-        s = 0.0;
-    }
-    const double* c = &c_[4 * i];
+double PeriodicCubicSpline::operator()(double t) const {
+    double s;
+    const double* c = &c_[4 * periodicCell(t, n_, s)];
     return c[0] + s * (c[1] + s * (c[2] + s * c[3]));
 }
 
-void PackedPeriodicSpline::evalMany(const double* t, double* out, std::size_t n) const {
-    evalManyAffine(t, out, n, 1.0, 0.0, simd::Tier::Scalar);
-}
-
-void PackedPeriodicSpline::evalManyAffine(const double* t, double* out, std::size_t n,
-                                          double mul, double add) const {
-    evalManyAffine(t, out, n, mul, add, simd::Tier::Scalar);
-}
-
-void PackedPeriodicSpline::evalMany(const double* t, double* out, std::size_t n,
-                                    simd::Tier tier) const {
-    evalManyAffine(t, out, n, 1.0, 0.0, tier);
-}
-
-void PackedPeriodicSpline::evalManyAffine(const double* t, double* out, std::size_t n,
-                                          double mul, double add, simd::Tier tier) const {
-    simd::kernels(tier).splineAffine(c_.data(), n_, t, out, n, mul, add);
-}
-
 double PeriodicCubicSpline::derivative(double t) const {
-    const std::size_t n = x_.size();
-    const double h = 1.0 / static_cast<double>(n);
-    const double u = wrap01(t) * static_cast<double>(n);
-    const std::size_t i = static_cast<std::size_t>(u) % n;
-    const std::size_t j = (i + 1) % n;
-    const double s = (u - std::floor(u)) * h;
-    const double a = (h - s) / h;
-    const double b = s / h;
-    return (x_[j] - x_[i]) / h + ((1.0 - 3.0 * a * a) * m_[i] + (3.0 * b * b - 1.0) * m_[j]) * h / 6.0;
+    double s;
+    const double* c = &c_[4 * periodicCell(t, n_, s)];
+    return static_cast<double>(n_) * (c[1] + s * (2.0 * c[2] + s * (3.0 * c[3])));
+}
+
+void PeriodicCubicSpline::evalMany(const double* t, double* out, std::size_t n, double mul,
+                                   double add) const {
+    simd::kernels(simd::resolveTier()).splineAffine(c_.data(), n_, t, out, n, mul, add);
 }
 
 Vec resampleUniform(const Vec& t, const Vec& x, double t0, double period, std::size_t n) {

@@ -9,12 +9,24 @@
 
 namespace phlogon::num {
 
-namespace simd {
-enum class Tier : int;  // numeric/simd/simd.hpp
-}
-
 /// Wrap t into [0, 1).
 double wrap01(double t);
+
+/// The cell of a uniform 1-periodic grid of `cells` cells that holds phase
+/// t; `s` receives t's local fraction in that cell, in [0, 1).
+/// wrap01(t) * cells can round up to `cells`: that corner is the seam knot,
+/// cell 0 at s = 0.  The scalar spline evaluators all locate cells here (the
+/// AVX2 kernel repeats the same operations lane-wise).
+inline std::size_t periodicCell(double t, std::size_t cells, double& s) {
+    const double u = wrap01(t) * static_cast<double>(cells);
+    const std::size_t i = static_cast<std::size_t>(u);
+    if (i >= cells) {
+        s = 0.0;
+        return 0;
+    }
+    s = u - static_cast<double>(i);
+    return i;
+}
 
 /// Piecewise-linear interpolation of a 1-periodic signal given uniform
 /// samples x[i] = f(i/N).
@@ -36,66 +48,37 @@ private:
 /// conditions), C2-smooth.  Smoothness matters for the GAE right-hand side:
 /// the ODE integrator and the equilibrium root finder both differentiate it
 /// numerically.
+///
+/// The solved spline is kept as one cubic per knot cell,
+/// c0 + s*(c1 + s*(c2 + s*c3)) in the local fraction s (4 doubles per cell,
+/// cell-major: the table simd::Kernels::splineAffine reads).  operator(),
+/// derivative() and evalMany all evaluate that table after the same
+/// periodicCell lookup, so the scalar call, the batched call and every SIMD
+/// tier agree bitwise.
 class PeriodicCubicSpline {
 public:
     PeriodicCubicSpline() = default;
-    explicit PeriodicCubicSpline(Vec samples);
+    explicit PeriodicCubicSpline(const Vec& samples);
 
-    std::size_t size() const { return x_.size(); }
-    const Vec& samples() const { return x_; }
-    /// Second derivatives at the knots (the solved spline coefficients);
-    /// consumed by PackedPeriodicSpline below.
-    const Vec& curvatures() const { return m_; }
+    std::size_t size() const { return n_; }
+    /// The cell polynomials: c0..c3 of cell i at [4i, 4i + 4).
+    const Vec& coeffs() const { return c_; }
 
     double operator()(double t) const;
     /// Derivative with respect to t (per unit period).
     double derivative(double t) const;
 
-    /// Batched evaluation: out[i] = (*this)(t[i]) for i in [0, n), one pass
-    /// over contiguous lanes.  Each element runs the exact arithmetic of
-    /// operator(), so the results are bitwise identical to n scalar calls —
-    /// this is the batch evaluator the deterministic BatchOde paths use.
-    void evalMany(const double* t, double* out, std::size_t n) const;
-
-private:
-    Vec x_;
-    Vec m_;  ///< second derivatives at the knots
-};
-
-/// The same periodic cubic spline repacked as per-interval polynomial
-/// coefficients c0 + u*(c1 + u*(c2 + u*c3)) (u = local fraction in the knot
-/// cell), stored contiguously per interval.  Evaluation is a wrap, one
-/// 4-double gather and a Horner — roughly a third of the flops of the
-/// Hermite form in PeriodicCubicSpline::operator(), with no integer modulo.
-/// Values agree with the source spline to rounding (same polynomial,
-/// different association), NOT bitwise: hot Monte-Carlo paths use this,
-/// bit-pinned deterministic paths use the spline itself.
-class PackedPeriodicSpline {
-public:
-    PackedPeriodicSpline() = default;
-    explicit PackedPeriodicSpline(const PeriodicCubicSpline& s);
-
-    std::size_t size() const { return n_; }
-    bool valid() const { return n_ > 0; }
-
-    double operator()(double t) const;
-    /// out[i] = (*this)(t[i]).
-    void evalMany(const double* t, double* out, std::size_t n) const;
-    /// Fused affine form out[i] = add + mul * (*this)(t[i]) — the shape of
-    /// the GAE right-hand side, evaluated in one pass per batch step.
-    void evalManyAffine(const double* t, double* out, std::size_t n, double mul,
-                        double add) const;
-
-    /// Tier-selected variants: same results bitwise on every tier (the SIMD
-    /// lane contract, numeric/simd/simd.hpp); the two-argument overloads
-    /// above always run the Scalar tier.
-    void evalMany(const double* t, double* out, std::size_t n, simd::Tier tier) const;
-    void evalManyAffine(const double* t, double* out, std::size_t n, double mul,
-                        double add, simd::Tier tier) const;
+    /// Batched affine form out[i] = add + mul * (*this)(t[i]) for i in
+    /// [0, n): one pass over contiguous lanes on the process-wide SIMD tier
+    /// (numeric/simd/simd.hpp), bitwise equal to n scalar calls on every
+    /// tier.  The default add is -0.0, IEEE's exact additive identity, so
+    /// evalMany(t, out, n) reproduces operator() signed zeros included.
+    void evalMany(const double* t, double* out, std::size_t n, double mul = 1.0,
+                  double add = -0.0) const;
 
 private:
     std::size_t n_ = 0;
-    Vec c_;  ///< 4 coefficients per interval, interval-major
+    Vec c_;
 };
 
 /// Resample a (possibly non-uniform) time series onto `n` uniform points over

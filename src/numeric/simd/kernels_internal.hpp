@@ -7,10 +7,9 @@
 namespace phlogon::num::simd::detail {
 
 const Kernels& scalarKernels();
-const Kernels& portableKernels();  ///< scalarKernels() if stdx::simd is absent
-const Kernels& avx2Kernels();      ///< scalarKernels() off x86
+const Kernels& avx2Kernels();  ///< scalarKernels() off x86
 
-// Scalar kernel entry points, reused by the wider tiers for remainder
+// Scalar kernel entry points, reused by the AVX2 tier for remainder
 // lanes and mixed-active lane groups (keeping those lanes on the exact
 // scalar arithmetic they would otherwise run).
 void splineAffineScalar(const double* coeffs, std::size_t nSeg, const double* t,

@@ -14,7 +14,6 @@ namespace phlogon::num::simd {
 const char* tierName(Tier t) {
     switch (t) {
         case Tier::Avx2: return "avx2";
-        case Tier::Portable: return "portable";
         default: return "scalar";
     }
 }
@@ -24,9 +23,7 @@ Tier detectedTier() {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
         if (__builtin_cpu_supports("avx2")) return Tier::Avx2;
 #endif
-        // Portable is always "supported": its table vectorizes what the
-        // toolchain allows and aliases the scalar kernels for the rest.
-        return Tier::Portable;
+        return Tier::Scalar;
     }();
     return tier;
 }
@@ -53,30 +50,16 @@ Tier resolveTier(bool) {
 
 const Kernels& kernels(Tier tier) {
     if (static_cast<int>(tier) > static_cast<int>(detectedTier())) tier = detectedTier();
-    switch (tier) {
-        case Tier::Avx2: return detail::avx2Kernels();
-        case Tier::Portable: return detail::portableKernels();
-        default: return detail::scalarKernels();
-    }
+    return tier == Tier::Avx2 ? detail::avx2Kernels() : detail::scalarKernels();
 }
 
 namespace detail {
 
 void splineAffineScalar(const double* coeffs, std::size_t nSeg, const double* t,
                         double* out, std::size_t n, double mul, double add) {
-    const double kn = static_cast<double>(nSeg);
     for (std::size_t e = 0; e < n; ++e) {
-        const double u = wrap01(t[e]) * kn;
-        std::size_t i = static_cast<std::size_t>(u);
-        double s = u - static_cast<double>(i);
-        if (i >= nSeg) {
-            // Seam guard: wrap to segment 0 at its left knot, where the
-            // value is exactly the sample x_[0] — matching how
-            // PeriodicCubicSpline's i % n wraps the u == n corner.
-            i = 0;
-            s = 0.0;
-        }
-        const double* c = &coeffs[4 * i];
+        double s;
+        const double* c = &coeffs[4 * periodicCell(t[e], nSeg, s)];
         out[e] = add + mul * (c[0] + s * (c[1] + s * (c[2] + s * c[3])));
     }
 }

@@ -2,21 +2,21 @@
 // Vectorized kernel tier for the batched engines (ROADMAP item 2, SIMD half).
 //
 // Each kernel here is a drop-in for an existing scalar loop: the Scalar tier
-// IS that loop, moved verbatim, and the wider tiers perform the same IEEE
-// operations in the same order per lane — multiplies and adds are never
-// contracted into FMAs (the AVX2 translation unit builds with
-// -ffp-contract=off), and lanes never interact.  Consequence: every tier
-// produces bitwise-identical results for the same inputs, so the repo-wide
-// determinism contracts (DESIGN.md §9/§13/§14) hold whichever tier runs.
-// tests/numeric/test_simd.cpp and the simd-parity CI job assert this.
+// IS that loop, and the AVX2 tier performs the same IEEE operations in the
+// same order per lane — multiplies and adds are never contracted into FMAs
+// (the AVX2 translation unit builds with -ffp-contract=off), and lanes never
+// interact.  Consequence: both tiers produce bitwise-identical results for
+// the same inputs, so the repo-wide determinism contracts (DESIGN.md
+// §9/§13/§14) hold whichever tier runs.  tests/numeric/test_simd.cpp and the
+// simd-parity CI job assert this.
 //
 // Dispatch: detectedTier() probes the CPU once (cached in a function-local
 // static).  Every engine runs on one process-wide tier, resolveTier(): the
 // detected tier unless PHLOGON_SIMD=0 forces the Scalar reference loops.
-// Engines fetch an immutable function-pointer table with kernels().  Since
-// the tiers are bitwise-interchangeable, the tier changes wall time only;
-// the goldens hold on either (the simd-parity CI job runs them both ways).
-// See DESIGN.md §18.
+// Engines fetch an immutable function-pointer table with kernels(); no
+// engine or evaluator takes a tier argument.  Since the tiers are
+// bitwise-interchangeable, the tier changes wall time only; the goldens hold
+// on either (the simd-parity CI job runs them both ways).  See DESIGN.md §18.
 
 #include <cstddef>
 
@@ -24,17 +24,16 @@
 
 namespace phlogon::num::simd {
 
-/// Kernel tiers, widest last.  Portable vectorizes the pure-arithmetic
-/// stage kernels with std::experimental::simd where the toolchain provides
-/// it (table-lookup kernels stay scalar there); Avx2 is the 4-wide x86 tier
-/// with gathered table lookups and a vectorized SplitMix64/ziggurat fast
-/// path.
-enum class Tier : int { Scalar = 0, Portable = 1, Avx2 = 2 };
+/// Kernel tiers, widest last.  Avx2 is the 4-wide x86 tier with gathered
+/// table lookups and a vectorized SplitMix64/ziggurat fast path.  Its value
+/// 2 is what bench_speedup records in its JSON row.
+enum class Tier : int { Scalar = 0, Avx2 = 2 };
 
-/// Human-readable tier name ("scalar" / "portable" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* tierName(Tier t);
 
-/// Widest tier this CPU supports (probed once, cached).
+/// Widest tier this CPU supports (probed once, cached): Avx2, or Scalar on
+/// a CPU or build without it.
 Tier detectedTier();
 
 /// PHLOGON_SIMD setting: "0"/"off" forces the Scalar tier everywhere;
@@ -52,10 +51,10 @@ Tier resolveTier(bool ignored = false);
 struct Kernels {
     Tier tier = Tier::Scalar;
 
-    /// Packed periodic-spline evaluation over interval-major coefficients
-    /// (numeric/interp.hpp PackedPeriodicSpline layout, 4 doubles per
-    /// segment): out[e] = add + mul * p(t[e]) with the seam wrapping to
-    /// segment 0 at s = 0.
+    /// Periodic-spline evaluation over cell-major cubic coefficients
+    /// (numeric/interp.hpp PeriodicCubicSpline::coeffs(), 4 doubles per
+    /// cell): out[e] = add + mul * p(t[e]), the cell located by
+    /// num::periodicCell (the seam wraps to cell 0 at s = 0).
     void (*splineAffine)(const double* coeffs, std::size_t nSeg, const double* t,
                          double* out, std::size_t n, double mul, double add);
 

@@ -5,9 +5,9 @@
 // Parses the subset the Tracer emits (and that Perfetto/chrome://tracing
 // accept): a top-level object with a "traceEvents" array of flat event
 // objects ("X" complete spans with ts/dur, "i" instants, "M" metadata) plus
-// optional "otherData".  The JSON parser underneath is a small, strict
-// recursive-descent implementation — no dependency, tolerant of unknown
-// keys so traces merged with other tools still load.
+// optional "otherData".  It parses with the library's JSON reader
+// (io::json::parse) and ignores unknown keys, so traces merged with other
+// tools still load.
 
 #include <cstdint>
 #include <filesystem>

@@ -117,6 +117,15 @@ TEST(Transient, StoreEveryDecimatesOutput) {
     ASSERT_TRUE(ra.ok && rd.ok);
     EXPECT_GT(ra.t.size(), 5 * rd.t.size());
     EXPECT_NEAR(ra.x.back()[0], rd.x.back()[0], 1e-12);
+
+    // storeEvery = 0 counts as 1: every point is kept, no division by zero.
+    TransientOptions zero = all;
+    zero.storeEvery = 0;
+    const TransientResult rz = transient(dae, Vec{1.0}, 0.0, 1e-3, zero);
+    ASSERT_TRUE(rz.ok);
+    EXPECT_EQ(rz.t, ra.t);
+    ASSERT_EQ(rz.x.size(), ra.x.size());
+    for (std::size_t i = 0; i < ra.x.size(); ++i) EXPECT_EQ(rz.x[i], ra.x[i]);
 }
 
 TEST(Transient, ColumnExtraction) {

@@ -138,21 +138,18 @@ TEST(Gae, SeamEquilibriumReportedExactlyOnce) {
 }
 
 TEST(Gae, BatchedEvaluatorsMatchScalar) {
+    // rhsMany promises bitwise equality with the scalar rhs() on the
+    // process-wide SIMD tier; the simd-parity CI job runs this under
+    // PHLOGON_SIMD=0 and =1.
     const Gae gae(model(), testutil::kF1, {Injection::tone(injNode(), 100e-6, 2)});
     std::vector<double> dphi;
     for (double x = -1.3; x < 2.0; x += 0.0617) dphi.push_back(x);
-    std::vector<double> g(dphi.size()), rhs(dphi.size()), packed(dphi.size());
-    gae.gMany(dphi.data(), g.data(), dphi.size());
+    dphi.push_back(0.0);
+    dphi.push_back(std::nextafter(1.0, 0.0));
+    std::vector<double> rhs(dphi.size());
     gae.rhsMany(dphi.data(), rhs.data(), dphi.size());
-    gae.rhsManyPacked(dphi.data(), packed.data(), dphi.size());
-    const double scale = std::abs(gae.f0() * gae.gMax()) + std::abs(gae.lhs() * gae.f0());
-    for (std::size_t i = 0; i < dphi.size(); ++i) {
-        // gMany/rhsMany promise bitwise equality with the scalar calls.
-        EXPECT_EQ(g[i], gae.g(dphi[i]));
-        EXPECT_EQ(rhs[i], gae.rhs(dphi[i]));
-        // The packed-polynomial path agrees to rounding, not bitwise.
-        EXPECT_NEAR(packed[i], gae.rhs(dphi[i]), 1e-12 * scale + 1e-15);
-    }
+    for (std::size_t i = 0; i < dphi.size(); ++i)
+        EXPECT_EQ(rhs[i], gae.rhs(dphi[i])) << "dphi=" << dphi[i];
 }
 
 }  // namespace

@@ -197,7 +197,10 @@ TEST(GaeTransientGolden, Fig12TwoSegmentFlip) {
     expectWork(r, 85, 84, 12, 576);
     expectGolden(r.final(), 0.55574862306627137);
     expectGolden(r.at(0.95 * bitT()), 1.0557483855794361);
-    expectGolden(settleTime(r, d.reference.phase0), 0.0070584919126468609);
+    // Re-pinned once when g(Δφ) moved from the Hermite-form spline to its
+    // per-cell polynomial form (same cubic, last-bit rounding differences):
+    // was 0.0070584919126468609, 9e-10 relative; the other values held.
+    expectGolden(settleTime(r, d.reference.phase0), 0.0070584919193001187);
 }
 
 TEST(GaeTransientGolden, WeakWriteHolds) {

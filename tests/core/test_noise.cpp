@@ -67,6 +67,16 @@ TEST(StochasticGae, Reproducible) {
     ASSERT_EQ(r1.dphi.size(), r2.dphi.size());
     for (std::size_t i = 0; i < r1.dphi.size(); ++i)
         EXPECT_DOUBLE_EQ(r1.dphi[i], r2.dphi[i]);
+
+    // storeEvery = 0 counts as 1: every step is stored, no division by zero.
+    opt.storeEvery = 1;
+    const auto every = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt);
+    opt.storeEvery = 0;
+    const auto zero = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt);
+    ASSERT_TRUE(every.ok && zero.ok);
+    EXPECT_GT(every.t.size(), r1.t.size());
+    EXPECT_EQ(zero.t, every.t);
+    EXPECT_EQ(zero.dphi, every.dphi);
 }
 
 TEST(StochasticGae, FreeRunningVarianceMatchesDiffusion) {

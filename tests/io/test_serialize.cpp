@@ -146,7 +146,7 @@ TEST_F(SerializeTest, MissingFileIsIoError) {
 }
 
 TEST_F(SerializeTest, TruncatedFileDetected) {
-    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeSweepPhaseError, {9, 8, 7, 6, 5, 4, 3, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeSweepLockingRange, {9, 8, 7, 6, 5, 4, 3, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("t.phlg"));
     bytes.resize(bytes.size() - 3);  // cut into the payload
     dump(file("t.phlg"), bytes);
@@ -158,7 +158,7 @@ TEST_F(SerializeTest, TruncatedFileDetected) {
 }
 
 TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeSweepPhaseError, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeSweepLockingRange, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c.phlg"));
     bytes[kHeaderSize + 1] ^= 0x40;
     dump(file("c.phlg"), bytes);
@@ -166,7 +166,7 @@ TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeSweepPhaseError, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeSweepLockingRange, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c2.phlg"));
     bytes[20] ^= 0x01;  // CRC field lives at offset 20..23
     dump(file("c2.phlg"), bytes);
@@ -174,7 +174,7 @@ TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, WrongVersionRejected) {
-    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeSweepPhaseError, {1, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeSweepLockingRange, {1, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("v.phlg"));
     bytes[4] = static_cast<std::uint8_t>(kFormatVersion + 1);  // version field
     dump(file("v.phlg"), bytes);
@@ -361,16 +361,6 @@ TEST_F(SerializeTest, SweepTablesRoundTrip) {
     EXPECT_EQ((*lrBack)[1].amplitude, 50e-6);
     EXPECT_EQ((*lrBack)[1].range.fLow, 9.31e3);
     EXPECT_FALSE((*lrBack)[2].range.locks);
-
-    std::vector<core::PhaseErrorPoint> pe(2);
-    pe[0] = {9.6e3, 0.0, {0.25, 0.75}, {0.25, 0.75}, {0.0, 0.0}};
-    pe[1] = {9.7e3, 0.0104, {0.27, 0.77}, {0.25, 0.75}, {0.02, 0.02}};
-    const auto peBack = decodePhaseErrorTable(encodePhaseErrorTable(pe));
-    ASSERT_TRUE(peBack.has_value());
-    ASSERT_EQ(peBack->size(), 2u);
-    EXPECT_EQ((*peBack)[1].f1, 9.7e3);
-    ASSERT_EQ((*peBack)[1].phases.size(), 2u);
-    EXPECT_EQ((*peBack)[1].errors[0], 0.02);
 }
 
 TEST_F(SerializeTest, OdeSolutionAndTransientResultRoundTrip) {

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
+
+#include "numeric/lu.hpp"
 
 namespace phlogon::num {
 namespace {
@@ -131,45 +134,87 @@ TEST(ResampleUniform, EndpointAtBack) {
         EXPECT_NEAR(v[i], 9.0 + 0.1 * 10.0 * static_cast<double>(i) / 8.0, 1e-12);
 }
 
+/// Reference evaluation of the periodic cubic spline through x in the
+/// Hermite form a*x_i + b*x_j + ((a^3-a)m_i + (b^3-b)m_j)h^2/6, with the
+/// knot curvatures m from a dense LU solve of the cyclic system — an
+/// independent route to the cubic the spline's cell polynomials encode.
+double hermiteReference(const Vec& x, double t) {
+    const std::size_t n = x.size();
+    const double h = 1.0 / static_cast<double>(n);
+    Matrix a(n, n);
+    Vec rhs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        a(i, (i + n - 1) % n) += h / 6.0;
+        a(i, i) += 2.0 * h / 3.0;
+        a(i, (i + 1) % n) += h / 6.0;
+        rhs[i] = (x[(i + 1) % n] - 2.0 * x[i] + x[(i + n - 1) % n]) / h;
+    }
+    const Vec m = LuFactor::factor(a)->solve(rhs);
+    const double u = wrap01(t) * static_cast<double>(n);
+    const std::size_t i = static_cast<std::size_t>(u) % n;
+    const std::size_t j = (i + 1) % n;
+    const double b = u - std::floor(u);
+    const double aw = 1.0 - b;
+    return aw * x[i] + b * x[j] + ((aw * aw * aw - aw) * m[i] + (b * b * b - b) * m[j]) * h * h / 6.0;
+}
+
 TEST(PackedPeriodicSpline, MatchesSourceSplineEverywhere) {
+    // The cell polynomials are the periodic cubic spline: they agree with
+    // its Hermite form (curvatures solved independently) to rounding.
     Vec s(16);
     for (std::size_t i = 0; i < 16; ++i) s[i] = std::sin(kTwoPi * i / 16.0) + 0.3 * std::cos(2 * kTwoPi * i / 16.0);
     const PeriodicCubicSpline spline(s);
-    const PackedPeriodicSpline packed(spline);
     for (int i = -300; i <= 300; ++i) {
         const double t = static_cast<double>(i) / 97.0;
-        EXPECT_NEAR(packed(t), spline(t), 1e-12) << "t=" << t;
+        EXPECT_NEAR(spline(t), hermiteReference(s, t), 1e-12) << "t=" << t;
     }
 }
 
 TEST(PackedPeriodicSpline, SeamWrapsLikeSourceSpline) {
-    // Regression for the seam disagreement: the packed clamp used to
-    // evaluate segment n-1 at s = 1 when wrap01(t)*n rounded up to n, while
-    // PeriodicCubicSpline's i % n wraps the same corner to segment 0 at
-    // s = 0 (value exactly x_[0]).  Both paths must agree bitwise at and
-    // around the seam.
+    // Regression for the seam: when wrap01(t)*n rounds up to n the lookup
+    // must take cell 0 at s = 0 (value exactly x_[0]), not cell n-1 at
+    // s = 1, which differs by a rounding step.  The scalar and batched
+    // calls take the same branch, bitwise.
     Vec s(8);
     for (std::size_t i = 0; i < 8; ++i) s[i] = std::cos(kTwoPi * i / 8.0) - 0.2 * std::sin(3 * kTwoPi * i / 8.0);
     const PeriodicCubicSpline spline(s);
-    const PackedPeriodicSpline packed(spline);
 
     // Exact integers hit the seam corner: wrap01 == 0, value == x_[0].
-    for (double t : {0.0, 1.0, -1.0, 5.0, -7.0, 1024.0}) {
-        EXPECT_EQ(packed(t), s[0]) << "t=" << t;
-        EXPECT_EQ(spline(t), packed(t)) << "t=" << t;
-    }
+    for (double t : {0.0, 1.0, -1.0, 5.0, -7.0, 1024.0}) EXPECT_EQ(spline(t), s[0]) << "t=" << t;
     // Seam-adjacent values from both sides stay continuous and equal to the
-    // source spline to rounding.
+    // reference spline to rounding.
     for (double t : {std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0),
                      1.0 - 1e-13, 1.0 + 1e-13, 2.0 - 1e-13, -1e-13}) {
-        EXPECT_NEAR(packed(t), spline(t), 1e-12) << "t=" << t;
-        EXPECT_NEAR(packed(t), s[0], 1e-9) << "t=" << t;  // continuity at the knot
+        EXPECT_NEAR(spline(t), hermiteReference(s, t), 1e-12) << "t=" << t;
+        EXPECT_NEAR(spline(t), s[0], 1e-9) << "t=" << t;  // continuity at the knot
     }
     // The batched path takes the same seam branch as operator().
     const double ts[4] = {0.0, std::nextafter(1.0, 0.0), 3.0, -2.0};
     double out[4];
-    packed.evalMany(ts, out, 4);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(packed(ts[i]), out[i]);
+    spline.evalMany(ts, out, 4);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(spline(ts[i]), out[i]);
+}
+
+TEST(PeriodicCubicSpline, BatchedEvaluationMatchesScalarBitwise) {
+    // evalMany (plain and affine) on the process-wide SIMD tier equals the
+    // scalar calls bit for bit, signed zeros included; the simd-parity CI
+    // job runs this under PHLOGON_SIMD=0 and =1.
+    Vec s(37);
+    for (std::size_t i = 0; i < s.size(); ++i) s[i] = -std::sin(kTwoPi * i / 37.0);
+    const PeriodicCubicSpline spline(s);
+    ASSERT_TRUE(std::signbit(spline(0.0)));  // knot 0 holds -0.0
+    std::vector<double> t;
+    for (int i = -250; i <= 250; ++i) t.push_back(static_cast<double>(i) / 61.0);
+    t.push_back(std::nextafter(1.0, 0.0));
+    std::vector<double> plain(t.size()), affine(t.size());
+    spline.evalMany(t.data(), plain.data(), t.size());
+    spline.evalMany(t.data(), affine.data(), t.size(), 1.7, -0.3);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const double v = spline(t[i]);
+        EXPECT_EQ(std::signbit(plain[i]), std::signbit(v)) << "t=" << t[i];
+        EXPECT_EQ(plain[i], v) << "t=" << t[i];
+        EXPECT_EQ(affine[i], -0.3 + 1.7 * v) << "t=" << t[i];
+    }
 }
 
 }  // namespace

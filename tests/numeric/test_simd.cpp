@@ -31,7 +31,7 @@ std::vector<double> fill(std::size_t n, double lo, double hi, std::uint64_t seed
 }
 
 std::vector<Tier> tiersToTest() {
-    std::vector<Tier> out = {Tier::Scalar, Tier::Portable};
+    std::vector<Tier> out = {Tier::Scalar};
     if (num::simd::detectedTier() == Tier::Avx2) out.push_back(Tier::Avx2);
     return out;
 }
@@ -46,7 +46,7 @@ TEST(SimdDispatch, DetectedTierIsStable) {
     const Tier a = num::simd::detectedTier();
     const Tier b = num::simd::detectedTier();
     EXPECT_EQ(a, b);
-    EXPECT_GE(static_cast<int>(a), static_cast<int>(Tier::Portable));
+    EXPECT_TRUE(a == Tier::Scalar || a == Tier::Avx2);
 }
 
 TEST(SimdDispatch, KernelsClampToDetectedTier) {
@@ -68,20 +68,19 @@ TEST(SimdDispatch, ResolveTierIsProcessWide) {
 
 TEST(SimdDispatch, TierNames) {
     EXPECT_STREQ(num::simd::tierName(Tier::Scalar), "scalar");
-    EXPECT_STREQ(num::simd::tierName(Tier::Portable), "portable");
     EXPECT_STREQ(num::simd::tierName(Tier::Avx2), "avx2");
 }
 
 TEST(SimdParity, SplineAffineAllTiers) {
-    // A real spline (so the coefficients are representative), probed with
-    // phases spanning many wraps plus the seam-adjacent corners.
+    // A real spline's table (so the coefficients are representative),
+    // probed with phases spanning many wraps plus the seam-adjacent corners.
     for (std::size_t nSeg : {3ul, 8ul, 64ul, 1024ul}) {
         num::Vec samples(nSeg);
         for (std::size_t i = 0; i < nSeg; ++i)
             samples[i] = std::sin(2.0 * M_PI * static_cast<double>(i) / static_cast<double>(nSeg)) +
                          0.25 * std::cos(6.0 * M_PI * static_cast<double>(i) / static_cast<double>(nSeg));
         const num::PeriodicCubicSpline spline(samples);
-        const num::PackedPeriodicSpline packed(spline);
+        const double* coeffs = spline.coeffs().data();
 
         for (std::size_t n : kLaneCounts) {
             std::vector<double> t = fill(n, -3.0, 3.0, 0x5eed0 + n);
@@ -91,19 +90,23 @@ TEST(SimdParity, SplineAffineAllTiers) {
                 if (i % 11 == 0) t[i] = static_cast<double>(i / 11);  // integers: wrap to 0
             }
             std::vector<double> ref(n, -1.0);
-            packed.evalManyAffine(t.data(), ref.data(), n, 1.7, -0.3, Tier::Scalar);
+            num::simd::kernels(Tier::Scalar)
+                .splineAffine(coeffs, nSeg, t.data(), ref.data(), n, 1.7, -0.3);
             for (Tier tier : tiersToTest()) {
                 std::vector<double> out(n, 99.0);
-                packed.evalManyAffine(t.data(), out.data(), n, 1.7, -0.3, tier);
+                num::simd::kernels(tier).splineAffine(coeffs, nSeg, t.data(), out.data(), n,
+                                                      1.7, -0.3);
                 for (std::size_t i = 0; i < n; ++i)
                     EXPECT_EQ(ref[i], out[i])
                         << "tier=" << num::simd::tierName(tier) << " nSeg=" << nSeg
                         << " lane=" << i << " t=" << t[i];
-                // Plain evalMany on every tier agrees with operator() too.
+                // The identity affine map on every tier agrees with the
+                // spline's scalar operator() too.
                 std::vector<double> plain(n);
-                packed.evalMany(t.data(), plain.data(), n, tier);
+                num::simd::kernels(tier).splineAffine(coeffs, nSeg, t.data(), plain.data(), n,
+                                                      1.0, -0.0);
                 for (std::size_t i = 0; i < n; ++i)
-                    EXPECT_EQ(packed(t[i]), plain[i])
+                    EXPECT_EQ(spline(t[i]), plain[i])
                         << "tier=" << num::simd::tierName(tier) << " t=" << t[i];
             }
         }
