@@ -16,7 +16,8 @@
 // latch outputs (normalized oscillator waveforms) and gates (weighted sums
 // with optional inversion and soft clipping — the signal-domain equivalent
 // of the breadboard's resistive-feedback op-amp gates).  One evaluator
-// computes them: Program, a dependency-sorted pass over the whole DAG.
+// computes them: Program, a level-by-level pass over the fan-in cone of the
+// signals a caller reads.
 
 #include <functional>
 #include <memory>
@@ -69,8 +70,9 @@ public:
                  double delayCycles = 0.0);
 
     /// Evaluate a signal at time t given the phases of all latches
-    /// (post-processing / decoding of gate outputs).  Builds a Program for
-    /// this one call; to sample many instants, build the Program once.
+    /// (post-processing / decoding of gate outputs).  Builds a Program over
+    /// this signal's cone for this one call; to sample many instants, build
+    /// the Program once.
     /// Throws std::invalid_argument unless dphi.size() == latchCount().
     double signalValue(SignalId id, double t, double f1, const num::Vec& dphi) const;
 
@@ -91,11 +93,16 @@ public:
     /// Integrate all latch phases over [t0, t1] with fixed-step RK4
     /// (`stepsPerCycle` steps per reference cycle resolves the fast-varying
     /// eq.-13 right-hand side).  Each RK stage evaluates the gate network
-    /// with one Program pass per distinct coupling delay, projects every
-    /// latch's inputs onto its PPV, and advances all phases as the lanes of
+    /// with one Program pass per distinct coupling delay, each Program built
+    /// over just the signals that delay's connections read; projects every
+    /// latch's inputs onto its PPV with one PpvModel::ppvMany call per
+    /// (model, unknown) lane set; and advances all phases as the lanes of
     /// num::BatchOde::rk4Lockstep, whose RK4 combinations run on the
     /// process-wide SIMD tier (numeric/simd/simd.hpp).  Stored points are t0,
-    /// every storeEvery-th step and the last step.
+    /// every storeEvery-th step and the last step.  ok is false when a stored
+    /// phase is non-finite (a NaN or inf from an external or a gate stays in
+    /// the phases up to the last point, which is always stored); the
+    /// trajectories are then empty.
     Result simulate(double f1, double t0, double t1, const num::Vec& dphi0,
                     std::size_t stepsPerCycle = 64, std::size_t storeEvery = 1) const;
 
@@ -105,35 +112,62 @@ public:
         return simulate(f1, t0, t1, dphi0, stepsPerCycle, storeEvery);
     }
 
-    /// Compiled evaluation program over the signal DAG: placeholder chains
-    /// collapsed, every signal placed in one dependency-sorted order, gate
-    /// fan-in read from a dense value array.  eval() computes all signals at
-    /// one (t, dphi) in a single pass, each signal exactly once, summing a
-    /// gate's fan-in in declaration order.
+    /// Compiled evaluator of the signal DAG over the fan-in cone of a set of
+    /// root signals.  Construction collapses placeholder chains and lays the
+    /// cone out by kind and DAG level in flat arrays:
+    ///   * the externals;
+    ///   * the latch-output lanes, cos(2 pi (theta_i - dphi_peak_i)) as one
+    ///     batch through the cos2pi kernel;
+    ///   * the gate levels, each gate's fan-in in CSR form over resolved
+    ///     signal ids with its weights in declaration order (the goldens pin
+    ///     the rounding that order gives), and each level's clipped gates as
+    ///     one batch through the tanh kernel;
+    ///   * the copies of root placeholders.
+    /// Both kernels run on the process-wide SIMD tier and give the same bits
+    /// on every tier (numeric/simd/simd.hpp).  eval() computes each cone
+    /// signal exactly once per call; signals outside the cone cost nothing.
     ///
     /// The Program borrows the PhaseSystem: it stays valid only while the
     /// system outlives it and no signals/latches are added.  Construction
-    /// throws std::logic_error if any placeholder is unbound.
+    /// throws std::logic_error if a placeholder in the cone is unbound and
+    /// std::out_of_range for a root id that names no signal.
     class Program {
     public:
+        /// Every signal of `sys`.
         explicit Program(const PhaseSystem& sys);
-        /// out[id] = value of signal id at time t; resized to signalCount().
-        /// dphi points at one phase per latch.
-        void eval(double t, double f1, const double* dphi, std::vector<double>& out) const;
-        /// As above; throws std::invalid_argument unless
-        /// dphi.size() == latchCount().
-        void eval(double t, double f1, const num::Vec& dphi, std::vector<double>& out) const {
-            if (dphi.size() != sys_->latchCount())
-                throw std::invalid_argument("PhaseSystem::Program::eval: dphi size mismatch");
-            eval(t, f1, dphi.data(), out);
-        }
-        /// Non-placeholder signal `id` ultimately resolves to.
-        SignalId resolved(SignalId id) const { return resolved_.at(static_cast<std::size_t>(id)); }
+        /// The signals `roots` read, and only those.
+        Program(const PhaseSystem& sys, const std::vector<SignalId>& roots);
+        /// out[id] = value of signal id at time t for every signal id in the
+        /// cone; out is resized to signalCount() and its other entries are
+        /// left as they were.  dphi points at one phase per latch.  `scratch`
+        /// is caller-owned working space of any size, so one const Program
+        /// serves any number of threads that each bring their own buffers.
+        void eval(double t, double f1, const double* dphi, std::vector<double>& out,
+                  std::vector<double>& scratch) const;
+        /// As above with scratch of its own; throws std::invalid_argument
+        /// unless dphi.size() == latchCount().
+        void eval(double t, double f1, const num::Vec& dphi, std::vector<double>& out) const;
 
     private:
+        /// A run of gates of one DAG level: [begin, clippedEnd) are clipped,
+        /// [clippedEnd, end) are not.
+        struct Level {
+            std::size_t begin, clippedEnd, end;
+        };
         const PhaseSystem* sys_;
-        std::vector<SignalId> resolved_;  ///< placeholder chains collapsed
-        std::vector<SignalId> order_;     ///< dependency-sorted evaluation order
+        std::vector<SignalId> externals_;
+        std::vector<std::size_t> laneLatch_;  ///< latch id of each output lane
+        std::vector<double> lanePeak_;        ///< its model's dphiPeak()
+        std::vector<SignalId> laneSignal_;    ///< its output signal id
+        std::vector<Level> levels_;
+        std::vector<SignalId> gateSignal_;  ///< per gate, level by level
+        std::vector<unsigned char> gateInvert_;
+        std::vector<double> gateClip_;
+        std::vector<std::size_t> fanInBegin_;  ///< CSR row starts, gates + 1
+        std::vector<SignalId> fanIn_;          ///< resolved input ids
+        std::vector<double> weight_;
+        std::vector<std::pair<SignalId, SignalId>> copies_;  ///< (placeholder, resolved target)
+        std::size_t scratchSize_ = 0;
     };
 
 private:

@@ -128,9 +128,9 @@ core::PhaseSystem::LatchId addFabricLatch(core::PhaseSystem& sys, const SyncLatc
     return latch;
 }
 
-/// Correlation decode of several signals at once: one Program pass per
-/// sample covers every decoded signal, so the cost is independent of how
-/// deep the gate cones are.  The per-signal arithmetic matches
+/// Correlation decode of several signals at once: one pass of a Program
+/// over their cones per sample covers every decoded signal.  The per-signal
+/// arithmetic matches
 /// decodeSignalBit (64 samples over one reference cycle against REF(1)).
 std::vector<int> decodeSignalsAt(const core::PhaseSystem::Program& prog,
                                  const PhaseReference& ref, double tCenter, const num::Vec& dphi,
@@ -253,7 +253,7 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
 std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res) {
     OBS_SPAN("fabric.decode");
-    const core::PhaseSystem::Program prog(fab.sys);
+    const core::PhaseSystem::Program prog(fab.sys, fab.outputSignals);
     std::vector<double> vals;
     std::vector<std::vector<int>> out;
     out.reserve(fab.slots);
@@ -265,8 +265,25 @@ std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
     return out;
 }
 
+namespace {
+
+/// The signals one FabricIdealSim step decodes: the outputs, then the
+/// flip-flop D nets (the bits the masters sample in the slot's second half).
+std::vector<SignalId> idealSimSignals(const CompiledFabric& fab) {
+    std::vector<SignalId> sigs = fab.outputSignals;
+    sigs.reserve(sigs.size() + fab.dffs.size());
+    for (const auto& dff : fab.netlist.dffs())
+        sigs.push_back(fab.netSignals[static_cast<std::size_t>(dff.d)]);
+    return sigs;
+}
+
+}  // namespace
+
 FabricIdealSim::FabricIdealSim(const CompiledFabric& fab)
-    : fab_(&fab), prog_(fab.sys), state_(fab.netlist.dffs().size(), 0) {}
+    : fab_(&fab),
+      sigs_(idealSimSignals(fab)),
+      prog_(fab.sys, sigs_),
+      state_(fab.netlist.dffs().size(), 0) {}
 
 std::vector<int> FabricIdealSim::step() {
     const CompiledFabric& fab = *fab_;
@@ -282,14 +299,9 @@ std::vector<int> FabricIdealSim::step() {
         dphi[static_cast<std::size_t>(fab.dffs[i].master)] = ph;
         dphi[static_cast<std::size_t>(fab.dffs[i].slave)] = ph;
     }
-    // One correlation pass decodes the outputs and the flip-flop D nets
-    // (the bits the masters will sample in this slot's second half).
-    std::vector<SignalId> sigs = fab.outputSignals;
-    sigs.reserve(sigs.size() + fab.dffs.size());
-    for (const auto& dff : fab.netlist.dffs())
-        sigs.push_back(fab.netSignals[static_cast<std::size_t>(dff.d)]);
+    // One correlation pass decodes the outputs and the flip-flop D nets.
     const std::vector<int> bits =
-        decodeSignalsAt(prog_, fab.ref, fab.decodeTime(slot_), dphi, sigs, vals_);
+        decodeSignalsAt(prog_, fab.ref, fab.decodeTime(slot_), dphi, sigs_, vals_);
     std::vector<int> out(bits.begin(), bits.begin() + static_cast<long>(fab.outputSignals.size()));
     for (std::size_t i = 0; i < state_.size(); ++i)
         state_[i] = bits[fab.outputSignals.size() + i];

@@ -89,8 +89,8 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
 
 /// Decode every clock slot of a finished transient: returns one bit vector
 /// per slot, aligned with netlist.outputs().  Signals are evaluated through
-/// a PhaseSystem::Program (one sparse pass per sample), so decoding deep
-/// gate cones stays linear in fabric size.
+/// a PhaseSystem::Program over the outputs' fan-in cone (one pass per
+/// sample), so decoding costs what the outputs read, not the whole fabric.
 std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res);
 
@@ -114,7 +114,8 @@ public:
 
 private:
     const CompiledFabric* fab_;
-    core::PhaseSystem::Program prog_;
+    std::vector<core::PhaseSystem::SignalId> sigs_;  // outputs, then the flip-flop D nets
+    core::PhaseSystem::Program prog_;                // over the cone of sigs_
     std::vector<int> state_;
     std::size_t slot_ = 0;
     std::vector<double> vals_;  // scratch: per-signal values at one sample

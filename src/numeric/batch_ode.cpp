@@ -177,9 +177,14 @@ OdeSolution BatchOde::rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, doubl
 
     const simd::Kernels& kr = simd::kernels(simd::resolveTier());
 
+    bool finite = true;
+    const auto store = [&](double t) {
+        sol.t.push_back(t);
+        sol.y.push_back(y_);
+        for (const double v : y_) finite = finite && std::isfinite(v);
+    };
     double t = t0;
-    sol.t.push_back(t);
-    sol.y.push_back(y_);
+    store(t);
     for (std::size_t i = 0; i < nSteps; ++i) {
         f(t, y_.data(), k1_.data(), lanes);
         kr.axpyLanes(y_.data(), k1_.data(), 0.5 * h, yt_.data(), lanes);
@@ -190,12 +195,9 @@ OdeSolution BatchOde::rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, doubl
         f(t + h, yt_.data(), k4_.data(), lanes);
         kr.rk4Combine(y_.data(), k1_.data(), k2_.data(), k3_.data(), k4_.data(), h, lanes);
         t = t0 + h * static_cast<double>(i + 1);
-        if ((i + 1) % storeEvery == 0 || i + 1 == nSteps) {
-            sol.t.push_back(t);
-            sol.y.push_back(y_);
-        }
+        if ((i + 1) % storeEvery == 0 || i + 1 == nSteps) store(t);
     }
-    sol.ok = true;
+    sol.ok = finite;
     PHLOGON_ADD_METRIC("batch.ode.lockstep.steps", nSteps);
     PHLOGON_ADD_METRIC("batch.ode.lockstep.lanes", lanes);
     PHLOGON_COUNT_METRIC("batch.ode.lockstep.solves");

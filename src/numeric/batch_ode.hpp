@@ -68,7 +68,9 @@ public:
     /// identical to num::rk4 on every SIMD tier
     /// (SimdBatchOde.Rk4LockstepSimdOnEqualsOff).  PhaseSystem::simulate
     /// runs on it.  Stored points are the initial point, every storeEvery-th
-    /// step, and the final step.
+    /// step, and the final step.  ok is false when a stored state has a
+    /// non-finite lane; a NaN or inf stays non-finite under the RK4 update,
+    /// so the always-stored final point catches one from any step.
     OdeSolution rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, double t0, double t1,
                             std::size_t nSteps, std::size_t storeEvery = 1);
 

@@ -1,5 +1,6 @@
-// AVX2 kernel tier: 4-wide double lanes with gathered table lookups and a
-// vectorized SplitMix64 + ziggurat fast path.
+// AVX2 kernel tier: 4-wide double lanes with gathered table lookups, a
+// vectorized SplitMix64 + ziggurat fast path and the cos2pi/tanh
+// polynomials.
 //
 // Bitwise contract (simd.hpp): every vector expression below performs the
 // SAME IEEE operations in the SAME order as the scalar kernel it replaces —
@@ -268,12 +269,81 @@ void normalFillAvx2(const ZigguratNormal& zig, SplitMix64* rngs, double* out,
     for (; l < lanes; ++l) out[l] = zig(rngs[l]);
 }
 
+constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+
+void cos2piAvx2(const double* u, double* out, std::size_t lanes) {
+    const __m256d signMask = _mm256_set1_pd(-0.0);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d minusOne = _mm256_set1_pd(-1.0);
+    std::size_t l = 0;
+    for (; l + 4 <= lanes; l += 4) {
+        const __m256d uv = _mm256_loadu_pd(u + l);
+        const __m256d r = _mm256_sub_pd(uv, _mm256_round_pd(uv, kNearest));
+        const __m256d k = _mm256_round_pd(_mm256_mul_pd(_mm256_set1_pd(4.0), r), kNearest);
+        const __m256d f = _mm256_sub_pd(r, _mm256_mul_pd(_mm256_set1_pd(0.25), k));
+        const __m256d z = _mm256_mul_pd(f, f);
+        __m256d c = _mm256_set1_pd(kCos2pi[kTrigDegree]);
+        __m256d s = _mm256_set1_pd(kSin2pi[kTrigDegree]);
+        for (int j = kTrigDegree - 1; j >= 0; --j) {
+            c = _mm256_add_pd(_mm256_set1_pd(kCos2pi[j]), _mm256_mul_pd(z, c));
+            s = _mm256_add_pd(_mm256_set1_pd(kSin2pi[j]), _mm256_mul_pd(z, s));
+        }
+        s = _mm256_mul_pd(f, s);
+        // The scalar select, innermost arm first: -c, then s at k = -1, -s at
+        // k = 1, c at k = 0 (a NaN k matches none and keeps -c).
+        __m256d v = _mm256_xor_pd(c, signMask);
+        v = _mm256_blendv_pd(v, s, _mm256_cmp_pd(k, minusOne, _CMP_EQ_OQ));
+        v = _mm256_blendv_pd(v, _mm256_xor_pd(s, signMask), _mm256_cmp_pd(k, one, _CMP_EQ_OQ));
+        v = _mm256_blendv_pd(v, c, _mm256_cmp_pd(k, zero, _CMP_EQ_OQ));
+        _mm256_storeu_pd(out + l, v);
+    }
+    if (l < lanes) cos2piScalar(u + l, out + l, lanes - l);
+}
+
+void tanhAvx2(const double* x, double* out, std::size_t lanes) {
+    const __m256d signMask = _mm256_set1_pd(-0.0);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d two = _mm256_set1_pd(2.0);
+    const __m256d saturate = _mm256_set1_pd(kTanhSaturate);
+    std::size_t l = 0;
+    for (; l + 4 <= lanes; l += 4) {
+        const __m256d xv = _mm256_loadu_pd(x + l);
+        const __m256d a = _mm256_andnot_pd(signMask, xv);
+        // Saturated and NaN lanes run the polynomial on 0 (k = 0 keeps the
+        // exponent build in range) and are overwritten below.
+        const __m256d inRange = _mm256_cmp_pd(a, saturate, _CMP_LT_OQ);
+        const __m256d y = _mm256_mul_pd(two, _mm256_and_pd(inRange, a));
+        const __m256d k = _mm256_round_pd(_mm256_mul_pd(y, _mm256_set1_pd(kInvLn2)), kNearest);
+        const __m256d r =
+            _mm256_sub_pd(_mm256_sub_pd(y, _mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi))),
+                          _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+        __m256d q = _mm256_set1_pd(kExpm1[kExpm1Terms - 1]);
+        for (int j = kExpm1Terms - 2; j >= 0; --j)
+            q = _mm256_add_pd(_mm256_set1_pd(kExpm1[j]), _mm256_mul_pd(r, q));
+        const __m256d p = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r), q));
+        // 2^k from its exponent bits (k is an integer in 0..58).
+        const __m256i kq = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(k));
+        const __m256d s = _mm256_castsi256_pd(
+            _mm256_slli_epi64(_mm256_add_epi64(kq, _mm256_set1_epi64x(1023)), 52));
+        const __m256d e = _mm256_add_pd(_mm256_mul_pd(s, p), _mm256_sub_pd(s, one));
+        __m256d t = _mm256_div_pd(e, _mm256_add_pd(e, two));
+        t = _mm256_blendv_pd(t, one, _mm256_cmp_pd(a, saturate, _CMP_GE_OQ));
+        t = _mm256_blendv_pd(t, a, _mm256_cmp_pd(a, a, _CMP_UNORD_Q));
+        // copysign(t, x)
+        _mm256_storeu_pd(out + l, _mm256_or_pd(_mm256_andnot_pd(signMask, t),
+                                               _mm256_and_pd(signMask, xv)));
+    }
+    if (l < lanes) tanhScalar(x + l, out + l, lanes - l);
+}
+
 }  // namespace
 
 const Kernels& avx2Kernels() {
     static const Kernels k = {Tier::Avx2,         &splineAffineAvx2, &rkStageAvx2,
                               &rkf45EmbeddedAvx2, &axpyLanesAvx2,    &rk4CombineAvx2,
-                              &normalFillAvx2,    &mcUpdateAvx2};
+                              &normalFillAvx2,    &mcUpdateAvx2,     &cos2piAvx2,
+                              &tanhAvx2};
     return k;
 }
 

@@ -119,10 +119,50 @@ void mcUpdateScalar(double* phi, const double* drift, double h, double sigmaSqrt
     for (std::size_t l = 0; l < lanes; ++l) phi[l] += drift[l] * h + sigmaSqrtH * z[l];
 }
 
+void cos2piScalar(const double* u, double* out, std::size_t lanes) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const double r = u[l] - std::nearbyint(u[l]);  // [-1/2, 1/2], exact
+        const double k = std::nearbyint(4.0 * r);      // quarter cycles, -2..2
+        const double f = r - 0.25 * k;                 // [-1/8, 1/8], exact
+        const double z = f * f;
+        double c = kCos2pi[kTrigDegree];
+        double s = kSin2pi[kTrigDegree];
+        for (int j = kTrigDegree - 1; j >= 0; --j) {
+            c = kCos2pi[j] + z * c;
+            s = kSin2pi[j] + z * s;
+        }
+        s = f * s;
+        // cos(2 pi (f + k/4)); a NaN k (u = NaN or +-inf) takes the last arm.
+        out[l] = k == 0.0 ? c : k == 1.0 ? -s : k == -1.0 ? s : -c;
+    }
+}
+
+void tanhScalar(const double* x, double* out, std::size_t lanes) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const double a = std::fabs(x[l]);
+        double t;
+        if (a < kTanhSaturate) {
+            const double y = 2.0 * a;
+            const double k = std::nearbyint(y * kInvLn2);  // 0..58
+            const double r = (y - k * kLn2Hi) - k * kLn2Lo;
+            double q = kExpm1[kExpm1Terms - 1];
+            for (int j = kExpm1Terms - 2; j >= 0; --j) q = kExpm1[j] + r * q;
+            const double p = r + (r * r) * q;                       // expm1(r)
+            const double s = std::ldexp(1.0, static_cast<int>(k));  // 2^k, exact
+            const double e = s * p + (s - 1.0);                     // expm1(2a)
+            t = e / (e + 2.0);
+        } else {
+            t = a >= kTanhSaturate ? 1.0 : a;  // a NaN stays NaN
+        }
+        out[l] = std::copysign(t, x[l]);
+    }
+}
+
 const Kernels& scalarKernels() {
     static const Kernels k = {Tier::Scalar,        &splineAffineScalar, &rkStageScalar,
                               &rkf45EmbeddedScalar, &axpyLanesScalar,   &rk4CombineScalar,
-                              &normalFillScalar,    &mcUpdateScalar};
+                              &normalFillScalar,    &mcUpdateScalar,    &cos2piScalar,
+                              &tanhScalar};
     return k;
 }
 

@@ -98,6 +98,23 @@ struct Kernels {
     /// Euler-Maruyama update: phi[l] += drift[l]*h + sigmaSqrtH*z[l].
     void (*mcUpdate)(double* phi, const double* drift, double h, double sigmaSqrtH,
                      const double* z, std::size_t lanes);
+
+    /// out[l] = cos(2*pi*u[l]), u in cycles.  u is reduced exactly to
+    /// f = u - n - k/4 in [-1/8, 1/8] (n the nearest integer, k the nearest
+    /// quarter), then cos or sin of 2*pi*f comes from its Taylor polynomial
+    /// in f (degrees 16 and 17), so the error does not grow with |u| the way
+    /// std::cos(2*pi*u) does once 2*pi*u is rounded.  Absolute error below
+    /// 1e-15 (measured: tests/numeric/test_simd.cpp); integer, half- and
+    /// quarter-cycle u give exactly 1, -1 and +-0; +-inf and NaN give NaN.
+    /// out may alias u.
+    void (*cos2pi)(const double* u, double* out, std::size_t lanes);
+
+    /// out[l] = tanh(x[l]) = copysign(e / (e + 2), x) with e = expm1(2|x|):
+    /// a Cody-Waite reduction by ln 2 and a degree-13 Taylor polynomial of
+    /// expm1.  Relative error below 1e-15 (measured: test_simd.cpp); +-0
+    /// keeps its sign, |x| >= 20 and +-inf give +-1, NaN gives NaN.  out may
+    /// alias x.
+    void (*tanh)(const double* x, double* out, std::size_t lanes);
 };
 
 /// Cached kernel table for `tier`, clamped to detectedTier().

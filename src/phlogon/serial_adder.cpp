@@ -93,7 +93,7 @@ num::Vec dphiAt(const core::PhaseSystem::Result& res, double t) {
 int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId sig,
                     const PhaseReference& ref, double tCenter, const num::Vec& dphiAtT) {
     // Correlate one reference cycle of the signal against REF(bit=1).
-    const core::PhaseSystem::Program prog(sys);
+    const core::PhaseSystem::Program prog(sys, {sig});
     std::vector<double> values;
     const double t1cyc = 1.0 / ref.f1;
     const std::size_t n = 64;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/osc_fixture.hpp"
@@ -251,6 +252,96 @@ TEST(PhaseSystem, RepeatedSimulationsAreBitwiseReproducible) {
     ASSERT_EQ(r1.t.size(), r2.t.size());
     for (std::size_t i = 0; i < r1.t.size(); ++i)
         EXPECT_EQ(r1.dphi[0][i], r2.dphi[0][i]);
+}
+
+TEST(PhaseSystem, NonFinitePhaseFailsTheRun) {
+    // The drive turns NaN after three cycles; the phase it drives stays NaN
+    // from then on, so the run must fail rather than return NaN phases with
+    // ok set.  Storing only every 1000th step still sees it in the last point.
+    PhaseSystem sys;
+    const auto latch = sys.addLatch(model(), "osc");
+    const double f1 = testutil::kF1;
+    const double tBad = 3.0 / f1;
+    const auto drive = sys.addExternal(
+        [f1, tBad](double t) {
+            return t < tBad ? 100e-6 * std::cos(kTwoPi * 2.0 * f1 * t)
+                            : std::numeric_limits<double>::quiet_NaN();
+        },
+        "drive");
+    sys.connect(latch, injNode(), drive, 1.0);
+    EXPECT_TRUE(sys.simulate(f1, 0.0, 2.0 / f1, num::Vec{0.1}).ok);
+    const auto r = sys.simulate(f1, 0.0, 10.0 / f1, num::Vec{0.1}, 64, 1000);
+    EXPECT_FALSE(r.ok);
+}
+
+TEST(PhaseSystem, DelayGroupEvaluatesOnlyItsCone) {
+    // SYNC drives the latch directly (the delay-0 group); the data external
+    // reaches it only through a gate on a delayed connection.  Each group's
+    // pass evaluates just the signals its connections read, so every
+    // external runs once per RK stage: 4 times per step.
+    PhaseSystem sys;
+    const auto latch = sys.addLatch(model(), "osc");
+    const double f1 = testutil::kF1;
+    std::size_t syncCalls = 0, dataCalls = 0;
+    const auto sync = sys.addExternal(
+        [&syncCalls, f1](double t) {
+            ++syncCalls;
+            return 100e-6 * std::cos(kTwoPi * 2.0 * f1 * t);
+        },
+        "sync");
+    const auto data = sys.addExternal(
+        [&dataCalls, f1](double t) {
+            ++dataCalls;
+            return std::cos(kTwoPi * f1 * t);
+        },
+        "data");
+    const auto gate = sys.addGate({{data, 1.0}, {sys.latchOutput(latch), 0.5}}, false, 1.0);
+    sys.connect(latch, injNode(), sync, 1.0);
+    sys.connect(latch, injNode(), gate, 20e-6, 0.25);
+    const auto r = sys.simulate(f1, 0.0, 5.0 / f1, num::Vec{0.1});
+    ASSERT_TRUE(r.ok);
+    const std::size_t steps = r.t.size() - 1;
+    EXPECT_EQ(syncCalls, 4 * steps);
+    EXPECT_EQ(dataCalls, 4 * steps);
+}
+
+TEST(PhaseSystem, ConeProgramMatchesFullProgram) {
+    // Three gate levels over two latches, clipped and unclipped and inverted
+    // gates in one level, and a placeholder root.  The Program over the
+    // cone of {g3, ph} gives the full Program's bits on every cone signal
+    // and leaves the rest of `out` alone.
+    PhaseSystem sys;
+    const auto o0 = sys.latchOutput(sys.addLatch(model(), "l0"));
+    const auto o1 = sys.latchOutput(sys.addLatch(model(), "l1"));
+    const auto a = sys.addExternal([](double t) { return 0.3 + t; });
+    const auto b = sys.addExternal([](double t) { return -0.8 * t; });
+    const auto ph = sys.addPlaceholder("ph");
+    const auto g1 = sys.addGate({{a, 0.7}, {o0, -1.3}}, false, 0.8);
+    const auto g2 = sys.addGate({{b, 0.4}, {o1, 2.0}}, true, 0.0);
+    const auto g3 = sys.addGate({{g1, 1.0}, {ph, 0.5}, {g2, -0.25}}, true, 0.6);
+    const auto g4 = sys.addGate({{g3, 1.1}, {a, 0.3}});
+    sys.bindPlaceholder(ph, g2);
+
+    const PhaseSystem::Program full(sys);
+    const PhaseSystem::Program cone(sys, {g3, ph});
+    const num::Vec dphi{0.13, 0.61};
+    const double sentinel = 12345.0;
+    for (const double t : {0.0, 0.37, 1.9}) {
+        std::vector<double> want(sys.signalCount(), sentinel), got(sys.signalCount(), sentinel);
+        full.eval(t, 1.0, dphi, want);
+        cone.eval(t, 1.0, dphi, got);
+        for (const auto id : {o0, o1, a, b, ph, g1, g2, g3}) {
+            EXPECT_NE(want[static_cast<std::size_t>(id)], sentinel);
+            EXPECT_EQ(got[static_cast<std::size_t>(id)], want[static_cast<std::size_t>(id)])
+                << "signal " << id << " t=" << t;
+        }
+        EXPECT_EQ(got[static_cast<std::size_t>(g4)], sentinel);
+        EXPECT_NEAR(want[static_cast<std::size_t>(g4)], 1.1 * want[static_cast<std::size_t>(g3)] + 0.3 * (0.3 + t), 1e-15);
+        EXPECT_NEAR(want[static_cast<std::size_t>(g1)],
+                    0.8 * std::tanh((0.7 * (0.3 + t) - 1.3 * want[static_cast<std::size_t>(o0)]) / 0.8),
+                    1e-15);
+        EXPECT_EQ(want[static_cast<std::size_t>(ph)], want[static_cast<std::size_t>(g2)]);
+    }
 }
 
 TEST(PhaseSystem, TwoLatchesIndependentWhenUncoupled) {

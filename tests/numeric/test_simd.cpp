@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "numeric/batch_ode.hpp"
@@ -21,6 +22,8 @@ using num::simd::Kernels;
 using num::simd::Tier;
 
 namespace {
+
+constexpr long double kPiL = 3.141592653589793238462643383279502884L;
 
 // Deterministic but irregular test doubles in [lo, hi).
 std::vector<double> fill(std::size_t n, double lo, double hi, std::uint64_t seed) {
@@ -261,6 +264,149 @@ TEST(SimdParity, McUpdateAllTiers) {
                 EXPECT_EQ(ref[l], phi[l]) << num::simd::tierName(tier) << " l=" << l;
         }
     }
+}
+
+namespace {
+
+// Same bits, or both NaN (tiers may return different NaN payloads).
+bool sameBits(double a, double b) {
+    if (std::isnan(a) && std::isnan(b)) return true;
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+using UnaryKernel = void (*)(const double*, double*, std::size_t);
+
+// Every tier against the scalar tier, bit for bit, out of place and in
+// place.
+void expectTiersAgree(UnaryKernel Kernels::*kernel, const std::vector<double>& in) {
+    const std::size_t n = in.size();
+    std::vector<double> ref(n, -7.0);
+    (num::simd::kernels(Tier::Scalar).*kernel)(in.data(), ref.data(), n);
+    for (Tier tier : tiersToTest()) {
+        std::vector<double> out(n, 99.0);
+        (num::simd::kernels(tier).*kernel)(in.data(), out.data(), n);
+        std::vector<double> inPlace = in;
+        (num::simd::kernels(tier).*kernel)(inPlace.data(), inPlace.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(sameBits(ref[i], out[i]))
+                << num::simd::tierName(tier) << " n=" << n << " lane=" << i << " in=" << in[i];
+            EXPECT_TRUE(sameBits(ref[i], inPlace[i]))
+                << num::simd::tierName(tier) << " in place, n=" << n << " lane=" << i;
+        }
+    }
+}
+
+struct Special {
+    double in, want;  ///< want NaN: any NaN; want 0: +0 or -0
+};
+
+// Each case at every lane position of a 4-wide group (four rotations of a
+// batch padded to a multiple of 4), so the vector path meets every case.
+void expectSpecials(UnaryKernel Kernels::*kernel, std::vector<Special> cases) {
+    for (std::size_t i = 0; cases.size() % 4 != 0; ++i) cases.push_back(cases[i]);
+    const std::size_t n = cases.size();
+    for (std::size_t rot = 0; rot < 4; ++rot) {
+        std::vector<double> in(n), out(n);
+        for (std::size_t i = 0; i < n; ++i) in[i] = cases[(i + rot) % n].in;
+        expectTiersAgree(kernel, in);
+        for (Tier tier : tiersToTest()) {
+            (num::simd::kernels(tier).*kernel)(in.data(), out.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double want = cases[(i + rot) % n].want;
+                if (std::isnan(want))
+                    EXPECT_TRUE(std::isnan(out[i])) << num::simd::tierName(tier) << " in=" << in[i];
+                else
+                    EXPECT_EQ(out[i], want) << num::simd::tierName(tier) << " in=" << in[i];
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(SimdParity, Cos2piAllTiers) {
+    for (std::size_t n = 0; n <= 9; ++n)
+        expectTiersAgree(&Kernels::cos2pi, fill(n, -3.0, 3.0, 50 + n));
+    expectTiersAgree(&Kernels::cos2pi, fill(1000, -1e4, 1e4, 51));
+
+    // Integers give 1, half cycles -1, quarter cycles +-0, up to |u| = 2^53
+    // (where every double is an integer); +-inf and NaN give NaN.
+    const double p50 = std::ldexp(1.0, 50), p51 = std::ldexp(1.0, 51);
+    const double p52 = std::ldexp(1.0, 52), p53 = std::ldexp(1.0, 53);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expectSpecials(&Kernels::cos2pi,
+                   {{0.0, 1.0},          {-0.0, 1.0},         {3.0, 1.0},
+                    {-123456.0, 1.0},    {p52 + 1.0, 1.0},    {p53 - 1.0, 1.0},
+                    {p53, 1.0},          {-p53, 1.0},         {0.5, -1.0},
+                    {-0.5, -1.0},        {1.5, -1.0},         {-3.5, -1.0},
+                    {p51 + 0.5, -1.0},   {-p51 - 0.5, -1.0},  {0.25, 0.0},
+                    {0.75, 0.0},         {-0.25, 0.0},        {-1.75, 0.0},
+                    {p50 + 0.25, 0.0},   {-p50 - 0.75, 0.0},  {inf, nan},
+                    {-inf, nan},         {nan, nan}});
+
+    // Absolute error against long double on 10^5 seeded u in [-1e4, 1e4]:
+    // measured max 1.47e-16 (std::cos(2 pi u) reaches 6e-12 there, as 2 pi u
+    // is rounded before the cosine).
+    const std::vector<double> u = fill(100000, -1e4, 1e4, 52);
+    std::vector<double> out(u.size());
+    num::simd::kernels(num::simd::resolveTier()).cos2pi(u.data(), out.data(), u.size());
+    double worst = 0.0;
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        const long double r = static_cast<long double>(u[i] - std::nearbyint(u[i]));  // exact
+        const long double want = std::cos(2.0L * kPiL * r);
+        const double err = static_cast<double>(std::fabs(out[i] - want));
+        if (!(err <= worst)) worst = err;  // a NaN sticks and fails below
+    }
+    EXPECT_LE(worst, 1e-15);
+    RecordProperty("max_abs_error", testing::PrintToString(worst));
+}
+
+TEST(SimdParity, TanhAllTiers) {
+    for (std::size_t n = 0; n <= 9; ++n)
+        expectTiersAgree(&Kernels::tanh, fill(n, -3.0, 3.0, 60 + n));
+    expectTiersAgree(&Kernels::tanh, fill(1000, -25.0, 25.0, 61));
+
+    // |x| >= 20 and +-inf saturate to +-1; NaN stays NaN (a plain
+    // min(|x|, 20) would map it to 1).
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expectSpecials(&Kernels::tanh, {{20.0, 1.0},
+                                    {-20.0, -1.0},
+                                    {std::nextafter(20.0, 0.0), 1.0},
+                                    {1e300, 1.0},
+                                    {-1e300, -1.0},
+                                    {inf, 1.0},
+                                    {-inf, -1.0},
+                                    {nan, nan},
+                                    {0.0, 0.0},
+                                    {-0.0, 0.0}});
+    // Signed zeros keep their sign on every tier.
+    for (Tier tier : tiersToTest()) {
+        const std::vector<double> zeros = {0.0, -0.0, 0.0, -0.0, -0.0};
+        std::vector<double> out(zeros.size(), 1.0);
+        num::simd::kernels(tier).tanh(zeros.data(), out.data(), zeros.size());
+        for (std::size_t i = 0; i < zeros.size(); ++i) {
+            EXPECT_EQ(out[i], 0.0) << num::simd::tierName(tier);
+            EXPECT_EQ(std::signbit(out[i]), std::signbit(zeros[i])) << num::simd::tierName(tier);
+        }
+    }
+
+    // Relative error against long double on 10^5 seeded x in [-40, 40] and
+    // 10^5 in [-1, 1]: measured max 3.29e-16.
+    double worst = 0.0;
+    for (const double range : {40.0, 1.0}) {
+        const std::vector<double> x = fill(100000, -range, range, 62);
+        std::vector<double> out(x.size());
+        num::simd::kernels(num::simd::resolveTier()).tanh(x.data(), out.data(), x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const long double want = std::tanh(static_cast<long double>(x[i]));
+            const double err = static_cast<double>(std::fabs((out[i] - want) / want));
+            if (!(err <= worst)) worst = err;  // a NaN sticks and fails below
+        }
+    }
+    EXPECT_LE(worst, 1e-15);
+    RecordProperty("max_rel_error", testing::PrintToString(worst));
 }
 
 namespace {
