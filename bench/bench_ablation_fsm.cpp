@@ -16,8 +16,9 @@
 
 #include "common.hpp"
 #include "core/gae_sweep.hpp"
-#include "phlogon/flipflop.hpp"
-#include "phlogon/serial_adder.hpp"
+#include "logic/compile.hpp"
+#include "logic/workloads.hpp"
+#include "phlogon/golden.hpp"
 
 using namespace phlogon;
 
@@ -29,17 +30,13 @@ std::pair<int, int> dffScore(const logic::SyncLatchDesign& d,
     const auto& ref = d.reference;
     const double bitT = 50.0 / d.f1;
     const logic::Bits dBits{1, 0, 1, 1, 0};
-    logic::Bits clkBits, clkBarBits;
-    for (std::size_t i = 0; i < dBits.size(); ++i) {
-        clkBits.push_back(0);
-        clkBits.push_back(1);
-    }
-    for (int b : clkBits) clkBarBits.push_back(logic::notBit(b));
+    const logic::Bits clkBits = logic::clockBits(dBits.size());
 
     core::PhaseSystem sys;
     const auto dSig = sys.addExternal(logic::dataSignal(ref, dBits, bitT));
     const auto clk = sys.addExternal(logic::dataSignal(ref, clkBits, bitT / 2.0));
-    const auto clkBar = sys.addExternal(logic::dataSignal(ref, clkBarBits, bitT / 2.0));
+    const auto clkBar =
+        sys.addExternal(logic::dataSignal(ref, logic::invertBits(clkBits), bitT / 2.0));
     // Inject the calibration error by biasing the design's coupling shift:
     // addPhaseDLatch reads signalCouplingShift() from the design, so emulate
     // the error by shifting the D input itself.
@@ -48,8 +45,7 @@ std::pair<int, int> dffScore(const logic::SyncLatchDesign& d,
             ? sys.addExternal([f = logic::dataSignal(ref, dBits, bitT), e = couplingErrorCycles,
                                f1 = d.f1](double t) { return f(t - e / f1); })
             : dSig;
-    const auto ff = logic::addPhaseDff(sys, d, dShifted, clk, clkBar, lo);
-    (void)ff;
+    logic::addPhaseDff(sys, d, logic::addPhaseLatchBus(sys, d), dShifted, clk, clkBar, lo);
     const auto res = sys.simulate(d.f1, 0.0, dBits.size() * bitT,
                                   num::Vec{ref.phase0 + 0.02, ref.phase0 + 0.02}, 64, 16);
     if (!res.ok) return {0, static_cast<int>(2 * dBits.size() - 1)};
@@ -83,28 +79,26 @@ int main() {
     std::printf("  W \\ sync |  100uA  200uA  300uA\n");
     std::printf("  ---------+----------------------\n");
     const logic::Bits aBits{0, 1, 1, 1, 1}, bBits{0, 1, 0, 0, 0};  // carry chain
+    std::vector<std::vector<int>> slots;
+    for (std::size_t k = 0; k < aBits.size(); ++k) slots.push_back({aBits[k], bBits[k]});
     for (double w : {1.0, 2.0, 4.0, 8.0}) {
         std::printf("  %8.0f |", w);
         for (double sync : {100e-6, 200e-6, 300e-6}) {
             const auto d =
                 logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, sync);
-            core::PhaseSystem sys;
-            logic::SerialAdderOptions opt;
+            logic::FabricCompileOptions opt;
             opt.latch.clockWeight = w;
-            const auto adder = logic::buildPhaseSerialAdder(sys, d, aBits, bBits, opt);
-            const auto res = sys.simulate(
-                d.f1, 0.0, aBits.size() * adder.bitPeriod,
-                num::Vec{d.reference.phase0 + 0.02, d.reference.phase0 + 0.02}, 64, 16);
+            const auto fab = logic::compileFabric(logic::serialAdder(), d, slots, opt);
+            const auto res = fab.sys.simulate(d.f1, 0.0, fab.tEnd(), fab.initialDphi, 64, 16);
             int errs = 2 * static_cast<int>(aBits.size());
             if (res.ok) {
-                const auto [sums, couts] =
-                    logic::decodeSerialAdderRun(sys, adder, res, d.reference);
+                const auto decoded = logic::decodeFabricRun(fab, res);  // {sum, cout}
                 logic::Bits gc;
                 const logic::Bits gs = logic::goldenSerialAdd(aBits, bBits, 0, &gc);
                 errs = 0;
                 for (std::size_t k = 0; k < aBits.size(); ++k) {
-                    errs += sums[k] != gs[k];
-                    errs += couts[k] != gc[k];
+                    errs += decoded[k][0] != gs[k];
+                    errs += decoded[k][1] != gc[k];
                 }
             }
             std::printf("  %2d/10", errs);

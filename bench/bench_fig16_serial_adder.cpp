@@ -9,7 +9,9 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "phlogon/serial_adder.hpp"
+#include "logic/compile.hpp"
+#include "logic/workloads.hpp"
+#include "phlogon/golden.hpp"
 
 using namespace phlogon;
 
@@ -21,18 +23,15 @@ int main() {
     // majority-gate residue disturbances (see PhaseDLatchOptions).
     const auto design =
         logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, 300e-6);
-    const auto& ref = design.reference;
 
     // LSB-first a = b = 101, preceded by a reset slot (a=b=0 forces the
     // carry to a known value).
     const logic::Bits a{0, 1, 0, 1}, b{0, 1, 0, 1};
 
-    core::PhaseSystem sys;
-    logic::SerialAdderOptions opt;
-    const auto adder = logic::buildPhaseSerialAdder(sys, design, a, b, opt);
-    const double tEnd = a.size() * adder.bitPeriod;
-    const auto res = sys.simulate(design.f1, 0.0, tEnd,
-                                  num::Vec{ref.phase0 + 0.02, ref.phase0 + 0.02}, 64, 8);
+    std::vector<std::vector<int>> slots;
+    for (std::size_t k = 0; k < a.size(); ++k) slots.push_back({a[k], b[k]});
+    const auto fab = logic::compileFabric(logic::serialAdder(), design, slots);
+    const auto res = fab.sys.simulate(design.f1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     if (!res.ok) {
         std::printf("simulation failed\n");
         return 1;
@@ -42,24 +41,25 @@ int main() {
                      "dphi (cycles)");
     num::Vec x(res.t.size()), q1(res.t.size()), q2(res.t.size());
     for (std::size_t i = 0; i < res.t.size(); ++i) {
-        x[i] = res.t[i] / adder.bitPeriod;
-        q1[i] = num::wrap01(res.dphi[0][i]);
-        q2[i] = num::wrap01(res.dphi[1][i]);
+        x[i] = res.t[i] / fab.bitPeriod;
+        q1[i] = num::wrap01(res.dphi[static_cast<std::size_t>(fab.dffs[0].master)][i]);
+        q2[i] = num::wrap01(res.dphi[static_cast<std::size_t>(fab.dffs[0].slave)][i]);
     }
     chart.add("Q1 (master)", x, q1);
     chart.add("Q2 (slave/carry)", x, q2);
     bench::showChart(chart, "fig16_serial_adder");
 
-    const auto [sums, couts] = logic::decodeSerialAdderRun(sys, adder, res, ref);
+    const auto decoded = logic::decodeFabricRun(fab, res);  // {sum, cout} per slot
     logic::Bits gc;
     const logic::Bits gs = logic::goldenSerialAdd(a, b, 0, &gc);
     std::printf("slot | a b | sum cout | golden\n");
     std::printf("-----+-----+----------+-------\n");
     bool allOk = true;
     for (std::size_t k = 0; k < a.size(); ++k) {
-        std::printf("%4zu | %d %d |  %d   %d   |  %d %d\n", k, a[k], b[k], sums[k], couts[k],
-                    gs[k], gc[k]);
-        allOk = allOk && sums[k] == gs[k] && couts[k] == gc[k];
+        const int sum = decoded[k][0], cout = decoded[k][1];
+        std::printf("%4zu | %d %d |  %d   %d   |  %d %d\n", k, a[k], b[k], sum, cout, gs[k],
+                    gc[k]);
+        allOk = allOk && sum == gs[k] && cout == gc[k];
     }
     std::printf("\n");
     bench::paperVsMeasured("serial adder computes a+b correctly", "yes (scope traces)",

@@ -35,6 +35,8 @@
 #include "core/gae_transient.hpp"
 #include "core/noise.hpp"
 #include "io/model_cache.hpp"
+#include "logic/compile.hpp"
+#include "logic/workloads.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/parallel.hpp"
@@ -486,11 +488,9 @@ void BM_AdderPhaseSystemPerSlot(benchmark::State& state) {
     const auto& osc = bench::osc1n1p();
     static const auto design =
         logic::designSyncLatch(osc.model(), osc.outputUnknown(), bench::kF1, 300e-6);
-    core::PhaseSystem sys;
-    const auto adder = logic::buildPhaseSerialAdder(sys, design, {0, 1}, {0, 1});
-    const num::Vec dphi0{design.reference.phase0 + 0.02, design.reference.phase0 + 0.02};
+    const auto fab = logic::compileFabric(logic::serialAdder(), design, {{0, 0}, {1, 1}});
     for (auto _ : state) {
-        const auto r = sys.simulate(design.f1, 0.0, adder.bitPeriod, dphi0, 64, 16);
+        const auto r = fab.sys.simulate(design.f1, 0.0, fab.bitPeriod, fab.initialDphi, 64, 16);
         benchmark::DoNotOptimize(r.ok);
     }
 }

@@ -7,9 +7,9 @@
 
 #include <cstdio>
 
+#include "phlogon/encoding.hpp"
 #include "phlogon/flipflop.hpp"
 #include "phlogon/gates.hpp"
-#include "phlogon/serial_adder.hpp"
 
 using namespace phlogon;
 
@@ -24,35 +24,31 @@ int main() {
     core::PhaseSystem sys;
     // Clock: 0 in the first half of each tick (slaves transfer), 1 in the
     // second (masters sample).
-    logic::Bits clkBits;
-    for (std::size_t i = 0; i < nTicks; ++i) {
-        clkBits.push_back(0);
-        clkBits.push_back(1);
-    }
-    logic::Bits clkBarBits;
-    for (int b : clkBits) clkBarBits.push_back(logic::notBit(b));
+    const logic::Bits clkBits = logic::clockBits(nTicks);
     const auto clk = sys.addExternal(logic::dataSignal(ref, clkBits, slot / 2.0), "clk");
-    const auto clkBar = sys.addExternal(logic::dataSignal(ref, clkBarBits, slot / 2.0), "clkb");
+    const auto clkBar =
+        sys.addExternal(logic::dataSignal(ref, logic::invertBits(clkBits), slot / 2.0), "clkb");
+    // SYNC, the constant levels and the model, shared by all four latches.
+    const auto bus = logic::addPhaseLatchBus(sys, design);
 
     // Bit 0: D0 = ~Q0 (toggle every tick).
     const auto d0Fwd = sys.addPlaceholder("d0");
-    const auto ff0 = logic::addPhaseDff(sys, design, d0Fwd, clk, clkBar, {}, "bit0");
+    const auto ff0 = logic::addPhaseDff(sys, design, bus, d0Fwd, clk, clkBar, {}, "bit0");
     sys.bindPlaceholder(d0Fwd, logic::addNotGate(sys, ff0.q2, "notQ0"));
 
     // Bit 1: D1 = Q1 XOR Q0 = MAJ(Q1, Q0, ~AND(Q1,Q0) x2)
     //       with AND(a,b) = MAJ(a, b, const0).
     const auto d1Fwd = sys.addPlaceholder("d1");
-    const auto ff1 = logic::addPhaseDff(sys, design, d1Fwd, clk, clkBar, {}, "bit1");
-    const auto const0 = sys.addExternal(ref.refSignal(0), "const0");
+    const auto ff1 = logic::addPhaseDff(sys, design, bus, d1Fwd, clk, clkBar, {}, "bit1");
     const auto andQ = logic::addMajorityGate(
-        sys, {{ff1.q2, 1.0}, {ff0.q2, 1.0}, {const0, 1.0}}, 0.5, "and(Q1,Q0)");
+        sys, {{ff1.q2, 1.0}, {ff0.q2, 1.0}, {bus.const0, 1.0}}, 0.5, "and(Q1,Q0)");
     const auto nand = logic::addNotGate(sys, andQ, "nand");
     const auto nandUnit = logic::addUnitNormalizer(sys, nand, 1.0, 0.5, "nand.norm");
     // XOR(a,b) = MAJ5(a, b, 0, ~AND(a,b), ~AND(a,b)) — the const-0 input is
     // required; without it the a=b=0 case ties.
     sys.bindPlaceholder(
         d1Fwd, logic::addMajorityGate(
-                   sys, {{ff1.q2, 1.0}, {ff0.q2, 1.0}, {const0, 1.0}, {nandUnit, 2.0}}, 0.5,
+                   sys, {{ff1.q2, 1.0}, {ff0.q2, 1.0}, {bus.const0, 1.0}, {nandUnit, 2.0}}, 0.5,
                    "xor"));
 
     // Start at 00.

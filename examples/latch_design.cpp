@@ -80,7 +80,8 @@ int main() {
                 const auto ck = sys.addExternal(logic::dataSignal(ref, {clkBit}, 1.0));
                 const auto ckB =
                     sys.addExternal(logic::dataSignal(ref, {logic::notBit(clkBit)}, 1.0));
-                logic::addPhaseDLatch(sys, fsmDesign, dSig, ck, ckB);
+                logic::addPhaseDLatch(sys, fsmDesign, logic::addPhaseLatchBus(sys, fsmDesign),
+                                      dSig, ck, ckB);
                 const auto r = sys.simulate(f1, 0.0, 50.0 / f1,
                                             num::Vec{ref.phaseForBit(q0) + 0.02});
                 const int q = ref.decode(r.dphi[0].back());

@@ -10,26 +10,12 @@
 
 #include "core/gae_sweep.hpp"
 #include "core/gae_transient.hpp"
+#include "logic/compile.hpp"
+#include "logic/workloads.hpp"
 #include "obs/report.hpp"
-#include "phlogon/serial_adder.hpp"
+#include "phlogon/encoding.hpp"
 
 using namespace phlogon;
-
-namespace {
-
-logic::Bits toBitsLsbFirst(unsigned v, std::size_t width) {
-    logic::Bits b;
-    for (std::size_t k = 0; k < width; ++k) b.push_back((v >> k) & 1);
-    return b;
-}
-
-unsigned fromBits(const logic::Bits& b) {
-    unsigned v = 0;
-    for (std::size_t k = 0; k < b.size(); ++k) v |= static_cast<unsigned>(b[k]) << k;
-    return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     const unsigned A = argc > 1 ? std::strtoul(argv[1], nullptr, 0) : 11;
@@ -75,35 +61,40 @@ int main(int argc, char** argv) {
     // Bit streams, LSB first, with a leading reset slot (a=b=0 forces the
     // carry to 0 regardless of the machine's wake-up state).
     logic::Bits a{0}, b{0};
-    for (int bit : toBitsLsbFirst(A, width)) a.push_back(bit);
-    for (int bit : toBitsLsbFirst(B, width)) b.push_back(bit);
+    for (int bit : logic::toBits(A, width)) a.push_back(bit);
+    for (int bit : logic::toBits(B, width)) b.push_back(bit);
 
     std::printf("adding %u + %u on the phase-logic serial adder (%zu bit slots at %.0f\n"
                 "reference cycles each, f1 = %.2f kHz)...\n",
-                A, B, a.size(), logic::SerialAdderOptions{}.bitPeriodCycles, ref.f1 / 1e3);
+                A, B, a.size(), logic::FabricCompileOptions{}.bitPeriodCycles, ref.f1 / 1e3);
 
-    core::PhaseSystem sys;
-    const auto adder = logic::buildPhaseSerialAdder(sys, design, a, b);
-    const auto res = sys.simulate(ref.f1, 0.0, a.size() * adder.bitPeriod,
-                                  num::Vec{ref.phase0 + 0.02, ref.phase0 + 0.02}, 64, 8);
+    // The adder netlist (logic/workloads.hpp) lowered onto phase logic: one
+    // (a, b) input vector per bit slot.
+    std::vector<std::vector<int>> slots;
+    for (std::size_t k = 0; k < a.size(); ++k) slots.push_back({a[k], b[k]});
+    const auto fab = logic::compileFabric(logic::serialAdder(), design, slots);
+    const auto res = fab.sys.simulate(ref.f1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     if (!res.ok) {
         std::printf("simulation failed\n");
         return 1;
     }
 
-    const auto [sums, couts] = logic::decodeSerialAdderRun(sys, adder, res, ref);
+    const auto decoded = logic::decodeFabricRun(fab, res);  // {sum, cout} per slot
+    const auto& carry = fab.dffs[0];
+    logic::Bits sumBits;
     std::printf("\nslot | a b | sum cout | carry trace (Q1, Q2 phases at slot end)\n");
     for (std::size_t k = 0; k < a.size(); ++k) {
-        const auto ph = logic::dphiAt(res, (static_cast<double>(k) + 0.95) * adder.bitPeriod);
-        std::printf("%4zu | %d %d |  %d   %d   | Q1=%.3f Q2=%.3f\n", k, a[k], b[k], sums[k],
-                    couts[k], num::wrap01(ph[0]), num::wrap01(ph[1]));
+        const auto ph = logic::dphiAt(res, (static_cast<double>(k) + 0.95) * fab.bitPeriod);
+        std::printf("%4zu | %d %d |  %d   %d   | Q1=%.3f Q2=%.3f\n", k, a[k], b[k],
+                    decoded[k][0], decoded[k][1],
+                    num::wrap01(ph[static_cast<std::size_t>(carry.master)]),
+                    num::wrap01(ph[static_cast<std::size_t>(carry.slave)]));
+        if (k > 0) sumBits.push_back(decoded[k][0]);
     }
 
-    // Drop the reset slot and read the sum (carry-out of the last slot is
-    // the top bit).
-    logic::Bits sumBits(sums.begin() + 1, sums.end());
-    sumBits.push_back(couts.back());
-    const unsigned result = fromBits(sumBits);
+    // The sum bits past the reset slot, topped by the last slot's carry-out.
+    sumBits.push_back(decoded.back()[1]);
+    const auto result = static_cast<unsigned>(logic::fromBits(sumBits));
     std::printf("\n%u + %u = %u (%s)\n", A, B, result,
                 result == A + B ? "correct" : "WRONG");
     obs::maybePrintRunReport(stdout);

@@ -9,6 +9,18 @@
 
 namespace phlogon::core {
 
+namespace {
+
+/// The knot values of a periodic spline: c0 of every cell.
+Vec knotValues(const num::PeriodicCubicSpline& s) {
+    const Vec& c = s.coeffs();
+    Vec x(s.size());
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = c[4 * i];
+    return x;
+}
+
+}  // namespace
+
 PpvModel PpvModel::build(const an::PssResult& pss, const an::PpvResult& ppv,
                          std::size_t outputUnknown, std::vector<std::string> unknownNames) {
     if (!pss.ok || !ppv.ok) throw std::invalid_argument("PpvModel::build: analyses not converged");
@@ -26,19 +38,15 @@ PpvModel PpvModel::build(const an::PssResult& pss, const an::PpvResult& ppv,
 
     const std::size_t ns = pss.xs.size();
     const std::size_t np = ppv.v.size();
-    m.xsSamples_.assign(n, Vec());
-    m.ppvSamples_.assign(n, Vec());
     for (std::size_t i = 0; i < n; ++i) {
         Vec xsCol(ns), vCol(np);
         for (std::size_t k = 0; k < ns; ++k) xsCol[k] = pss.xs[k][i];
         for (std::size_t k = 0; k < np; ++k) vCol[k] = ppv.v[k][i];
         m.xs_.emplace_back(xsCol);
         m.ppv_.emplace_back(vCol);
-        m.xsSamples_[i] = std::move(xsCol);
-        m.ppvSamples_[i] = std::move(vCol);
     }
 
-    const Vec& out = m.xsSamples_[outputUnknown];
+    const Vec out = m.xsSamples(outputUnknown);
     m.wavePeak_ = an::peakPosition(out);
     m.outMean_ = an::mean(out);
     // Fundamental: xs(theta) ~ mean + 2|c1| cos(2 pi theta + arg c1), peaking
@@ -55,8 +63,12 @@ std::size_t PpvModel::indexOf(const std::string& name) const {
     throw std::out_of_range("PpvModel: unknown name '" + name + "'");
 }
 
+Vec PpvModel::xsSamples(std::size_t idx) const { return knotValues(xs_[idx]); }
+
+Vec PpvModel::ppvSamples(std::size_t idx) const { return knotValues(ppv_[idx]); }
+
 double PpvModel::ppvHarmonic(std::size_t idx, std::size_t k) const {
-    const num::CVec c = num::fourierCoefficients(ppvSamples_[idx], k);
+    const num::CVec c = num::fourierCoefficients(ppvSamples(idx), k);
     return num::harmonicMagnitude(c, k);
 }
 

@@ -54,10 +54,11 @@ public:
         ppv_[idx].evalMany(theta, out, n);
     }
 
-    /// Uniform samples (as extracted) of one component.
-    const Vec& xsSamples(std::size_t idx) const { return xsSamples_[idx]; }
-    const Vec& ppvSamples(std::size_t idx) const { return ppvSamples_[idx]; }
-    std::size_t sampleCount() const { return xsSamples_.empty() ? 0 : xsSamples_[0].size(); }
+    /// Uniform samples (as extracted) of one component: the knot values of
+    /// its spline, which holds them exactly (c0 of every cell).
+    Vec xsSamples(std::size_t idx) const;
+    Vec ppvSamples(std::size_t idx) const;
+    std::size_t sampleCount() const { return xs_.empty() ? 0 : xs_[0].size(); }
 
     /// Peak position of the output's FUNDAMENTAL within the normalized cycle
     /// (the paper's dphi_peak; using the fundamental rather than the raw
@@ -89,10 +90,8 @@ private:
     double outAmp_ = 0.0;
     double normSpread_ = 0.0;
     std::vector<std::string> names_;
-    std::vector<Vec> xsSamples_;   // per unknown
-    std::vector<Vec> ppvSamples_;  // per unknown
-    std::vector<num::PeriodicCubicSpline> xs_;
-    std::vector<num::PeriodicCubicSpline> ppv_;
+    std::vector<num::PeriodicCubicSpline> xs_;   // per unknown
+    std::vector<num::PeriodicCubicSpline> ppv_;  // per unknown
 };
 
 }  // namespace phlogon::core

@@ -1,7 +1,5 @@
 #include "logic/compile.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <string>
 #include <utility>
 
@@ -9,32 +7,10 @@
 #include "obs/trace.hpp"
 #include "phlogon/encoding.hpp"
 #include "phlogon/gates.hpp"
-#include "phlogon/serial_adder.hpp"
 
 namespace phlogon::logic {
 
 namespace {
-
-constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-/// CLK bit stream: 0 for the first half of each clock slot (slaves
-/// transparent, state readable), 1 for the second (masters sample).
-Bits clockBits(std::size_t slots) {
-    Bits clk;
-    clk.reserve(2 * slots);
-    for (std::size_t k = 0; k < slots; ++k) {
-        clk.push_back(0);
-        clk.push_back(1);
-    }
-    return clk;
-}
-
-Bits invertBits(const Bits& b) {
-    Bits out;
-    out.reserve(b.size());
-    for (int x : b) out.push_back(notBit(x));
-    return out;
-}
 
 using SignalId = core::PhaseSystem::SignalId;
 
@@ -46,14 +22,15 @@ struct GateLowerer {
     SignalId const1;
 
     SignalId norm(SignalId raw, const std::string& label) const {
-        // Worst-case winning margin of a majority vote is one unit, so the
-        // clipped output is renormalized against a unit resultant (the same
-        // choice the serial adder makes for its cout gate).
+        // Worst-case winning margin of a majority vote is one unit (a 2:1
+        // split), so the clipped output is renormalized against a unit
+        // resultant: identities like the sum below nearly cancel and are
+        // sensitive to amplitude mismatch.
         return addUnitNormalizer(sys, raw, 1.0, opt.gateClip, label);
     }
 
     /// xor(a, b) = MAJ(a, b, 0, 2*~t),  t = AND(a, b)  — the serial adder's
-    /// sum identity with the carry input pinned to constant 0.
+    /// sum identity (workloads.hpp) with the carry input pinned to constant 0.
     SignalId xor2(SignalId a, SignalId b, const std::string& label) const {
         const auto andRaw = sys.addGate({{a, 1.0}, {b, 1.0}, {const0, 1.0}}, false, opt.gateClip,
                                         label + ".and.raw");
@@ -105,51 +82,6 @@ struct GateLowerer {
     }
 };
 
-/// One phase D latch with fabric-shared SYNC/const signals — the same S/R
-/// majority arithmetic as addPhaseDLatch, minus the per-latch externals it
-/// would duplicate hundreds of times across a fabric.
-core::PhaseSystem::LatchId addFabricLatch(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                                          const std::shared_ptr<const core::PpvModel>& model,
-                                          SignalId sync, SignalId const0, SignalId const1,
-                                          SignalId d, SignalId clk, SignalId clkBar,
-                                          const PhaseDLatchOptions& opt,
-                                          const std::string& label) {
-    const auto latch = sys.addLatch(model, label);
-    sys.connect(latch, design.injUnknown, sync, 1.0);
-    const double w = opt.clockWeight;
-    const auto sGate =
-        sys.addGate({{d, 1.0}, {clk, w}, {const0, w}}, false, opt.gateClip, label + ".S");
-    const auto rGate =
-        sys.addGate({{d, 1.0}, {clkBar, w}, {const1, w}}, false, opt.gateClip, label + ".R");
-    const double shift = design.signalCouplingShift();
-    const double gain = opt.writeAmp / (2.0 * opt.gateClip);
-    sys.connect(latch, design.injUnknown, sGate, gain, shift);
-    sys.connect(latch, design.injUnknown, rGate, gain, shift);
-    return latch;
-}
-
-/// Correlation decode of several signals at once: one pass of a Program
-/// over their cones per sample covers every decoded signal.  The per-signal
-/// arithmetic matches
-/// decodeSignalBit (64 samples over one reference cycle against REF(1)).
-std::vector<int> decodeSignalsAt(const core::PhaseSystem::Program& prog,
-                                 const PhaseReference& ref, double tCenter, const num::Vec& dphi,
-                                 const std::vector<SignalId>& sigs, std::vector<double>& vals) {
-    const double t1cyc = 1.0 / ref.f1;
-    const std::size_t n = 64;
-    std::vector<double> corr(sigs.size(), 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = tCenter - 0.5 * t1cyc + t1cyc * static_cast<double>(i) / n;
-        const double r1 = std::cos(kTwoPi * (ref.f1 * t - ref.dphiPeak + ref.phase1));
-        prog.eval(t, ref.f1, dphi, vals);
-        for (std::size_t j = 0; j < sigs.size(); ++j)
-            corr[j] += vals[static_cast<std::size_t>(sigs[j])] * r1;
-    }
-    std::vector<int> bits(sigs.size(), 0);
-    for (std::size_t j = 0; j < sigs.size(); ++j) bits[j] = corr[j] >= 0.0 ? 1 : 0;
-    return bits;
-}
-
 }  // namespace
 
 CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign& design,
@@ -175,22 +107,15 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
     core::PhaseSystem& sys = fab.sys;
     const PhaseReference& ref = fab.ref;
 
-    // Fabric-shared signals: SYNC tone, constant levels, the two clock
-    // phases.  Every latch couples to the same externals.
-    const double f1 = design.f1;
-    const double syncAmp = design.syncAmp;
-    const auto sync = sys.addExternal(
-        [syncAmp, f1](double t) { return syncAmp * std::cos(kTwoPi * 2.0 * f1 * t); },
-        "fabric.sync");
-    const auto const0 = sys.addExternal(ref.refSignal(0), "fabric.const0");
-    const auto const1 = sys.addExternal(ref.refSignal(1), "fabric.const1");
+    // Fabric-shared signals: SYNC tone, constant levels and model (the
+    // latch bus), the two clock phases.  Every latch couples to the same
+    // externals.
+    const PhaseLatchBus bus = addPhaseLatchBus(sys, design);
     const Bits clkBits = clockBits(fab.slots);
     const double halfSlot = fab.bitPeriod / 2.0;
     const auto clk = sys.addExternal(dataSignal(ref, clkBits, halfSlot), "fabric.clk");
     const auto clkBar =
         sys.addExternal(dataSignal(ref, invertBits(clkBits), halfSlot), "fabric.clkBar");
-
-    const auto model = std::make_shared<const core::PpvModel>(design.model);
 
     fab.netSignals.assign(netlist.netCount(), -1);
 
@@ -203,15 +128,9 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
         const std::string qn = netlist.netName(dff.q);
         const auto fwd = sys.addPlaceholder(qn + ".d");
         dFwd.push_back(fwd);
-        FabricDffRefs refs;
-        refs.master = addFabricLatch(sys, design, model, sync, const0, const1, fwd, clk, clkBar,
-                                     opt.latch, qn + ".m");
-        const auto q1 = sys.latchOutput(refs.master);
-        refs.slave = addFabricLatch(sys, design, model, sync, const0, const1, q1, clkBar, clk,
-                                    opt.latch, qn + ".s");
-        refs.q = sys.latchOutput(refs.slave);
-        fab.dffs.push_back(refs);
-        fab.netSignals[static_cast<std::size_t>(dff.q)] = refs.q;
+        const PhaseDff ff = addPhaseDff(sys, design, bus, fwd, clk, clkBar, opt.latch, qn);
+        fab.dffs.push_back({ff.master.latch, ff.slave.latch, ff.q2});
+        fab.netSignals[static_cast<std::size_t>(dff.q)] = ff.q2;
     }
 
     // Primary inputs: one scheduled REF-aligned tone per input column.
@@ -225,7 +144,7 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
     }
 
     // Combinational network in dependency order.
-    const GateLowerer low{sys, opt, const0, const1};
+    const GateLowerer low{sys, opt, bus.const0, bus.const1};
     for (const std::size_t g : netlist.topoOrder()) {
         const auto& gate = netlist.gates()[g];
         fab.netSignals[static_cast<std::size_t>(gate.out)] =
@@ -254,13 +173,11 @@ std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res) {
     OBS_SPAN("fabric.decode");
     const core::PhaseSystem::Program prog(fab.sys, fab.outputSignals);
-    std::vector<double> vals;
     std::vector<std::vector<int>> out;
     out.reserve(fab.slots);
     for (std::size_t k = 0; k < fab.slots; ++k) {
         const double t = fab.decodeTime(k);
-        const num::Vec ph = dphiAt(res, t);
-        out.push_back(decodeSignalsAt(prog, fab.ref, t, ph, fab.outputSignals, vals));
+        out.push_back(decodeSignals(prog, fab.ref, t, dphiAt(res, t), fab.outputSignals));
     }
     return out;
 }
@@ -300,8 +217,7 @@ std::vector<int> FabricIdealSim::step() {
         dphi[static_cast<std::size_t>(fab.dffs[i].slave)] = ph;
     }
     // One correlation pass decodes the outputs and the flip-flop D nets.
-    const std::vector<int> bits =
-        decodeSignalsAt(prog_, fab.ref, fab.decodeTime(slot_), dphi, sigs_, vals_);
+    const std::vector<int> bits = decodeSignals(prog_, fab.ref, fab.decodeTime(slot_), dphi, sigs_);
     std::vector<int> out(bits.begin(), bits.begin() + static_cast<long>(fab.outputSignals.size()));
     for (std::size_t i = 0; i < state_.size(); ++i)
         state_[i] = bits[fab.outputSignals.size() + i];

@@ -6,10 +6,10 @@
 // Lowering rules (DESIGN.md section 14):
 //   * input net      -> REF-aligned unit tone scheduled from its bit column
 //                       (one bit per clock slot, encoding.hpp's dataSignal);
-//   * dff            -> master-slave pair of phase D latches (same S/R
-//                       majority arithmetic as addPhaseDLatch) sharing ONE
-//                       SYNC external and ONE const0/const1 pair across the
-//                       whole fabric; the slave output is the q net;
+//   * dff            -> addPhaseDff: a master-slave pair of phase D
+//                       latches, every latch of the fabric on ONE
+//                       PhaseLatchBus (one SYNC external, one const0/const1
+//                       pair, one model); the slave output is the q net;
 //   * maj            -> soft-clipped majority gate + unit renormalizer;
 //   * and/or (nand/nor) -> majority against a (fan-in - 1)-weighted constant
 //                       0/1 tone, optionally inverted;
@@ -18,8 +18,8 @@
 //                       xor(a,b) = MAJ(a, b, 0, 2*~AND(a,b));
 //   * buf/not        -> unit-weight (optionally inverting) gate, no clip.
 //
-// Clocking matches the serial adder: CLK encodes 0 during the first half of
-// each slot (slaves transparent, state visible) and 1 during the second
+// Clocking (encoding.hpp's clockBits): CLK encodes 0 during the first half
+// of each slot (slaves transparent, state visible) and 1 during the second
 // (masters sample), so decoded outputs at 45% of a slot reflect
 // out_k = f(in_k, state_k) and state advances as state_{k+1} = d(in_k,
 // state_k) — exactly LogicNetlist::step.
@@ -87,10 +87,11 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
                              std::vector<std::vector<int>> inputVectors,
                              const FabricCompileOptions& opt = {});
 
-/// Decode every clock slot of a finished transient: returns one bit vector
-/// per slot, aligned with netlist.outputs().  Signals are evaluated through
-/// a PhaseSystem::Program over the outputs' fan-in cone (one pass per
-/// sample), so decoding costs what the outputs read, not the whole fabric.
+/// Decode every clock slot of a finished transient with decodeSignals
+/// (encoding.hpp) at decodeTime(slot): returns one bit vector per slot,
+/// aligned with netlist.outputs().  Signals are evaluated through a
+/// PhaseSystem::Program over the outputs' fan-in cone (one pass per sample),
+/// so decoding costs what the outputs read, not the whole fabric.
 std::vector<std::vector<int>> decodeFabricRun(const CompiledFabric& fab,
                                               const core::PhaseSystem::Result& res);
 
@@ -118,7 +119,6 @@ private:
     core::PhaseSystem::Program prog_;                // over the cone of sigs_
     std::vector<int> state_;
     std::size_t slot_ = 0;
-    std::vector<double> vals_;  // scratch: per-signal values at one sample
 };
 
 }  // namespace phlogon::logic

@@ -42,6 +42,20 @@ void addRippleCore(LogicNetlist& nl, std::size_t n) {
 
 }  // namespace
 
+LogicNetlist serialAdder() {
+    LogicNetlist nl;
+    nl.addInput("a");
+    nl.addInput("b");
+    nl.addDff("carry", "cout");
+    nl.addGate(GateOp::Maj, "cout", {"a", "b", "carry"});
+    nl.addGate(GateOp::Not, "ncout", {"cout"});
+    nl.addGate(GateOp::Maj, "sum", {"a", "b", "carry", "ncout", "ncout"});
+    nl.addOutput("sum");
+    nl.addOutput("cout");
+    nl.validate();
+    return nl;
+}
+
 LogicNetlist rippleAdder(std::size_t n) {
     if (n == 0) throw FabricError("rippleAdder: width must be positive");
     LogicNetlist nl;

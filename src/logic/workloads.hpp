@@ -10,6 +10,13 @@
 
 namespace phlogon::logic {
 
+/// The paper's serial adder (Fig. 15): inputs a, b (one bit pair per clock
+/// slot, LSB first); carry held in a flip-flop; outputs sum, cout.
+///     cout = MAJ(a, b, carry),  sum = MAJ(a, b, carry, ~cout, ~cout)
+/// Lowers onto 2 oscillator latches; one step() is one bit of
+/// goldenSerialAdd (phlogon/golden.hpp).
+LogicNetlist serialAdder();
+
 /// Combinational N-bit ripple-carry adder: inputs a0..a{n-1}, b0..b{n-1},
 /// cin; outputs s0..s{n-1}, cout.  sum = XOR3, carry = MAJ3 per bit.
 LogicNetlist rippleAdder(std::size_t n);

@@ -1,7 +1,9 @@
 #include "numeric/simd/kernels_internal.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -138,18 +140,23 @@ void cos2piScalar(const double* u, double* out, std::size_t lanes) {
 }
 
 void tanhScalar(const double* x, double* out, std::size_t lanes) {
+    // Adding and subtracting 1.5 * 2^52 rounds a double below 2^51 to the
+    // nearest integer, ties to even (the AVX2 kernel's round), in two adds.
+    constexpr double kRoundShift = 0x1.8p52;
     for (std::size_t l = 0; l < lanes; ++l) {
         const double a = std::fabs(x[l]);
         double t;
         if (a < kTanhSaturate) {
             const double y = 2.0 * a;
-            const double k = std::nearbyint(y * kInvLn2);  // 0..58
+            const double k = (y * kInvLn2 + kRoundShift) - kRoundShift;  // 0..58
             const double r = (y - k * kLn2Hi) - k * kLn2Lo;
             double q = kExpm1[kExpm1Terms - 1];
             for (int j = kExpm1Terms - 2; j >= 0; --j) q = kExpm1[j] + r * q;
-            const double p = r + (r * r) * q;                       // expm1(r)
-            const double s = std::ldexp(1.0, static_cast<int>(k));  // 2^k, exact
-            const double e = s * p + (s - 1.0);                     // expm1(2a)
+            const double p = r + (r * r) * q;  // expm1(r)
+            // 2^k from its exponent bits, exact.
+            const double s = std::bit_cast<double>(
+                static_cast<std::uint64_t>(static_cast<std::int64_t>(k) + 1023) << 52);
+            const double e = s * p + (s - 1.0);  // expm1(2a)
             t = e / (e + 2.0);
         } else {
             t = a >= kTanhSaturate ? 1.0 : a;  // a NaN stays NaN

@@ -20,25 +20,6 @@ std::string fmtSeconds(double s) {
     return buf;
 }
 
-void appendJsonEscaped(std::string& out, const std::string& s) {
-    for (char ch : s) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-}
-
 }  // namespace
 
 RunReport RunReport::collect() {
@@ -92,50 +73,24 @@ std::string RunReport::toText() const {
     return out;
 }
 
-std::string RunReport::toJson() const {
-    std::string out = "{";
-    char line[256];
-    out += "\"trace\":{\"active\":";
-    out += traceActive ? "true" : "false";
-    out += ",\"path\":\"";
-    appendJsonEscaped(out, tracePath);
-    std::snprintf(line, sizeof line, "\",\"events\":%zu,\"dropped\":%zu},", traceEvents,
-                  traceDropped);
-    out += line;
-
-    out += "\"counters\":{";
-    for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
-        if (i) out += ",";
-        out += "\"";
-        appendJsonEscaped(out, metrics.counters[i].name);
-        std::snprintf(line, sizeof line, "\":%llu",
-                      static_cast<unsigned long long>(metrics.counters[i].value));
-        out += line;
-    }
-    out += "},\"gauges\":{";
-    for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
-        if (i) out += ",";
-        out += "\"";
-        appendJsonEscaped(out, metrics.gauges[i].name);
-        std::snprintf(line, sizeof line, "\":{\"value\":%lld,\"max\":%lld}",
-                      static_cast<long long>(metrics.gauges[i].value),
-                      static_cast<long long>(metrics.gauges[i].max));
-        out += line;
-    }
-    out += "},\"timings\":{";
-    for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
-        const auto& h = metrics.histograms[i];
-        if (i) out += ",";
-        out += "\"";
-        appendJsonEscaped(out, h.name);
-        std::snprintf(line, sizeof line,
-                      "\":{\"count\":%llu,\"totalSeconds\":%.9g,\"minSeconds\":%.9g,"
-                      "\"maxSeconds\":%.9g,\"p50Seconds\":%.9g,\"p95Seconds\":%.9g}",
-                      static_cast<unsigned long long>(h.count), h.totalSeconds, h.minSeconds,
-                      h.maxSeconds, h.p50Seconds, h.p95Seconds);
-        out += line;
-    }
-    out += "}}";
+io::json::Value metricsJson(const MetricsSnapshot& s) {
+    using io::json::Value;
+    Value counters = Value::object();
+    for (const auto& c : s.counters) counters.set(c.name, c.value);
+    Value gauges = Value::object();
+    for (const auto& g : s.gauges)
+        gauges.set(g.name, Value::object().set("value", g.value).set("max", g.max));
+    Value hists = Value::object();
+    for (const auto& h : s.histograms)
+        hists.set(h.name, Value::object()
+                              .set("count", h.count)
+                              .set("totalSeconds", h.totalSeconds)
+                              .set("minSeconds", h.minSeconds)
+                              .set("maxSeconds", h.maxSeconds)
+                              .set("p50Seconds", h.p50Seconds)
+                              .set("p95Seconds", h.p95Seconds));
+    Value out = Value::object();
+    out.set("counters", counters).set("gauges", gauges).set("histograms", hists);
     return out;
 }
 

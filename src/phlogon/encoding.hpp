@@ -1,12 +1,14 @@
 #pragma once
 // Bit-stream encoding: turn logical bit sequences into phase schedules,
-// circuit-level source waveforms and phase-domain signals.
+// circuit-level source waveforms and phase-domain signals, and decode
+// phase-domain signals back into bits.
 
 #include <functional>
 #include <vector>
 
 #include "circuit/sources.hpp"
 #include "core/gae_transient.hpp"
+#include "core/phase_system.hpp"
 #include "phlogon/reference.hpp"
 
 namespace phlogon::logic {
@@ -17,6 +19,13 @@ using Bits = std::vector<int>;
 /// [tStart + k*bitPeriod, tStart + (k+1)*bitPeriod); bits.back() afterwards,
 /// bits.front() before tStart.
 std::function<int(double)> bitSchedule(Bits bits, double bitPeriod, double tStart = 0.0);
+
+/// CLK bit stream of a clocked phase-logic machine, one bit per half slot:
+/// 0 for the first half of each of `slots` slots (slaves transparent, state
+/// readable), 1 for the second (masters sample).
+Bits clockBits(std::size_t slots);
+/// Bitwise NOT of a stream (CLK -> ~CLK).
+Bits invertBits(const Bits& bits);
 
 /// Circuit-level SYNC current waveform: syncAmp * cos(2 pi * 2 f1 t).
 ckt::Waveform syncWaveform(const SyncLatchDesign& d);
@@ -47,5 +56,17 @@ std::vector<core::GaeSegment> dataInjectionSchedule(const SyncLatchDesign& d, do
 /// Decode a phase trajectory into bits sampled at the end of each bit slot.
 Bits decodePhaseTrajectory(const PhaseReference& ref, const core::GaeTransientResult& traj,
                            double bitPeriod, std::size_t nBits, double tStart = 0.0);
+
+/// Phase-logic value of each signal in `sigs` near time `tCenter`: the sign
+/// of its correlation against REF(1) over one reference cycle (64 samples,
+/// one `prog` pass per sample).  `prog` must cover `sigs`; `dphi` holds the
+/// phase of every latch of its system.
+Bits decodeSignals(const core::PhaseSystem::Program& prog, const PhaseReference& ref,
+                   double tCenter, const num::Vec& dphi,
+                   const std::vector<core::PhaseSystem::SignalId>& sigs);
+
+/// dphi vector interpolated from a simulation result at time t (clamped to
+/// the first/last stored point outside the run).
+num::Vec dphiAt(const core::PhaseSystem::Result& res, double t);
 
 }  // namespace phlogon::logic

@@ -3,14 +3,14 @@
 namespace phlogon::logic {
 
 PhaseDff addPhaseDff(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                     core::PhaseSystem::SignalId d, core::PhaseSystem::SignalId clk,
-                     core::PhaseSystem::SignalId clkBar, const PhaseDLatchOptions& opt,
-                     const std::string& label) {
+                     const PhaseLatchBus& bus, core::PhaseSystem::SignalId d,
+                     core::PhaseSystem::SignalId clk, core::PhaseSystem::SignalId clkBar,
+                     const PhaseDLatchOptions& opt, const std::string& label) {
     PhaseDff ff;
-    ff.master = addPhaseDLatch(sys, design, d, clk, clkBar, opt, label + ".master");
+    ff.master = addPhaseDLatch(sys, design, bus, d, clk, clkBar, opt, label + ".master");
     ff.q1 = ff.master.out;
     // The slave samples the master's output on the opposite clock phase.
-    ff.slave = addPhaseDLatch(sys, design, ff.q1, clkBar, clk, opt, label + ".slave");
+    ff.slave = addPhaseDLatch(sys, design, bus, ff.q1, clkBar, clk, opt, label + ".slave");
     ff.q2 = ff.slave.out;
     return ff;
 }

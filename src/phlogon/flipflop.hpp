@@ -17,12 +17,12 @@ struct PhaseDff {
     core::PhaseSystem::SignalId q2 = -1;  ///< slave output
 };
 
-/// Add a master-slave DFF to `sys`.  `d`, `clk`, `clkBar` are phase-encoded
-/// signals.  The master samples while `clk` encodes 1; the slave while
-/// `clkBar` encodes 1.
+/// Add a master-slave DFF to `sys`: two addPhaseDLatch latches on `bus`.
+/// `d`, `clk`, `clkBar` are phase-encoded signals.  The master samples while
+/// `clk` encodes 1; the slave while `clkBar` encodes 1.
 PhaseDff addPhaseDff(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                     core::PhaseSystem::SignalId d, core::PhaseSystem::SignalId clk,
-                     core::PhaseSystem::SignalId clkBar, const PhaseDLatchOptions& opt = {},
-                     const std::string& label = "dff");
+                     const PhaseLatchBus& bus, core::PhaseSystem::SignalId d,
+                     core::PhaseSystem::SignalId clk, core::PhaseSystem::SignalId clkBar,
+                     const PhaseDLatchOptions& opt = {}, const std::string& label = "dff");
 
 }  // namespace phlogon::logic

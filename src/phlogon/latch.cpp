@@ -68,34 +68,38 @@ DLatchEnCircuit buildDLatchEnCircuit(ckt::Netlist& nl, const std::string& prefix
     return out;
 }
 
-PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                           core::PhaseSystem::SignalId d, core::PhaseSystem::SignalId clk,
-                           core::PhaseSystem::SignalId clkBar, const PhaseDLatchOptions& opt,
-                           const std::string& label) {
-    PhaseDLatch out;
-    out.latch = sys.addLatch(design.model, label);
-    out.out = sys.latchOutput(out.latch);
-
-    // SYNC drives the latch directly (amperes; gain 1).
+PhaseLatchBus addPhaseLatchBus(core::PhaseSystem& sys, const SyncLatchDesign& design) {
+    PhaseLatchBus bus;
+    // SYNC drives every latch directly (amperes; gain 1).
     const double f1 = design.f1;
     const double syncAmp = design.syncAmp;
-    const auto syncSig = sys.addExternal(
-        [syncAmp, f1](double t) { return syncAmp * std::cos(kTwoPi * 2.0 * f1 * t); },
-        label + ".sync");
-    sys.connect(out.latch, design.injUnknown, syncSig, 1.0);
-
+    bus.sync = sys.addExternal(
+        [syncAmp, f1](double t) { return syncAmp * std::cos(kTwoPi * 2.0 * f1 * t); }, "sync");
     // Constant phase-logic levels (REF-aligned unit tones).
-    const auto const0 = sys.addExternal(design.reference.refSignal(0), label + ".const0");
-    const auto const1 = sys.addExternal(design.reference.refSignal(1), label + ".const1");
+    bus.const0 = sys.addExternal(design.reference.refSignal(0), "const0");
+    bus.const1 = sys.addExternal(design.reference.refSignal(1), "const1");
+    bus.model = std::make_shared<const core::PpvModel>(design.model);
+    return bus;
+}
+
+PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design,
+                           const PhaseLatchBus& bus, core::PhaseSystem::SignalId d,
+                           core::PhaseSystem::SignalId clk, core::PhaseSystem::SignalId clkBar,
+                           const PhaseDLatchOptions& opt, const std::string& label) {
+    PhaseDLatch out;
+    out.latch = sys.addLatch(bus.model, label);
+    out.out = sys.latchOutput(out.latch);
+    sys.connect(out.latch, design.injUnknown, bus.sync, 1.0);
 
     // S = MAJ(D, W*CLK, W*0): passes D when CLK=1, outputs constant 0
     // otherwise (the heavy clock weight W suppresses hold-time disturbance;
     // see PhaseDLatchOptions::clockWeight).
     const double w = opt.clockWeight;
-    out.sGate = sys.addGate({{d, 1.0}, {clk, w}, {const0, w}}, false, opt.gateClip, label + ".S");
+    out.sGate =
+        sys.addGate({{d, 1.0}, {clk, w}, {bus.const0, w}}, false, opt.gateClip, label + ".S");
     // R = MAJ(D, W*~CLK, W*1): passes D when CLK=1, outputs constant 1 otherwise.
-    out.rGate = sys.addGate({{d, 1.0}, {clkBar, w}, {const1, w}}, false, opt.gateClip,
-                            label + ".R");
+    out.rGate =
+        sys.addGate({{d, 1.0}, {clkBar, w}, {bus.const1, w}}, false, opt.gateClip, label + ".R");
 
     // When CLK=1 both gates output D and add; when CLK=0 they output
     // opposite constants and cancel, leaving SHIL to hold the bit.  The

@@ -90,6 +90,19 @@ DLatchEnCircuit buildDLatchEnCircuit(ckt::Netlist& nl, const std::string& prefix
                                      ckt::Waveform dCurrent, ckt::TimeSwitch::ControlFn en,
                                      double dRout = 10e6, double ron = 1e3, double roff = 100e9);
 
+/// The externals every phase D latch of one system shares: the SYNC tone
+/// (coupled into each latch with gain 1), the REF-aligned constant levels
+/// of the S/R gates, and one copy of the latch macromodel.
+struct PhaseLatchBus {
+    core::PhaseSystem::SignalId sync = -1;
+    core::PhaseSystem::SignalId const0 = -1;
+    core::PhaseSystem::SignalId const1 = -1;
+    std::shared_ptr<const core::PpvModel> model;
+};
+
+/// Add the shared latch externals of `design` to `sys` (once per system).
+PhaseLatchBus addPhaseLatchBus(core::PhaseSystem& sys, const SyncLatchDesign& design);
+
 /// Phase-domain fully phase-encoded D latch (Fig. 13), built into `sys`.
 struct PhaseDLatch {
     core::PhaseSystem::LatchId latch = -1;
@@ -113,11 +126,11 @@ struct PhaseDLatchOptions {
 };
 
 /// `d`/`clk`/`clkBar` are phase-encoded signals already in `sys` (REF-aligned
-/// shape, unit amplitude).  const0/const1 reference tones are created
-/// internally from `design.reference`.
+/// shape, unit amplitude); `bus` comes from addPhaseLatchBus on the same
+/// system.  Adds three signals: the latch output and the S and R gates.
 PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                           core::PhaseSystem::SignalId d, core::PhaseSystem::SignalId clk,
-                           core::PhaseSystem::SignalId clkBar,
+                           const PhaseLatchBus& bus, core::PhaseSystem::SignalId d,
+                           core::PhaseSystem::SignalId clk, core::PhaseSystem::SignalId clkBar,
                            const PhaseDLatchOptions& opt = {}, const std::string& label = "dlatch");
 
 /// Fig. 13/14 SR-latch injection: the oscillator is driven by a weighted

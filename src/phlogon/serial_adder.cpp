@@ -11,116 +11,7 @@ namespace phlogon::logic {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-/// CLK bit stream: 0 for the first half of each bit slot (slave transfers the
-/// previous carry), 1 for the second half (master samples the new cout).
-Bits clockBits(std::size_t nBits) {
-    Bits clk;
-    clk.reserve(2 * nBits);
-    for (std::size_t k = 0; k < nBits; ++k) {
-        clk.push_back(0);
-        clk.push_back(1);
-    }
-    return clk;
-}
-
-Bits invertBits(const Bits& b) {
-    Bits out;
-    out.reserve(b.size());
-    for (int x : b) out.push_back(notBit(x));
-    return out;
-}
 }  // namespace
-
-PhaseSerialAdder buildPhaseSerialAdder(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                                       Bits aBits, Bits bBits, const SerialAdderOptions& opt) {
-    if (aBits.size() != bBits.size() || aBits.empty())
-        throw std::invalid_argument("buildPhaseSerialAdder: bad bit streams");
-    PhaseSerialAdder sa;
-    sa.nBits = aBits.size();
-    sa.bitPeriod = opt.bitPeriodCycles / design.f1;
-    const PhaseReference& ref = design.reference;
-
-    sa.a = sys.addExternal(dataSignal(ref, std::move(aBits), sa.bitPeriod), "a");
-    sa.b = sys.addExternal(dataSignal(ref, std::move(bBits), sa.bitPeriod), "b");
-    const Bits clk = clockBits(sa.nBits);
-    sa.clk = sys.addExternal(dataSignal(ref, clk, sa.bitPeriod / 2.0), "clk");
-    sa.clkBar = sys.addExternal(dataSignal(ref, invertBits(clk), sa.bitPeriod / 2.0), "clkBar");
-
-    // Carry flip-flop clocked by CLK; its D input is cout, which is built
-    // afterwards (it needs the carry), so a placeholder closes the loop.
-    const auto coutFwd = sys.addPlaceholder("cout.fwd");
-    sa.dff = addPhaseDff(sys, design, coutFwd, sa.clk, sa.clkBar, opt.latch, "carry");
-    sa.carry = sa.dff.q2;
-
-    const auto coutRaw = addMajorityGate(sys, {{sa.a, 1.0}, {sa.b, 1.0}, {sa.carry, 1.0}},
-                                         opt.gateClip, "cout.raw");
-    // Renormalize to unit amplitude: the sum identity below nearly cancels
-    // for (a,b,c) = (1,1,0)/(0,0,1) and is sensitive to amplitude mismatch.
-    // The worst case (2:1 input split) leaves the clipped gate a unit
-    // resultant, so normalize against refAmp = 1.
-    sa.cout = addUnitNormalizer(sys, coutRaw, 1.0, opt.gateClip, "cout");
-    sys.bindPlaceholder(coutFwd, sa.cout);
-    sa.coutBar = addNotGate(sys, sa.cout, "coutBar");
-    // sum = MAJ(a, b, carry, ~cout, ~cout); the double-weighted inverted
-    // carry-out realizes the 3-input XOR.
-    sa.sum = addMajorityGate(
-        sys, {{sa.a, 1.0}, {sa.b, 1.0}, {sa.carry, 1.0}, {sa.coutBar, 2.0}}, opt.gateClip, "sum");
-    return sa;
-}
-
-num::Vec dphiAt(const core::PhaseSystem::Result& res, double t) {
-    const std::size_t k = res.dphi.size();
-    num::Vec out(k, 0.0);
-    if (res.t.empty()) return out;
-    if (t <= res.t.front()) {
-        for (std::size_t i = 0; i < k; ++i) out[i] = res.dphi[i].front();
-        return out;
-    }
-    if (t >= res.t.back()) {
-        for (std::size_t i = 0; i < k; ++i) out[i] = res.dphi[i].back();
-        return out;
-    }
-    const auto it = std::upper_bound(res.t.begin(), res.t.end(), t);
-    const std::size_t j = static_cast<std::size_t>(it - res.t.begin());
-    const double dt = res.t[j] - res.t[j - 1];
-    const double f = dt > 0 ? (t - res.t[j - 1]) / dt : 0.0;
-    for (std::size_t i = 0; i < k; ++i)
-        out[i] = res.dphi[i][j - 1] + f * (res.dphi[i][j] - res.dphi[i][j - 1]);
-    return out;
-}
-
-int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId sig,
-                    const PhaseReference& ref, double tCenter, const num::Vec& dphiAtT) {
-    // Correlate one reference cycle of the signal against REF(bit=1).
-    const core::PhaseSystem::Program prog(sys, {sig});
-    std::vector<double> values;
-    const double t1cyc = 1.0 / ref.f1;
-    const std::size_t n = 64;
-    double corr = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = tCenter - 0.5 * t1cyc + t1cyc * static_cast<double>(i) / n;
-        const double r1 =
-            std::cos(kTwoPi * (ref.f1 * t - ref.dphiPeak + ref.phase1));
-        prog.eval(t, ref.f1, dphiAtT, values);
-        corr += values.at(static_cast<std::size_t>(sig)) * r1;
-    }
-    return corr >= 0.0 ? 1 : 0;
-}
-
-std::pair<Bits, Bits> decodeSerialAdderRun(const core::PhaseSystem& sys,
-                                           const PhaseSerialAdder& adder,
-                                           const core::PhaseSystem::Result& res,
-                                           const PhaseReference& ref) {
-    Bits sums, couts;
-    for (std::size_t k = 0; k < adder.nBits; ++k) {
-        const double t = (static_cast<double>(k) + 0.45) * adder.bitPeriod;
-        const num::Vec ph = dphiAt(res, t);
-        sums.push_back(decodeSignalBit(sys, adder.sum, ref, t, ph));
-        couts.push_back(decodeSignalBit(sys, adder.cout, ref, t, ph));
-    }
-    return {std::move(sums), std::move(couts)};
-}
 
 void buildPhaseShiftCoupling(ckt::Netlist& nl, const std::string& prefix, const std::string& from,
                              const std::string& to, const std::string& biasNode, double gm,

@@ -4,67 +4,28 @@
 // Combinational full adder from majority logic
 //     cout = MAJ(a, b, carry),    sum = MAJ(a, b, carry, ~cout, ~cout)
 // with the carry state held in a master-slave D flip-flop made of two
-// oscillator latches.  Two realizations:
-//   * phase-domain (core::PhaseSystem) — the efficient full-system
-//     simulation of Sec. 4.3 / Fig. 16;
-//   * circuit-level (SPICE DAE) — the "breadboard substitute" of Sec. 5.2 /
-//     Figs. 18-20: ring oscillators, op-amp majority gates, calibrated
-//     phase-shift coupling networks.
+// oscillator latches.  This header holds its circuit-level realization (the
+// "breadboard substitute" of Sec. 5.2 / Figs. 18-20: ring oscillators,
+// op-amp majority gates, calibrated phase-shift coupling networks).  The
+// phase-domain realization of Sec. 4.3 / Fig. 16 is the netlist
+// logic::serialAdder() (logic/workloads.hpp) lowered by compileFabric and
+// decoded by decodeFabricRun (logic/compile.hpp).
 
-#include "phlogon/flipflop.hpp"
+#include "phlogon/encoding.hpp"
 #include "phlogon/golden.hpp"
+#include "phlogon/latch.hpp"
 
 namespace phlogon::logic {
-
-// ---------------------------------------------------------------------------
-// Phase-domain realization
-// ---------------------------------------------------------------------------
-
-struct PhaseSerialAdder {
-    core::PhaseSystem::SignalId a = -1, b = -1, clk = -1, clkBar = -1;
-    core::PhaseSystem::SignalId cout = -1, sum = -1, coutBar = -1;
-    PhaseDff dff;
-    core::PhaseSystem::SignalId carry = -1;  ///< = dff.q2
-    double bitPeriod = 0.0;
-    std::size_t nBits = 0;
-};
 
 struct SerialAdderOptions {
     /// Bit-slot duration in reference cycles; each slot holds one (a, b)
     /// input pair.  CLK encodes 0 in the first half-slot (slave transparent,
     /// carry becomes available) and 1 in the second (master samples cout).
     double bitPeriodCycles = 100.0;
-    double gateClip = 0.5;  ///< combinational gate saturation
+    /// Only clockWeight is read: the weight of CLK and the constants in the
+    /// flip-flop's S/R gates.
     PhaseDLatchOptions latch{};
 };
-
-/// Build the serial adder into `sys` with input bit streams a, b (LSB
-/// first).  The carry flip-flop starts at whatever dphi0 the caller passes
-/// to simulate() (use the design's phase for carry=0).
-PhaseSerialAdder buildPhaseSerialAdder(core::PhaseSystem& sys, const SyncLatchDesign& design,
-                                       Bits aBits, Bits bBits,
-                                       const SerialAdderOptions& opt = {});
-
-/// Decode a (possibly gate-output) signal's phase-logic value near time
-/// `tCenter` by correlating one reference cycle of the signal against the
-/// two REF waveforms.  `dphiAtT` holds the phase of every latch in `sys`
-/// (std::invalid_argument otherwise).
-int decodeSignalBit(const core::PhaseSystem& sys, core::PhaseSystem::SignalId sig,
-                    const PhaseReference& ref, double tCenter, const num::Vec& dphiAtT);
-
-/// Decode every bit slot of a finished simulation: samples each slot at 90%
-/// of its duration.  Returns {sums, couts}.
-std::pair<Bits, Bits> decodeSerialAdderRun(const core::PhaseSystem& sys,
-                                           const PhaseSerialAdder& adder,
-                                           const core::PhaseSystem::Result& res,
-                                           const PhaseReference& ref);
-
-/// dphi vector interpolated from a simulation result at time t.
-num::Vec dphiAt(const core::PhaseSystem::Result& res, double t);
-
-// ---------------------------------------------------------------------------
-// Circuit-level realization (breadboard substitute)
-// ---------------------------------------------------------------------------
 
 struct CircuitCouplingSpec {
     /// Transconductance of each gate-to-oscillator write path (A per volt of

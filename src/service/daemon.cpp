@@ -504,31 +504,7 @@ json::Value Daemon::statusJson() {
 json::Value Daemon::handleMetrics(const Request& req) {
     json::Value r = makeResponse(req.id);
     const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
-
-    json::Value m = json::Value::object();
-    json::Value counters = json::Value::object();
-    for (const auto& c : snap.counters) counters.set(c.name, c.value);
-    m.set("counters", counters);
-    json::Value gauges = json::Value::object();
-    for (const auto& g : snap.gauges) {
-        json::Value gv = json::Value::object();
-        gv.set("value", json::Value::integer(g.value));
-        gv.set("max", json::Value::integer(g.max));
-        gauges.set(g.name, gv);
-    }
-    m.set("gauges", gauges);
-    json::Value hists = json::Value::object();
-    for (const auto& h : snap.histograms) {
-        json::Value hv = json::Value::object();
-        hv.set("count", h.count);
-        hv.set("totalSeconds", h.totalSeconds);
-        hv.set("p50Seconds", h.p50Seconds);
-        hv.set("p95Seconds", h.p95Seconds);
-        hv.set("maxSeconds", h.maxSeconds);
-        hists.set(h.name, hv);
-    }
-    m.set("histograms", hists);
-    r.set("metrics", m);
+    r.set("metrics", obs::metricsJson(snap));
     r.set("status", statusJson());
     r.set("prometheus", obs::prometheusText(snap) + servicePrometheus());
     return r;
@@ -614,11 +590,17 @@ void Daemon::attachObs(io::json::Value& response, const Request& req) {
     envl.set("requestP95Ms", requestWindow_.stats().p95Seconds * 1e3);
     if (req.fullEnvelope && obs::metricsEnabled()) {
         // Full structured run report (counters, gauges, histograms across
-        // every instrumented layer) — already JSON, parsed into the tree.
-        // Opt-in per request: collecting + parsing it on every response was
-        // a measurable tax on the saturation bench.
-        const json::ParseResult rep = json::parse(obs::RunReport::collect().toJson());
-        if (rep.ok) envl.set("report", rep.value);
+        // every instrumented layer, plus tracing status).  Opt-in per
+        // request: collecting it on every response was a measurable tax on
+        // the saturation bench.
+        const obs::RunReport rep = obs::RunReport::collect();
+        json::Value report = obs::metricsJson(rep.metrics);
+        report.set("trace", json::Value::object()
+                                .set("active", rep.traceActive)
+                                .set("path", rep.tracePath)
+                                .set("events", rep.traceEvents)
+                                .set("dropped", rep.traceDropped));
+        envl.set("report", report);
     }
     response.set("obs", envl);
 }

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "logic/workloads.hpp"
+#include "numeric/rng.hpp"
+#include "phlogon/golden.hpp"
 
 using namespace phlogon::logic;
 
@@ -302,6 +304,35 @@ TEST(FabricWorkloads, GeneratorsRejectDegenerateWidths) {
     EXPECT_THROW(upCounter(0), FabricError);
     EXPECT_THROW(lfsr(1), FabricError);
     EXPECT_THROW(shiftRegister(0), FabricError);
+}
+
+TEST(Workloads, SerialAdderMatchesGolden) {
+    // One slot of serialAdder() is one bit of goldenSerialAdd: outputs
+    // {sum, cout}, and cout becomes the next slot's carry.
+    const auto nl = serialAdder();
+    ASSERT_EQ(nl.dffs().size(), 1u);
+    for (int carry = 0; carry < 2; ++carry)
+        for (int a = 0; a < 2; ++a)
+            for (int b = 0; b < 2; ++b) {
+                std::vector<int> state{carry};
+                Bits gc;
+                const Bits gs = goldenSerialAdd({a}, {b}, carry, &gc);
+                EXPECT_EQ(nl.step({a, b}, state), (std::vector<int>{gs[0], gc[0]}))
+                    << "a=" << a << " b=" << b << " carry=" << carry;
+                EXPECT_EQ(state, gc);
+            }
+
+    phlogon::num::SplitMix64 rng(0x5EA1);
+    Bits a, b;
+    for (int k = 0; k < 96; ++k) {
+        a.push_back(static_cast<int>(rng() & 1u));
+        b.push_back(static_cast<int>(rng() & 1u));
+    }
+    Bits gc;
+    const Bits gs = goldenSerialAdd(a, b, 0, &gc);
+    std::vector<int> state(1, 0);
+    for (std::size_t k = 0; k < a.size(); ++k)
+        EXPECT_EQ(nl.step({a[k], b[k]}, state), (std::vector<int>{gs[k], gc[k]})) << "slot " << k;
 }
 
 TEST(FabricWorkloads, ShiftRegisterDelaysNSlots) {

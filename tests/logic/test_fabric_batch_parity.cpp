@@ -1,5 +1,5 @@
 // Golden trajectories of the phase-domain engine (PhaseSystem::simulate) on
-// compiled and hand-built fabrics.
+// compiled fabrics, the paper's serial adder among them.
 //
 // The values below were printed at %.17g from the engine's last two-engine
 // version, where the recursive evaluator driving num::rk4 and the Program
@@ -22,7 +22,6 @@
 #include "common/scoped_env.hpp"
 #include "logic/compile.hpp"
 #include "logic/workloads.hpp"
-#include "phlogon/serial_adder.hpp"
 
 using namespace phlogon;
 using core::PhaseSystem;
@@ -52,24 +51,19 @@ void expectBitwiseEqual(const PhaseSystem::Result& a, const PhaseSystem::Result&
 }  // namespace
 
 TEST(FabricBatchParity, SerialAdderScalarVsBatched) {
-    const auto& design = testutil::sharedFsmDesign();
-    core::PhaseSystem sys;
-    const auto adder =
-        buildPhaseSerialAdder(sys, design, {1, 0, 1, 1}, {1, 1, 0, 1});
-    const num::Vec dphi0(sys.latchCount(), design.reference.phase0 + 0.02);
-    const double t1 = static_cast<double>(adder.nBits) * adder.bitPeriod;
-
-    const auto res = sys.simulate(design.f1, 0.0, t1, dphi0, 64, 8);
+    // a = 1011, b = 1101 (LSB first), one (a, b) vector per slot.
+    const auto fab = logic::compileFabric(logic::serialAdder(), testutil::sharedFsmDesign(),
+                                          {{1, 1}, {0, 1}, {1, 0}, {1, 1}});
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     ASSERT_TRUE(res.ok);
     ASSERT_EQ(res.t.size(), 3201u);
     ASSERT_EQ(res.dphi.size(), 2u);
     expectGolden(res.dphi[0].back(), 1.0514362011521465);  // carry.master
     expectGolden(res.dphi[1].back(), 1.071834668148288);   // carry.slave
 
-    // 1011 + 1101 (LSB first) decodes to the golden answer.
-    const auto [sums, couts] = decodeSerialAdderRun(sys, adder, res, design.reference);
-    EXPECT_EQ(sums, (logic::Bits{0, 0, 0, 1}));
-    EXPECT_EQ(couts, (logic::Bits{1, 1, 1, 1}));
+    // 1011 + 1101 decodes to the golden answer: {sum, cout} per slot.
+    EXPECT_EQ(logic::decodeFabricRun(fab, res),
+              (std::vector<std::vector<int>>{{0, 1}, {0, 1}, {0, 1}, {1, 1}}));
 }
 
 TEST(FabricBatchParity, RippleAdder16ScalarVsBatchedAcrossPartitions) {

@@ -120,6 +120,22 @@ TEST(FabricEquivalence, RegisteredRippleAdder4Random) {
     expectFabricMatchesNetlist(nl, randomVectors(0xCAFE, 256, nl.inputs().size()), "rripple4");
 }
 
+TEST(FabricEquivalence, SerialAdderExhaustiveAndRandom) {
+    // The paper's Fig. 15 adder: every (a, b) pair under carry 0 and under
+    // carry 1 (all eight full-adder cases), then 256 random slots.
+    const auto nl = logic::serialAdder();
+    std::vector<std::vector<int>> vectors;
+    for (const auto& v : exhaustiveVectors(2)) {
+        vectors.push_back(v);       // carry 0 here
+        vectors.push_back({1, 1});  // sets the carry
+        vectors.push_back(v);       // carry 1 here
+        vectors.push_back({0, 0});  // clears it
+    }
+    const auto rand = randomVectors(0x5EA1, 256, nl.inputs().size());
+    vectors.insert(vectors.end(), rand.begin(), rand.end());
+    expectFabricMatchesNetlist(nl, vectors, "serial-adder");
+}
+
 TEST(FabricEquivalence, ShiftRegister8Random) {
     const auto nl = logic::shiftRegister(8);
     expectFabricMatchesNetlist(nl, randomVectors(0xD1CE, 256, nl.inputs().size()), "shift8");
@@ -153,6 +169,18 @@ TEST(FabricEquivalence, UpCounter2FullOde) {
 TEST(FabricEquivalence, RegisteredRippleAdder2FullOde) {
     const auto nl = logic::registeredRippleAdder(2);
     const auto vectors = randomVectors(0xFEED, 6, nl.inputs().size());
+    const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(), vectors);
+    const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
+    ASSERT_TRUE(res.ok);
+    const auto decoded = logic::decodeFabricRun(fab, res);
+    std::vector<int> state(nl.dffs().size(), 0);
+    for (std::size_t k = 0; k < vectors.size(); ++k)
+        EXPECT_EQ(decoded[k], nl.step(vectors[k], state)) << "slot " << k;
+}
+
+TEST(FabricEquivalence, SerialAdderFullOde) {
+    const auto nl = logic::serialAdder();
+    const auto vectors = randomVectors(0xADD, 6, nl.inputs().size());
     const auto fab = logic::compileFabric(nl, testutil::sharedFsmDesign(), vectors);
     const auto res = fab.sys.simulate(testutil::kF1, 0.0, fab.tEnd(), fab.initialDphi, 64, 8);
     ASSERT_TRUE(res.ok);

@@ -5,7 +5,7 @@
 #include "common/osc_fixture.hpp"
 #include "core/gae_sweep.hpp"
 #include "phlogon/encoding.hpp"
-#include "phlogon/serial_adder.hpp"
+#include "phlogon/golden.hpp"
 
 namespace phlogon::logic {
 namespace {
@@ -23,17 +23,11 @@ DffRun runDff(const SyncLatchDesign& d, const Bits& dBits) {
     DffRun run;
     const auto& ref = d.reference;
     run.bitT = 50.0 / d.f1;
-    Bits clkBits;
-    for (std::size_t i = 0; i < dBits.size(); ++i) {
-        clkBits.push_back(0);
-        clkBits.push_back(1);
-    }
-    Bits clkBarBits;
-    for (int b : clkBits) clkBarBits.push_back(notBit(b));
+    const Bits clkBits = clockBits(dBits.size());
     const auto dSig = run.sys.addExternal(dataSignal(ref, dBits, run.bitT));
     const auto clk = run.sys.addExternal(dataSignal(ref, clkBits, run.bitT / 2.0));
-    const auto clkBar = run.sys.addExternal(dataSignal(ref, clkBarBits, run.bitT / 2.0));
-    run.ff = addPhaseDff(run.sys, d, dSig, clk, clkBar);
+    const auto clkBar = run.sys.addExternal(dataSignal(ref, invertBits(clkBits), run.bitT / 2.0));
+    run.ff = addPhaseDff(run.sys, d, addPhaseLatchBus(run.sys, d), dSig, clk, clkBar);
     run.res = run.sys.simulate(d.f1, 0.0, dBits.size() * run.bitT,
                                num::Vec{ref.phase0 + 0.02, ref.phase0 + 0.02}, 64, 8);
     return run;

@@ -7,7 +7,7 @@
 #include "common/osc_fixture.hpp"
 #include "core/gae_sweep.hpp"
 #include "phlogon/encoding.hpp"
-#include "phlogon/serial_adder.hpp"
+#include "phlogon/gates.hpp"
 
 namespace phlogon::logic {
 namespace {
@@ -49,7 +49,7 @@ TEST_P(PhaseDLatchCase, TruthTable) {
     const auto dSig = sys.addExternal(dataSignal(ref, {dBit}, 1.0));
     const auto clkSig = sys.addExternal(dataSignal(ref, {clkBit}, 1.0));
     const auto clkBarSig = sys.addExternal(dataSignal(ref, {notBit(clkBit)}, 1.0));
-    addPhaseDLatch(sys, d, dSig, clkSig, clkBarSig);
+    addPhaseDLatch(sys, d, addPhaseLatchBus(sys, d), dSig, clkSig, clkBarSig);
     const auto r =
         sys.simulate(d.f1, 0.0, 50.0 / d.f1, num::Vec{ref.phaseForBit(q0) + 0.02});
     ASSERT_TRUE(r.ok);
@@ -71,10 +71,29 @@ TEST(PhaseDLatch, HoldPhaseDeviationSmall) {
     const auto dSig = sys.addExternal(dataSignal(ref, {1}, 1.0));
     const auto clkSig = sys.addExternal(dataSignal(ref, {0}, 1.0));
     const auto clkBarSig = sys.addExternal(dataSignal(ref, {1}, 1.0));
-    addPhaseDLatch(sys, d, dSig, clkSig, clkBarSig);
+    addPhaseDLatch(sys, d, addPhaseLatchBus(sys, d), dSig, clkSig, clkBarSig);
     const auto r = sys.simulate(d.f1, 0.0, 60.0 / d.f1, num::Vec{ref.phase0 + 0.01});
     ASSERT_TRUE(r.ok);
     EXPECT_LT(core::phaseDistance(r.dphi[0].back(), ref.phase0), 0.08);
+}
+
+TEST(PhaseDLatch, LatchesShareOneBus) {
+    // Latches on one bus share its SYNC and constant externals and its one
+    // model copy: each adds only its output and its S and R gates.
+    const auto& d = testutil::sharedFsmDesign();
+    core::PhaseSystem sys;
+    const auto dSig = sys.addExternal(d.reference.refSignal(1));
+    const auto clk = sys.addExternal(d.reference.refSignal(1));
+    const auto clkBar = sys.addExternal(d.reference.refSignal(0));
+    const PhaseLatchBus bus = addPhaseLatchBus(sys, d);
+    const std::size_t before = sys.signalCount();
+    const PhaseDLatch first = addPhaseDLatch(sys, d, bus, dSig, clk, clkBar);
+    EXPECT_EQ(sys.signalCount(), before + 3);
+    addPhaseDLatch(sys, d, bus, first.out, clkBar, clk);
+    EXPECT_EQ(sys.signalCount(), before + 6);
+    ASSERT_EQ(sys.latchCount(), 2u);
+    EXPECT_EQ(&sys.latchModel(0), &sys.latchModel(1));
+    EXPECT_EQ(&sys.latchModel(0), bus.model.get());
 }
 
 TEST(SrGateInjection, EqualSameBitInputsWriteTheBit) {

@@ -1,43 +1,48 @@
-#include "phlogon/serial_adder.hpp"
+// The paper's serial adder (Fig. 15) in the phase domain: the netlist
+// logic::serialAdder() lowered by compileFabric, run through the phase
+// engine and decoded by decodeFabricRun, against the Boolean golden model.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "common/osc_fixture.hpp"
+#include "logic/compile.hpp"
+#include "logic/workloads.hpp"
 #include "phlogon/encoding.hpp"
+#include "phlogon/golden.hpp"
 
 namespace phlogon::logic {
 namespace {
 
 struct AdderRun {
-    core::PhaseSystem sys;
-    PhaseSerialAdder adder;
+    CompiledFabric fab;
     core::PhaseSystem::Result res;
+    Bits sums, couts;  ///< decoded per slot
 };
 
 AdderRun runAdder(const SyncLatchDesign& d, const Bits& a, const Bits& b) {
-    AdderRun run;
-    run.adder = buildPhaseSerialAdder(run.sys, d, a, b);
-    const auto& ref = d.reference;
-    run.res = run.sys.simulate(d.f1, 0.0, a.size() * run.adder.bitPeriod,
-                               num::Vec{ref.phase0 + 0.02, ref.phase0 + 0.02}, 64, 8);
+    std::vector<std::vector<int>> slots;
+    for (std::size_t k = 0; k < a.size(); ++k) slots.push_back({a[k], b[k]});
+    AdderRun run{compileFabric(serialAdder(), d, slots), {}, {}, {}};
+    run.res = run.fab.sys.simulate(d.f1, 0.0, run.fab.tEnd(), run.fab.initialDphi, 64, 8);
+    if (run.res.ok)
+        for (const auto& out : decodeFabricRun(run.fab, run.res)) {
+            run.sums.push_back(out[0]);
+            run.couts.push_back(out[1]);
+        }
     return run;
 }
 
 TEST(PhaseSerialAdder, BuildValidatesStreams) {
-    core::PhaseSystem sys;
-    EXPECT_THROW(buildPhaseSerialAdder(sys, testutil::sharedFsmDesign(), {1, 0}, {1}),
-                 std::invalid_argument);
-    core::PhaseSystem sys2;
-    EXPECT_THROW(buildPhaseSerialAdder(sys2, testutil::sharedFsmDesign(), {}, {}),
-                 std::invalid_argument);
+    const auto& d = testutil::sharedFsmDesign();
+    EXPECT_THROW(compileFabric(serialAdder(), d, {{1, 1}, {0}}), FabricError);  // ragged
+    EXPECT_THROW(compileFabric(serialAdder(), d, {}), FabricError);             // no slots
 }
 
 TEST(PhaseSerialAdder, StructureHasTwoLatches) {
-    core::PhaseSystem sys;
-    buildPhaseSerialAdder(sys, testutil::sharedFsmDesign(), {0, 1}, {0, 1});
-    EXPECT_EQ(sys.latchCount(), 2u);
+    const auto fab = compileFabric(serialAdder(), testutil::sharedFsmDesign(), {{0, 0}, {1, 1}});
+    EXPECT_EQ(fab.sys.latchCount(), 2u);
 }
 
 TEST(PhaseSerialAdder, PaperCaseAEqualsBEquals101) {
@@ -45,13 +50,12 @@ TEST(PhaseSerialAdder, PaperCaseAEqualsBEquals101) {
     // reset slot clearing the carry).
     const auto& d = testutil::sharedFsmDesign();
     const Bits a{0, 1, 0, 1}, b{0, 1, 0, 1};
-    AdderRun run = runAdder(d, a, b);
+    const AdderRun run = runAdder(d, a, b);
     ASSERT_TRUE(run.res.ok);
-    const auto [sums, couts] = decodeSerialAdderRun(run.sys, run.adder, run.res, d.reference);
     Bits gc;
     const Bits gs = goldenSerialAdd(a, b, 0, &gc);
-    EXPECT_EQ(sums, gs);
-    EXPECT_EQ(couts, gc);
+    EXPECT_EQ(run.sums, gs);
+    EXPECT_EQ(run.couts, gc);
 }
 
 class SerialAdderStreams : public ::testing::TestWithParam<std::pair<Bits, Bits>> {};
@@ -59,13 +63,12 @@ class SerialAdderStreams : public ::testing::TestWithParam<std::pair<Bits, Bits>
 TEST_P(SerialAdderStreams, MatchesGoldenModel) {
     const auto& d = testutil::sharedFsmDesign();
     const auto& [a, b] = GetParam();
-    AdderRun run = runAdder(d, a, b);
+    const AdderRun run = runAdder(d, a, b);
     ASSERT_TRUE(run.res.ok);
-    const auto [sums, couts] = decodeSerialAdderRun(run.sys, run.adder, run.res, d.reference);
     Bits gc;
     const Bits gs = goldenSerialAdd(a, b, 0, &gc);
-    EXPECT_EQ(sums, gs);
-    EXPECT_EQ(couts, gc);
+    EXPECT_EQ(run.sums, gs);
+    EXPECT_EQ(run.couts, gc);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,14 +89,12 @@ TEST(PhaseSerialAdder, RandomStreamsProperty) {
             a.push_back(static_cast<int>(rng() & 1));
             b.push_back(static_cast<int>(rng() & 1));
         }
-        AdderRun run = runAdder(d, a, b);
+        const AdderRun run = runAdder(d, a, b);
         ASSERT_TRUE(run.res.ok);
-        const auto [sums, couts] =
-            decodeSerialAdderRun(run.sys, run.adder, run.res, d.reference);
         Bits gc;
         const Bits gs = goldenSerialAdd(a, b, 0, &gc);
-        EXPECT_EQ(sums, gs) << "trial " << trial;
-        EXPECT_EQ(couts, gc) << "trial " << trial;
+        EXPECT_EQ(run.sums, gs) << "trial " << trial;
+        EXPECT_EQ(run.couts, gc) << "trial " << trial;
     }
 }
 
@@ -114,8 +115,9 @@ TEST(DecodeSignalBit, DecodesPureReferences) {
     core::PhaseSystem sys;
     const auto s1 = sys.addExternal(d.reference.refSignal(1));
     const auto s0 = sys.addExternal(d.reference.refSignal(0));
-    EXPECT_EQ(decodeSignalBit(sys, s1, d.reference, 1e-3, {}), 1);
-    EXPECT_EQ(decodeSignalBit(sys, s0, d.reference, 1e-3, {}), 0);
+    const core::PhaseSystem::Program prog(sys, {s1, s0});
+    EXPECT_EQ(decodeSignals(prog, d.reference, 1e-3, {}, {s1, s0}), (Bits{1, 0}));
+    EXPECT_EQ(decodeSignals(prog, d.reference, 1e-3, {}, {s0}), (Bits{0}));
 }
 
 }  // namespace

@@ -315,6 +315,18 @@ TEST(Daemon, FullRunReportIsOptInPerRequest) {
     const json::Value* report = fullEnv->field("report");
     ASSERT_NE(report, nullptr);
     EXPECT_NE(report->field("counters"), nullptr);
+    EXPECT_NE(report->field("gauges"), nullptr);
+    // The characterization above timed its analyses into histograms.
+    const json::Value* hists = report->field("histograms");
+    ASSERT_NE(hists, nullptr);
+    ASSERT_TRUE(hists->isObject());
+    EXPECT_GT(hists->size(), 0u);
+    const json::Value* trace = report->field("trace");
+    ASSERT_NE(trace, nullptr);
+    EXPECT_TRUE(trace->field("active") != nullptr && trace->field("active")->isBool());
+    EXPECT_GE(trace->fieldNumber("events", -1), 0.0);
+    EXPECT_GE(trace->fieldNumber("dropped", -1), 0.0);
+    EXPECT_TRUE(trace->field("path") != nullptr && trace->field("path")->isString());
 
     obs::setMetricsEnabled(false);
 
