@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "analysis/dcop.hpp"
 #include "analysis/step_solver.hpp"
@@ -279,10 +277,6 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
         for (std::size_t c = 0; c <= n; ++c) j(n, c) = -meanRow[c];
         j(n, p) += 1.0;
         if (!borderedLu.refactor(j)) {
-            if (std::getenv("PHLOGON_DEBUG_PSS")) {
-                std::fprintf(stderr, "[pss] iter %d period=%.6e fNorm=%.3e\nJ=\n%s\n", it, period,
-                             fNorm, j.toString(3).c_str());
-            }
             res.message = "shooting: singular bordered Jacobian";
             finish();
             return res;

@@ -9,6 +9,8 @@
 // algebraic rows at t_{n+1} (backward-Euler weights) while differential rows
 // keep the trapezoidal weights.
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "numeric/matrix.hpp"

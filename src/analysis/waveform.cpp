@@ -41,27 +41,6 @@ PeriodEstimate estimatePeriod(const Vec& t, const Vec& x, double level, std::siz
     return est;
 }
 
-Vec crossingPhases(const Vec& crossingTimes, double fRef, double refCrossingPhase) {
-    Vec out(crossingTimes.size());
-    for (std::size_t i = 0; i < crossingTimes.size(); ++i)
-        out[i] = num::wrap01(fRef * crossingTimes[i] - refCrossingPhase);
-    return out;
-}
-
-Vec unwrapPhase(const Vec& phases) {
-    Vec out(phases.size());
-    if (phases.empty()) return out;
-    out[0] = phases[0];
-    double offset = 0.0;
-    for (std::size_t i = 1; i < phases.size(); ++i) {
-        double d = phases[i] - phases[i - 1];
-        if (d > 0.5) offset -= 1.0;
-        if (d < -0.5) offset += 1.0;
-        out[i] = phases[i] + offset;
-    }
-    return out;
-}
-
 double peakPosition(const Vec& samples) {
     const std::size_t n = samples.size();
     if (n == 0) return 0.0;

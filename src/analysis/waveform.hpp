@@ -1,8 +1,7 @@
 #pragma once
-// Waveform post-processing: zero crossings, period/frequency estimation and
-// phase decoding.  These are the "oscilloscope" measurements of the paper's
-// validation section (Sec. 5): phases of latch outputs are read off from
-// rising zero crossings relative to the reference signal.
+// Waveform post-processing: rising crossings, period/frequency estimation
+// and the peak position of a periodic waveform — the "oscilloscope"
+// measurements of the paper's validation section (Sec. 5).
 
 #include <optional>
 #include <vector>
@@ -29,16 +28,6 @@ struct PeriodEstimate {
 /// crossings of x(t) through `level`.
 PeriodEstimate estimatePeriod(const Vec& t, const Vec& x, double level,
                               std::size_t maxCycles = 10);
-
-/// Phase (in cycles, wrapped to [0,1)) of each rising crossing relative to a
-/// cosine reference of frequency `fRef` whose rising `level`-crossing sits at
-/// phase `refCrossingPhase` within its cycle.  This mirrors the paper's
-/// Fig. 17 measurement: zero-crossing differences between V(out) and V(ref),
-/// expressed in fractions of a reference cycle.
-Vec crossingPhases(const Vec& crossingTimes, double fRef, double refCrossingPhase = 0.0);
-
-/// Unwrap a sequence of phases in cycles (remove jumps > 0.5 cycles).
-Vec unwrapPhase(const Vec& phases);
 
 /// Position (in fraction of the record, [0,1)) of the maximum of a sampled
 /// periodic waveform, refined by parabolic interpolation through the peak;

@@ -64,7 +64,6 @@ public:
         else if (sg_)
             sg_->add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
     }
-    bool wantsJacobians() const { return g_ != nullptr || sg_ != nullptr; }
 
 private:
     Vec& q_;

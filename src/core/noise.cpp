@@ -23,8 +23,8 @@ constexpr std::uint64_t kSeedIncrement = 0x9e3779b97f4a7c15ull;  // 2^64 / golde
 /// choice alone; 64 measured best on the 1024-trial hold-error workload.
 constexpr std::size_t kLanesPerBlock = 64;
 
-/// Euler-Maruyama grid shared by the sample-path and ensemble entry points,
-/// so that trial k of an ensemble steps exactly like one sample path.
+/// Euler-Maruyama grid of an ensemble (tests/common/stochastic_gae_oracle.hpp
+/// repeats it, so that its one-lane sample path steps exactly like trial k).
 struct EmGrid {
     std::size_t nSteps;
     double h;
@@ -78,35 +78,6 @@ double resistorCurrentPsd(double ohms, double temperatureK) {
     return 4.0 * kB * temperatureK / ohms;
 }
 
-StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, double dphi0,
-                                           double t0, double t1,
-                                           const StochasticGaeOptions& opt) {
-    StochasticGaeResult res;
-    if (!(t1 > t0)) return res;
-    const EmGrid g = emGrid(gae, cSeconds, t1 - t0, opt.dt);
-    // The ensemble engine's step on one lane: the same seed mixing, normal
-    // sampler, right-hand side and update as holdErrorProbabilityRange.
-    num::SplitMix64 rng(mixSeed(opt.seed));
-    const auto& zig = num::ZigguratNormal::instance();
-    const std::size_t storeEvery = std::max<std::size_t>(opt.storeEvery, 1);
-    double phi = dphi0;
-    double drift = 0.0;
-    res.t.reserve(g.nSteps / storeEvery + 2);
-    res.dphi.reserve(g.nSteps / storeEvery + 2);
-    res.t.push_back(t0);
-    res.dphi.push_back(phi);
-    for (std::size_t k = 0; k < g.nSteps; ++k) {
-        gae.rhsMany(&phi, &drift, 1);
-        phi += drift * g.h + g.sigmaSqrtH * zig(rng);
-        if ((k + 1) % storeEvery == 0 || k + 1 == g.nSteps) {
-            res.t.push_back(t0 + g.h * static_cast<double>(k + 1));
-            res.dphi.push_back(phi);
-        }
-    }
-    res.ok = true;
-    return res;
-}
-
 HoldErrorResult holdErrorProbability(const Gae& gae, double cSeconds, double dphi0,
                                      double holdTime, std::size_t trials,
                                      const StochasticGaeOptions& opt) {
@@ -148,7 +119,7 @@ HoldErrorResult holdErrorProbabilityRange(const Gae& gae, double cSeconds, doubl
     // only on its trial index, so the outcomes are bitwise invariant under
     // thread count, block size, chunking and tier; and since lane streams
     // are independent, drawing every lane's normal before the update is the
-    // same arithmetic as stochasticGaeTransient's one-lane step.
+    // same arithmetic as a one-lane step.
     OBS_SPAN("noise.holdError.batch");
     const EmGrid g = emGrid(gae, cSeconds, holdTime, opt.dt);
     const auto& zig = num::ZigguratNormal::instance();

@@ -55,25 +55,7 @@ std::uint64_t deriveTrialSeed(std::uint64_t base, std::uint64_t trial);
 struct StochasticGaeOptions {
     double dt = 0.0;        ///< Euler-Maruyama step; 0 = (20 f0)^-1
     std::uint64_t seed = 1;
-    std::size_t storeEvery = 8;  ///< keep every storeEvery-th step (0 counts as 1)
 };
-
-struct StochasticGaeResult {
-    bool ok = false;
-    Vec t;
-    Vec dphi;
-};
-
-/// One sample path of the stochastic GAE with diffusion constant
-/// `cSeconds` (as returned by phaseDiffusion).  It takes the Monte-Carlo
-/// engine's step on one lane: a SplitMix64(mixSeed(opt.seed)) stream, a
-/// ziggurat normal (numeric/rng.hpp), the right-hand side Gae::rhsMany and
-/// phi += drift*h + sigma*sqrt(h)*z.  So trial k of
-/// holdErrorProbability(..., opt) is exactly this path with seed
-/// opt.seed + 0x9e3779b97f4a7c15 * k.
-StochasticGaeResult stochasticGaeTransient(const Gae& gae, double cSeconds, double dphi0,
-                                           double t0, double t1,
-                                           const StochasticGaeOptions& opt = {});
 
 struct HoldErrorResult {
     std::size_t trials = 0;
@@ -86,10 +68,15 @@ struct HoldErrorResult {
 /// Monte-Carlo bit-retention experiment: start `trials` paths at the stable
 /// phase nearest `dphi0`, integrate for `holdTime` under noise, and count
 /// paths that decode to a different stable phase at the end.  Trial k runs
-/// with engine seed deriveTrialSeed(opt.seed, k).  Trials advance in
-/// blocks of SoA lanes, one block per slot of the process-wide pool
-/// (PHLOGON_THREADS), with the per-step kernels on the process-wide SIMD
-/// tier (numeric/simd/simd.hpp; PHLOGON_SIMD=0 forces the scalar loops).
+/// with engine seed deriveTrialSeed(opt.seed, k): a SplitMix64 stream, a
+/// ziggurat normal (numeric/rng.hpp), the right-hand side Gae::rhsMany and
+/// the Euler-Maruyama step phi += drift*h + sigma*sqrt(h)*z, with diffusion
+/// constant `cSeconds` as returned by phaseDiffusion (the tests compare each
+/// trial with the one-lane path of tests/common/stochastic_gae_oracle.hpp).
+/// Trials advance in blocks of SoA lanes, one block per slot of the
+/// process-wide pool (PHLOGON_THREADS), with the per-step kernels on the
+/// process-wide SIMD tier (numeric/simd/simd.hpp; PHLOGON_SIMD=0 forces the
+/// scalar loops).
 /// Every trial's arithmetic depends only on (seed, k), so the counts are
 /// bitwise identical at any thread count and on every tier (DESIGN.md §13,
 /// §18).  A non-positive holdTime runs no trials.

@@ -1,5 +1,6 @@
 #include "logic/compile.hpp"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -96,11 +97,14 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
             throw FabricError("compileFabric: input vector has " + std::to_string(v.size()) +
                               " bits, netlist has " + std::to_string(netlist.inputs().size()) +
                               " inputs");
+    const double bitPeriod = opt.bitPeriodCycles / design.f1;
+    if (!(bitPeriod > 0) || !std::isfinite(bitPeriod))
+        throw FabricError("compileFabric: bit period must be positive and finite");
 
     CompiledFabric fab;
     fab.netlist = netlist;
     fab.ref = design.reference;
-    fab.bitPeriod = opt.bitPeriodCycles / design.f1;
+    fab.bitPeriod = bitPeriod;
     fab.slots = inputVectors.size();
     fab.schedule = std::move(inputVectors);
 

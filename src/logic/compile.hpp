@@ -82,7 +82,8 @@ struct CompiledFabric {
 /// Lower `netlist` onto phase logic.  `inputVectors[k]` holds the bit of
 /// every primary input during clock slot k (aligned with
 /// netlist.inputs()); the number of vectors sets the run length.  Validates
-/// the netlist first (FabricError on structural problems).
+/// the netlist, the input vectors and the bit period (bitPeriodCycles / f1,
+/// positive and finite) first: FabricError on any problem.
 CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign& design,
                              std::vector<std::vector<int>> inputVectors,
                              const FabricCompileOptions& opt = {});

@@ -9,9 +9,10 @@
 
 namespace phlogon::num {
 
-// Cash-Karp coefficients shared with numeric/ode.cpp and the SIMD error
-// kernel; the per-lane arithmetic below must stay an exact mirror of rkf45
-// on a 1-dimensional state (see the contract in batch_ode.hpp).
+// Cash-Karp coefficients shared with the SIMD error kernel and the reference
+// rkf45 of tests/common/ode_oracle.hpp; the per-lane arithmetic below must
+// stay an exact mirror of that rkf45 on a 1-dimensional state (see the
+// contract in batch_ode.hpp).
 using namespace cashkarp;
 
 void BatchOde::reserve(std::size_t lanes) {
@@ -160,7 +161,8 @@ BatchOdeSolution BatchOde::rkf45(const BatchRhs1& f, const Vec& y0, double t0, d
 
 OdeSolution BatchOde::rk4Lockstep(const BatchRhsCoupled& f, const Vec& y0, double t0, double t1,
                                   std::size_t nSteps, std::size_t storeEvery) {
-    // Exact per-lane mirror of num::rk4 on a lanes-dimensional state:
+    // Exact per-lane mirror of the reference rk4 (tests/common/ode_oracle.hpp)
+    // on a lanes-dimensional state:
     //   yt = y; axpy(s, k, yt)  ==  yt[l] = y[l] + s * k[l]
     //   y[l] += h/6 * (k1 + 2*k2 + 2*k3 + k4)
     //   t = t0 + h * (i+1)

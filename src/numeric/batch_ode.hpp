@@ -6,9 +6,10 @@
 // the right-hand side for the whole batch at once — one cache-friendly pass
 // over the g(Δφ) table per stage instead of B separate interpolation calls.
 //
-// Determinism / equivalence contract:
+// Determinism / equivalence contract (against the plain rkf45/rkf45Scalar
+// of tests/common/ode_oracle.hpp):
 //   * per-lane step control (error norm, accept/reject, step growth) runs the
-//     exact arithmetic of num::rkf45 on a 1-dimensional state, lane by lane;
+//     exact arithmetic of rkf45 on a 1-dimensional state, lane by lane;
 //   * lanes never interact: lane l's trajectory depends only on (y0[l], rhs);
 //   * therefore, when the batched RHS evaluates each lane with the same
 //     arithmetic as the scalar RHS (Gae::rhsMany against Gae::rhs), the
@@ -22,6 +23,7 @@
 // fresh solve; that is why a GAE run split at a segment boundary reproduces
 // the uninterrupted run bitwise (core/gae_transient.hpp).
 
+#include <functional>
 #include <vector>
 
 #include "numeric/ode.hpp"
@@ -63,9 +65,9 @@ public:
     /// Fixed-step classic RK4 over a *coupled* lane batch: all lanes advance
     /// in lockstep on the uniform n-step grid, with one coupled RHS call per
     /// stage (4 per step) across the whole batch.  The per-lane update
-    /// arithmetic is an exact mirror of num::rk4 on a `lanes`-dimensional
-    /// state, so for the same RHS values the returned trajectory is bitwise
-    /// identical to num::rk4 on every SIMD tier
+    /// arithmetic is an exact mirror of the reference rk4 on a
+    /// `lanes`-dimensional state, so for the same RHS values the returned
+    /// trajectory is bitwise identical to it on every SIMD tier
     /// (SimdBatchOde.Rk4LockstepSimdOnEqualsOff).  PhaseSystem::simulate
     /// runs on it.  Stored points are the initial point, every storeEvery-th
     /// step, and the final step.  ok is false when a stored state has a

@@ -19,11 +19,11 @@ double wrap01(double t);
 /// AVX2 kernel repeats the same operations lane-wise).
 inline std::size_t periodicCell(double t, std::size_t cells, double& s) {
     const double u = wrap01(t) * static_cast<double>(cells);
-    const std::size_t i = static_cast<std::size_t>(u);
-    if (i >= cells) {
+    if (!(u < static_cast<double>(cells))) {  // also a NaN t, before the cast
         s = 0.0;
         return 0;
     }
+    const std::size_t i = static_cast<std::size_t>(u);
     s = u - static_cast<double>(i);
     return i;
 }

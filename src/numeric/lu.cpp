@@ -19,7 +19,6 @@ bool LuFactor::refactor(const Matrix& a, double pivotTol) {
     lu_ = a;  // reuses existing storage when the size is unchanged
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-    permSign_ = 1;
     const double tol = pivotTol * std::max(a.normMax(), 1e-300);
 
     Matrix& lu = lu_;
@@ -38,7 +37,6 @@ bool LuFactor::refactor(const Matrix& a, double pivotTol) {
         if (p != k) {
             for (std::size_t j = 0; j < n; ++j) std::swap(lu(k, j), lu(p, j));
             std::swap(perm_[k], perm_[p]);
-            permSign_ = -permSign_;
         }
         const double inv = 1.0 / lu(k, k);
         for (std::size_t i = k + 1; i < n; ++i) {
@@ -140,40 +138,6 @@ void LuFactor::solveMatrixInto(const Matrix& b, Matrix& x) const {
     }
 }
 
-Matrix LuFactor::solveMatrix(const Matrix& b) const {
-    Matrix x;
-    solveMatrixInto(b, x);
-    return x;
-}
-
-double LuFactor::determinant() const {
-    double d = permSign_;
-    for (std::size_t i = 0; i < size(); ++i) d *= lu_(i, i);
-    return d;
-}
-
-double LuFactor::rcondEstimate() const {
-    double mn = std::abs(lu_(0, 0)), mx = mn;
-    for (std::size_t i = 1; i < size(); ++i) {
-        const double p = std::abs(lu_(i, i));
-        mn = std::min(mn, p);
-        mx = std::max(mx, p);
-    }
-    return mx > 0 ? mn / mx : 0.0;
-}
-
-std::optional<Vec> solveLinear(const Matrix& a, const Vec& b) {
-    auto f = LuFactor::factor(a);
-    if (!f) return std::nullopt;
-    return f->solve(b);
-}
-
-std::optional<Matrix> inverse(const Matrix& a) {
-    auto f = LuFactor::factor(a);
-    if (!f) return std::nullopt;
-    return f->solveMatrix(Matrix::identity(a.rows()));
-}
-
 std::optional<std::pair<double, Vec>> inverseIteration(const Matrix& a, double shift, int maxIter,
                                                        double tol) {
     const std::size_t n = a.rows();
@@ -206,28 +170,6 @@ std::optional<std::pair<double, Vec>> inverseIteration(const Matrix& a, double s
         if (delta < tol && std::abs(newLambda - lambda) < tol * std::max(1.0, std::abs(newLambda))) {
             return std::make_pair(newLambda, v);
         }
-        lambda = newLambda;
-    }
-    return std::make_pair(lambda, v);
-}
-
-std::optional<std::pair<double, Vec>> powerIteration(const Matrix& a, int maxIter, double tol) {
-    const std::size_t n = a.rows();
-    if (n == 0 || a.cols() != n) return std::nullopt;
-    Vec v(n, 1.0);
-    v[0] = 1.37;
-    double nv = norm2(v);
-    v *= 1.0 / nv;
-    double lambda = 0.0;
-    for (int it = 0; it < maxIter; ++it) {
-        Vec w = a * v;
-        const double nw = norm2(w);
-        if (!(nw > 0) || !std::isfinite(nw)) return std::nullopt;
-        w *= 1.0 / nw;
-        const double newLambda = dot(w, a * w);
-        const double delta = std::min(norm2(w - v), norm2(w + v));
-        v = w;
-        if (delta < tol) return std::make_pair(newLambda, v);
         lambda = newLambda;
     }
     return std::make_pair(lambda, v);

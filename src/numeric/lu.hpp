@@ -45,41 +45,23 @@ public:
     void solveInto(const Vec& b, Vec& x) const;
     /// Solve A^T x = b (needed by adjoint/PPV computations).
     Vec solveTransposed(const Vec& b) const;
-    /// Solve A X = B for a multi-column RHS.
-    Matrix solveMatrix(const Matrix& b) const;
-    /// Solve A X = B into caller-owned storage (resized; must not alias b).
+    /// Solve A X = B for a multi-column RHS into caller-owned storage
+    /// (resized; must not alias b).
     /// The substitution sweeps all RHS columns per pivot row — contiguous
     /// row-major accesses instead of the strided column-by-column walk —
     /// which is what the (n+1)-column PSS sensitivity chain hits every step.
     void solveMatrixInto(const Matrix& b, Matrix& x) const;
 
-    /// Determinant of A (with pivot sign).
-    double determinant() const;
-
-    /// Cheap reciprocal-condition estimate: min|pivot| / max|pivot|.
-    double rcondEstimate() const;
-
 private:
     Matrix lu_;
     std::vector<std::size_t> perm_;  // row permutation: row i of PA is row perm_[i] of A
-    int permSign_ = 1;
     bool valid_ = false;
 };
-
-/// One-shot convenience: solve A x = b; nullopt when singular.
-std::optional<Vec> solveLinear(const Matrix& a, const Vec& b);
-
-/// One-shot inverse (used only on small matrices, e.g. monodromy analysis).
-std::optional<Matrix> inverse(const Matrix& a);
 
 /// Eigen-pair of the eigenvalue of `a` closest to `shift`, by inverse
 /// iteration.  Returns (eigenvalue, eigenvector) or nullopt on breakdown.
 /// Used to pull the Floquet eigenvalue ~1 out of the monodromy matrix.
 std::optional<std::pair<double, Vec>> inverseIteration(const Matrix& a, double shift,
                                                        int maxIter = 200, double tol = 1e-12);
-
-/// Dominant eigen-pair by power iteration (real dominant eigenvalue assumed).
-std::optional<std::pair<double, Vec>> powerIteration(const Matrix& a, int maxIter = 2000,
-                                                     double tol = 1e-12);
 
 }  // namespace phlogon::num

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace phlogon::num {
@@ -71,27 +70,10 @@ Vec operator*(const Matrix& a, const Vec& x) {
     return y;
 }
 
-double Matrix::normFro() const {
-    double s = 0.0;
-    for (double v : data_) s += v * v;
-    return std::sqrt(s);
-}
-
 double Matrix::normMax() const {
     double m = 0.0;
     for (double v : data_) m = std::max(m, std::abs(v));
     return m;
-}
-
-std::string Matrix::toString(int precision) const {
-    std::ostringstream os;
-    os.precision(precision);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        os << (r == 0 ? "[" : " ");
-        for (std::size_t c = 0; c < cols_; ++c) os << (c ? ", " : "[") << (*this)(r, c);
-        os << "]" << (r + 1 == rows_ ? "]" : "\n");
-    }
-    return os.str();
 }
 
 Vec operator+(const Vec& a, const Vec& b) {

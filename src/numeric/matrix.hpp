@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace phlogon::num {
@@ -66,12 +65,8 @@ public:
     /// Matrix-vector product.
     friend Vec operator*(const Matrix& a, const Vec& x);
 
-    /// Frobenius norm.
-    double normFro() const;
     /// Max-abs entry.
     double normMax() const;
-
-    std::string toString(int precision = 4) const;
 
 private:
     std::size_t rows_ = 0;

@@ -147,29 +147,4 @@ NewtonResult newtonSolveSparse(const ResidualInPlaceFn& f, const SparseJacobianI
     return E::newtonLoop(f, E::SparseBackend{ws, jac}, x, ws, opt);
 }
 
-NewtonResult newtonSolve(const ResidualFn& f, const JacobianFn& jac, Vec& x,
-                         const NewtonOptions& opt) {
-    NewtonWorkspace ws;
-    const ResidualInPlaceFn fi = [&f](const Vec& xv, Vec& out) { out = f(xv); };
-    const JacobianInPlaceFn ji = [&jac](const Vec& xv, Matrix& out) { out = jac(xv); };
-    return newtonSolve(fi, ji, x, ws, opt);
-}
-
-Matrix fdJacobian(const ResidualFn& f, const Vec& x, double relStep) {
-    const std::size_t n = x.size();
-    const Vec f0 = f(x);
-    Matrix j(f0.size(), n);
-    Vec xp = x;
-    for (std::size_t c = 0; c < n; ++c) {
-        const double h = relStep * (std::abs(x[c]) + 1.0);
-        xp[c] = x[c] + h;
-        const Vec fp = f(xp);
-        xp[c] = x[c] - h;
-        const Vec fm = f(xp);
-        xp[c] = x[c];
-        for (std::size_t r = 0; r < f0.size(); ++r) j(r, c) = (fp[r] - fm[r]) / (2.0 * h);
-    }
-    return j;
-}
-
 }  // namespace phlogon::num

@@ -5,14 +5,12 @@
 // The caller supplies residual and Jacobian callbacks; the solver owns the
 // damping / convergence policy.
 //
-// Two call styles:
-//   * the classic allocating interface (ResidualFn/JacobianFn returning
-//     fresh containers) — convenient for tests and one-off solves;
-//   * the hot-path interface: in-place callbacks writing into caller-owned
-//     buffers plus a NewtonWorkspace that preallocates every temporary
-//     (residual, step, trial point, Jacobian storage, LU scratch) and can be
-//     carried across solves — e.g. across the time steps of a transient —
-//     so the inner loop performs no heap allocation at all.
+// The callbacks write into caller-owned buffers, and a NewtonWorkspace
+// preallocates every temporary (residual, step, trial point, Jacobian
+// storage, LU scratch) and can be carried across solves — e.g. across the
+// time steps of a transient — so the inner loop performs no heap allocation
+// at all.  The allocating wrapper and the finite-difference Jacobian that
+// the tests check against live in tests/common/newton_oracle.hpp.
 //
 // Every iteration evaluates and factors a fresh Jacobian (full Newton);
 // DESIGN.md §10 gives the measurements behind keeping no chord variant.
@@ -62,11 +60,6 @@ struct NewtonResult {
     SolverCounters counters;
 };
 
-/// Callback evaluating the residual F(x).
-using ResidualFn = std::function<Vec(const Vec&)>;
-/// Callback evaluating the Jacobian dF/dx.
-using JacobianFn = std::function<Matrix(const Vec&)>;
-
 /// In-place residual: write F(x) into `fx` (callback sizes the output).
 using ResidualInPlaceFn = std::function<void(const Vec& x, Vec& fx)>;
 /// In-place Jacobian: write dF/dx into `j` (callback sizes the output).
@@ -106,15 +99,5 @@ NewtonResult newtonSolve(const ResidualInPlaceFn& f, const JacobianInPlaceFn& ja
 /// Used by analyses when NewtonOptions::linearSolver == LinearSolver::Sparse.
 NewtonResult newtonSolveSparse(const ResidualInPlaceFn& f, const SparseJacobianInPlaceFn& jac,
                                Vec& x, NewtonWorkspace& ws, const NewtonOptions& opt = {});
-
-/// Solve F(x) = 0 starting from `x` (updated in place).  Allocating
-/// convenience wrapper over the workspace interface.
-NewtonResult newtonSolve(const ResidualFn& f, const JacobianFn& jac, Vec& x,
-                         const NewtonOptions& opt = {});
-
-/// Finite-difference Jacobian of `f` at `x` (central differences); used in
-/// tests to validate analytic device stamps and in the shooting solver for
-/// the period-sensitivity column.
-Matrix fdJacobian(const ResidualFn& f, const Vec& x, double relStep = 1e-6);
 
 }  // namespace phlogon::num

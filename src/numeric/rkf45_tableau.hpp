@@ -1,11 +1,11 @@
 #pragma once
-// Cash-Karp RKF45 tableau, shared by the reference integrator
-// (numeric/ode.cpp), the scalar batch driver (numeric/batch_ode.cpp) and the
-// vectorized stage kernels (numeric/simd/).  The batch driver and the
-// kernels must combine these constants with the SAME IEEE operation order —
-// the per-lane arithmetic is an exact mirror of num::rkf45 on a
-// 1-dimensional state (batch_ode.hpp contract), and the SIMD tier must be
-// bitwise-identical to the scalar tier (DESIGN.md §18).
+// Cash-Karp RKF45 tableau, shared by the scalar batch integrator
+// (numeric/batch_ode.cpp), the vectorized stage kernels (numeric/simd/) and
+// the reference integrator of tests/common/ode_oracle.hpp.  The batch
+// integrator and the kernels must combine these constants with the SAME
+// IEEE operation order — the per-lane arithmetic is an exact mirror of the
+// reference rkf45 on a 1-dimensional state (batch_ode.hpp contract), and
+// the SIMD tier must be bitwise-identical to the scalar tier (DESIGN.md §18).
 
 namespace phlogon::num::cashkarp {
 

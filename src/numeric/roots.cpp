@@ -5,26 +5,6 @@
 
 namespace phlogon::num {
 
-std::optional<double> bisection(const ScalarFn& f, double a, double b, double tol, int maxIter) {
-    double fa = f(a), fb = f(b);
-    if (fa == 0.0) return a;
-    if (fb == 0.0) return b;
-    if (fa * fb > 0.0) return std::nullopt;
-    for (int i = 0; i < maxIter && (b - a) > tol; ++i) {
-        const double m = 0.5 * (a + b);
-        const double fm = f(m);
-        if (fm == 0.0) return m;
-        if (fa * fm < 0.0) {
-            b = m;
-            fb = fm;
-        } else {
-            a = m;
-            fa = fm;
-        }
-    }
-    return 0.5 * (a + b);
-}
-
 std::optional<double> brent(const ScalarFn& f, double a, double b, double tol, int maxIter) {
     double fa = f(a), fb = f(b);
     if (fa == 0.0) return a;
@@ -78,35 +58,6 @@ std::optional<double> brent(const ScalarFn& f, double a, double b, double tol, i
     return b;
 }
 
-std::vector<double> findAllRoots(const ScalarFn& f, double lo, double hi, std::size_t gridPoints,
-                                 double tol, double minSeparation) {
-    std::vector<double> roots;
-    if (gridPoints < 2 || !(hi > lo)) return roots;
-    const double h = (hi - lo) / static_cast<double>(gridPoints);
-    double xPrev = lo;
-    double fPrev = f(xPrev);
-    for (std::size_t i = 1; i <= gridPoints; ++i) {
-        const double x = lo + h * static_cast<double>(i);
-        const double fx = f(x);
-        if (fPrev == 0.0) {
-            roots.push_back(xPrev);
-        } else if (fPrev * fx < 0.0) {
-            if (auto r = brent(f, xPrev, x, tol)) roots.push_back(*r);
-        }
-        xPrev = x;
-        fPrev = fx;
-    }
-    std::sort(roots.begin(), roots.end());
-    std::vector<double> merged;
-    for (double r : roots) {
-        if (merged.empty() || r - merged.back() > minSeparation) merged.push_back(r);
-    }
-    // The domain is often periodic: a root at `lo` duplicated near `hi`.
-    if (merged.size() > 1 && (merged.back() - merged.front()) > (hi - lo) - minSeparation)
-        merged.pop_back();
-    return merged;
-}
-
 std::vector<double> findAllRootsPeriodic(const ScalarFn& f, double lo, double period,
                                          std::size_t gridPoints, double tol,
                                          double minSeparation) {
@@ -141,10 +92,6 @@ std::vector<double> findAllRootsPeriodic(const ScalarFn& f, double lo, double pe
     if (merged.size() > 1 && (merged.front() + period) - merged.back() <= minSeparation)
         merged.pop_back();
     return merged;
-}
-
-double fdDerivative(const ScalarFn& f, double x, double h) {
-    return (f(x + h) - f(x - h)) / (2.0 * h);
 }
 
 }  // namespace phlogon::num

@@ -15,30 +15,18 @@ using ScalarFn = std::function<double(double)>;
 std::optional<double> brent(const ScalarFn& f, double a, double b, double tol = 1e-12,
                             int maxIter = 200);
 
-/// Bisection fallback (always converges on a valid bracket).
-std::optional<double> bisection(const ScalarFn& f, double a, double b, double tol = 1e-12,
-                                int maxIter = 200);
-
-/// Find all roots of f on [lo, hi) by scanning `gridPoints` samples for sign
-/// changes and polishing each bracket.  Roots closer than `minSeparation`
-/// are merged.  Exact zeros on grid points are kept.
-std::vector<double> findAllRoots(const ScalarFn& f, double lo, double hi,
-                                 std::size_t gridPoints = 720, double tol = 1e-12,
-                                 double minSeparation = 1e-9);
-
 /// Find all roots of a `period`-periodic function over one period starting at
-/// `lo`.  Unlike findAllRoots on [lo, lo+period], the seam interval
-/// [lo + (N-1)h, lo + period) is bracketed against sample 0's value, so a
-/// root sitting exactly at (or straddling) the periodic seam is found exactly
-/// once — neither dropped nor double-reported.  Returned roots lie in
-/// [lo, lo+period) and duplicates are merged cyclically (a root within
-/// `minSeparation` of both ends counts once).  `f` must accept arguments
-/// slightly beyond lo+period (periodic evaluation).
+/// `lo` by scanning `gridPoints` samples for sign changes and polishing each
+/// bracket with brent.  Exact zeros on grid points are kept.  The seam
+/// interval [lo + (N-1)h, lo + period) is bracketed against sample 0's
+/// value, so a root sitting exactly at (or straddling) the periodic seam is
+/// found exactly once — neither dropped nor double-reported.  Returned roots
+/// lie in [lo, lo+period) and roots closer than `minSeparation` are merged,
+/// cyclically (a root within `minSeparation` of both ends counts once).
+/// `f` must accept arguments slightly beyond lo+period (periodic
+/// evaluation).
 std::vector<double> findAllRootsPeriodic(const ScalarFn& f, double lo, double period,
                                          std::size_t gridPoints = 720, double tol = 1e-12,
                                          double minSeparation = 1e-9);
-
-/// Central-difference derivative of a scalar function.
-double fdDerivative(const ScalarFn& f, double x, double h = 1e-6);
 
 }  // namespace phlogon::num

@@ -363,21 +363,4 @@ Vec SparseLu::solve(const Vec& b) const {
     return x;
 }
 
-double SparseLu::rcondEstimate() const {
-    if (!valid_ || n_ == 0) return 0.0;
-    double mn = std::abs(udiag_[0]), mx = mn;
-    for (std::size_t i = 1; i < n_; ++i) {
-        const double p = std::abs(udiag_[i]);
-        mn = std::min(mn, p);
-        mx = std::max(mx, p);
-    }
-    return mx > 0 ? mn / mx : 0.0;
-}
-
-std::optional<Vec> solveLinearSparse(const SparseMatrix& a, const Vec& b) {
-    SparseLu lu;
-    if (!lu.factor(a)) return std::nullopt;
-    return lu.solve(b);
-}
-
 }  // namespace phlogon::num

@@ -16,7 +16,6 @@
 // back to a fresh full factorization, so robustness matches factor().
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "numeric/sparse.hpp"
@@ -63,9 +62,6 @@ public:
     void solveInto(const Vec& b, Vec& x) const;
     Vec solve(const Vec& b) const;
 
-    /// Cheap reciprocal-condition estimate: min|pivot| / max|pivot|.
-    double rcondEstimate() const;
-
 private:
     bool fullFactor(const SparseMatrix& a, double pivotRel);
     bool numericRefactor(const SparseMatrix& a, double pivotRel);
@@ -97,8 +93,5 @@ private:
 
     mutable Vec work_;  ///< triangular-solve scratch (no alloc when warm)
 };
-
-/// One-shot convenience: solve A x = b; nullopt when singular.
-std::optional<Vec> solveLinearSparse(const SparseMatrix& a, const Vec& b);
 
 }  // namespace phlogon::num

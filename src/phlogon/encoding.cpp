@@ -15,10 +15,13 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 std::function<int(double)> bitSchedule(Bits bits, double bitPeriod, double tStart) {
     if (bits.empty()) throw std::invalid_argument("bitSchedule: empty bit stream");
+    if (!(bitPeriod > 0) || !std::isfinite(bitPeriod))
+        throw std::invalid_argument("bitSchedule: bit period must be positive and finite");
     return [bits = std::move(bits), bitPeriod, tStart](double t) {
         if (t < tStart) return bits.front();
-        const auto k = static_cast<std::size_t>((t - tStart) / bitPeriod);
-        return bits[std::min(k, bits.size() - 1)];
+        const double k = (t - tStart) / bitPeriod;
+        if (!(k < static_cast<double>(bits.size()))) return bits.back();  // also a NaN t
+        return bits[static_cast<std::size_t>(k)];
     };
 }
 
@@ -37,10 +40,6 @@ Bits invertBits(const Bits& bits) {
     out.reserve(bits.size());
     for (int b : bits) out.push_back(notBit(b));
     return out;
-}
-
-ckt::Waveform syncWaveform(const SyncLatchDesign& d) {
-    return ckt::Waveform::cosine(d.syncAmp, 2.0 * d.f1, 0.0, 0.0);
 }
 
 ckt::Waveform dataCurrentWaveform(const SyncLatchDesign& d, double amp, Bits bits,
@@ -69,31 +68,6 @@ ckt::Waveform dataVoltageWaveform(const PhaseReference& ref, Bits bits, double b
     const auto sig = dataSignal(ref, std::move(bits), bitPeriod, tStart);
     const double mid = ref.vdd / 2.0;
     return ckt::Waveform::custom([=](double t) { return mid + mid * sig(t); });
-}
-
-std::vector<core::GaeSegment> dataInjectionSchedule(const SyncLatchDesign& d, double amp,
-                                                    Bits bits, double bitPeriod, double tStart) {
-    if (bits.empty()) throw std::invalid_argument("dataInjectionSchedule: empty bit stream");
-    std::vector<core::GaeSegment> sched;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-        core::GaeSegment seg;
-        seg.tStart = tStart + static_cast<double>(k) * bitPeriod;
-        seg.injections = {d.sync(), d.dataInjection(amp, bits[k])};
-        sched.push_back(std::move(seg));
-    }
-    return sched;
-}
-
-Bits decodePhaseTrajectory(const PhaseReference& ref, const core::GaeTransientResult& traj,
-                           double bitPeriod, std::size_t nBits, double tStart) {
-    Bits out;
-    out.reserve(nBits);
-    for (std::size_t k = 0; k < nBits; ++k) {
-        // Sample just before the end of the slot to allow settling.
-        const double t = tStart + (static_cast<double>(k) + 0.98) * bitPeriod;
-        out.push_back(ref.decode(traj.at(t)));
-    }
-    return out;
 }
 
 Bits decodeSignals(const core::PhaseSystem::Program& prog, const PhaseReference& ref,

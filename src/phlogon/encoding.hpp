@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "circuit/sources.hpp"
-#include "core/gae_transient.hpp"
 #include "core/phase_system.hpp"
 #include "phlogon/reference.hpp"
 
@@ -17,7 +16,8 @@ using Bits = std::vector<int>;
 
 /// Piecewise-constant schedule: value bits[k] on
 /// [tStart + k*bitPeriod, tStart + (k+1)*bitPeriod); bits.back() afterwards,
-/// bits.front() before tStart.
+/// bits.front() before tStart.  Throws std::invalid_argument on an empty
+/// stream or a bit period that is not positive and finite.
 std::function<int(double)> bitSchedule(Bits bits, double bitPeriod, double tStart = 0.0);
 
 /// CLK bit stream of a clocked phase-logic machine, one bit per half slot:
@@ -26,9 +26,6 @@ std::function<int(double)> bitSchedule(Bits bits, double bitPeriod, double tStar
 Bits clockBits(std::size_t slots);
 /// Bitwise NOT of a stream (CLK -> ~CLK).
 Bits invertBits(const Bits& bits);
-
-/// Circuit-level SYNC current waveform: syncAmp * cos(2 pi * 2 f1 t).
-ckt::Waveform syncWaveform(const SyncLatchDesign& d);
 
 /// Circuit-level logic-input current waveform carrying a bit stream:
 /// amp * cos(2 pi (f1 t - chi(t))) with chi switching between the calibrated
@@ -46,16 +43,6 @@ std::function<double(double)> dataSignal(const PhaseReference& ref, Bits bits, d
 /// swinging [0, vdd] around vdd/2.
 ckt::Waveform dataVoltageWaveform(const PhaseReference& ref, Bits bits, double bitPeriod,
                                   double tStart = 0.0);
-
-/// GAE injection schedule for a latch whose D input carries `bits` while
-/// SYNC stays on — the paper's bit-flip experiments (Figs. 11-12).
-std::vector<core::GaeSegment> dataInjectionSchedule(const SyncLatchDesign& d, double amp,
-                                                    Bits bits, double bitPeriod,
-                                                    double tStart = 0.0);
-
-/// Decode a phase trajectory into bits sampled at the end of each bit slot.
-Bits decodePhaseTrajectory(const PhaseReference& ref, const core::GaeTransientResult& traj,
-                           double bitPeriod, std::size_t nBits, double tStart = 0.0);
 
 /// Phase-logic value of each signal in `sigs` near time `tCenter`: the sign
 /// of its correlation against REF(1) over one reference cycle (64 samples,

@@ -139,28 +139,4 @@ core::Injection srGateInjection(const SyncLatchDesign& design, double gm, double
     return core::Injection::phaseDependent(design.injUnknown, std::move(fn), "MAJ(S,R,Q)");
 }
 
-std::vector<HoldErrorSweepPoint> holdErrorVsSyncAmplitude(const SyncLatchDesign& design,
-                                                          const core::Vec& syncAmps,
-                                                          double cSeconds, double holdTime,
-                                                          std::size_t trials,
-                                                          const core::StochasticGaeOptions& opt,
-                                                          std::size_t gridSize) {
-    OBS_SPAN("latch.holdErrorSweep");
-    std::vector<HoldErrorSweepPoint> out;
-    out.reserve(syncAmps.size());
-    for (const double a : syncAmps) {
-        HoldErrorSweepPoint p;
-        p.syncAmp = a;
-        const core::Injection sync =
-            core::Injection::tone(design.injUnknown, a, 2, 0.0, "SYNC");
-        const core::Gae gae(design.model, design.f1, {sync}, gridSize);
-        p.bistable = gae.stableEquilibria().size() >= 2;
-        if (p.bistable)
-            p.result = core::holdErrorProbability(gae, cSeconds, design.reference.phase1,
-                                                  holdTime, trials, opt);
-        out.push_back(p);
-    }
-    return out;
-}
-
 }  // namespace phlogon::logic

@@ -21,7 +21,6 @@
 #include "analysis/pss.hpp"
 #include "circuit/dae.hpp"
 #include "circuit/subckt.hpp"
-#include "core/noise.hpp"
 #include "core/phase_system.hpp"
 #include "io/model_cache.hpp"
 #include "phlogon/reference.hpp"
@@ -145,23 +144,5 @@ PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design
 core::Injection srGateInjection(const SyncLatchDesign& design, double gm, double gateClip,
                                 double aS, int bS, double aR, int bR, double wS, double wR,
                                 double wFb);
-
-struct HoldErrorSweepPoint {
-    double syncAmp = 0.0;
-    bool bistable = false;          ///< SHIL gives >= 2 stable phases (stores a bit)
-    core::HoldErrorResult result;   ///< zero trials when !bistable
-};
-
-/// Noise-immunity design curve (the paper's headline knob): sweep the SYNC
-/// amplitude, rebuild the SHIL GAE at each point and run the Monte-Carlo
-/// bit-retention experiment holding logic 1 for `holdTime` under phase
-/// diffusion `cSeconds`.  The escape rate drops exponentially with SYNC
-/// amplitude, so this is the curve a designer reads the required SYNC drive
-/// off of.  Each point runs the Monte-Carlo engine of core/noise.hpp;
-/// amplitudes run serially, trials in parallel, and the counts are bitwise
-/// reproducible at any thread count and SIMD tier.
-std::vector<HoldErrorSweepPoint> holdErrorVsSyncAmplitude(
-    const SyncLatchDesign& design, const core::Vec& syncAmps, double cSeconds, double holdTime,
-    std::size_t trials, const core::StochasticGaeOptions& opt = {}, std::size_t gridSize = 1024);
 
 }  // namespace phlogon::logic

@@ -14,20 +14,6 @@ int PhaseReference::decode(double dphi) const {
     return core::phaseDistance(dphi, phase1) <= core::phaseDistance(dphi, phase0) ? 1 : 0;
 }
 
-double PhaseReference::decodeMargin(double dphi) const {
-    const double d1 = core::phaseDistance(dphi, phase1);
-    const double d0 = core::phaseDistance(dphi, phase0);
-    return std::abs(d1 - d0);
-}
-
-double PhaseReference::refValue(double t, int bit) const {
-    // A latch locked at dphi peaks when f1*t + dphi == dphiPeak (mod 1), i.e.
-    // at f1*t = dphiPeak - dphi; REF is the cosine with its peak there.
-    return vdd / 2.0 +
-           vdd / 2.0 *
-               std::cos(2.0 * std::numbers::pi * (f1 * t - dphiPeak + phaseForBit(bit)));
-}
-
 std::function<double(double)> PhaseReference::refSignal(int bit) const {
     const double ph = dphiPeak - phaseForBit(bit);
     const double f = f1;

@@ -31,12 +31,7 @@ struct PhaseReference {
     double phaseForBit(int bit) const { return bit ? phase1 : phase0; }
     /// Nearest-lock-phase decode of a measured dphi.
     int decode(double dphi) const;
-    /// Margin of a decode: cyclic distance to the *other* reference minus
-    /// distance to the decoded one (positive = confident).
-    double decodeMargin(double dphi) const;
 
-    /// REF waveform of eq. (8)/(9): Vdd/2 + Vdd/2 cos(2 pi (f1 t - dphiPeak - phase_bit)).
-    double refValue(double t, int bit) const;
     /// Unit-amplitude phase-logic signal for PhaseSystem gates:
     /// cos(2 pi (f1 t - dphiPeak - phase_bit)); matches the shape of
     /// normalized latch outputs.

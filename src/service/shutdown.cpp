@@ -12,12 +12,10 @@ namespace phlogon::svc {
 
 namespace {
 
-std::atomic<int> gSignal{0};
 std::atomic<bool> gRequested{false};
 int gPipe[2] = {-1, -1};
 
-void onSignal(int sig) {
-    gSignal.store(sig, std::memory_order_relaxed);
+void onSignal(int) {
     gRequested.store(true, std::memory_order_release);
     if (gPipe[1] >= 0) {
         const char b = 1;
@@ -60,8 +58,6 @@ void ShutdownSignal::install() {
 
 bool ShutdownSignal::requested() const { return gRequested.load(std::memory_order_acquire); }
 
-int ShutdownSignal::signalNumber() const { return gSignal.load(std::memory_order_relaxed); }
-
 bool ShutdownSignal::wait(int timeoutMs) const {
     if (requested()) return true;
     if (gPipe[0] < 0) return false;
@@ -78,15 +74,5 @@ bool ShutdownSignal::wait(int timeoutMs) const {
 }
 
 void ShutdownSignal::request() { onSignal(0); }
-
-void ShutdownSignal::resetForTest() {
-    gRequested.store(false, std::memory_order_release);
-    gSignal.store(0, std::memory_order_relaxed);
-    if (gPipe[0] >= 0) {
-        char buf[64];
-        while (::read(gPipe[0], buf, sizeof buf) > 0) {
-        }
-    }
-}
 
 }  // namespace phlogon::svc

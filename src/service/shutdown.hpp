@@ -1,8 +1,8 @@
 #pragma once
 // Process-wide SIGINT/SIGTERM latch (self-pipe idiom).
 //
-// The handler does the only two async-signal-safe things needed: it stores
-// the signal number and writes one byte to a pipe.  Everything with
+// The handler does the only two async-signal-safe things needed: it sets
+// the requested flag and writes one byte to a pipe.  Everything with
 // consequences — draining the job queue, checkpointing in-flight work,
 // finishing a half-written bench report — happens on a normal thread that
 // observes requested() or returns from wait().
@@ -24,8 +24,6 @@ public:
     void install();
 
     bool requested() const;
-    /// The delivered signal number (0 when only request()ed).
-    int signalNumber() const;
 
     /// Block until a shutdown is requested, or `timeoutMs` elapses
     /// (negative = forever).  True when shutdown was requested.
@@ -33,9 +31,6 @@ public:
 
     /// Programmatic trigger — same wakeup as a signal.
     void request();
-
-    /// Re-arm for the next test (clears the latch; handler stays installed).
-    void resetForTest();
 
 private:
     ShutdownSignal();

@@ -62,25 +62,6 @@ TEST(EstimatePeriod, FailsOnTooFewCycles) {
     EXPECT_FALSE(estimatePeriod(t, x, 0.0).ok);
 }
 
-TEST(CrossingPhases, WrappedAgainstReference) {
-    const Vec crossings{0.75, 1.75, 2.75};  // cos rising zeros at f = 1
-    const Vec ph = crossingPhases(crossings, 1.0, 0.75);
-    for (double p : ph) EXPECT_NEAR(p, 0.0, 1e-12);
-}
-
-TEST(UnwrapPhase, RemovesWrapJumps) {
-    const Vec wrapped{0.9, 0.95, 0.02, 0.1};  // crossed 1.0
-    const Vec u = unwrapPhase(wrapped);
-    EXPECT_NEAR(u[2], 1.02, 1e-12);
-    EXPECT_NEAR(u[3], 1.1, 1e-12);
-}
-
-TEST(UnwrapPhase, DownwardJumps) {
-    const Vec wrapped{0.1, 0.02, 0.9};
-    const Vec u = unwrapPhase(wrapped);
-    EXPECT_NEAR(u[2], -0.1, 1e-12);
-}
-
 TEST(PeakPosition, ParabolicRefinement) {
     const std::size_t n = 64;
     const double truePos = 0.3719;  // deliberately off-grid

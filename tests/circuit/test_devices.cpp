@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/dae.hpp"
-#include "numeric/newton.hpp"
+#include "common/newton_oracle.hpp"
 
 namespace phlogon::ckt {
 namespace {
@@ -12,13 +12,13 @@ using num::Vec;
 /// Check that analytic G matches the finite-difference Jacobian of f at x.
 void expectConsistentJacobians(const Dae& dae, double t, const Vec& x, double tol = 1e-5) {
     const Matrix g = dae.evalG(t, x);
-    const Matrix gFd = num::fdJacobian([&](const Vec& xv) { return dae.evalF(t, xv); }, x);
+    const Matrix gFd = testutil::fdJacobian([&](const Vec& xv) { return dae.evalF(t, xv); }, x);
     for (std::size_t r = 0; r < g.rows(); ++r)
         for (std::size_t c = 0; c < g.cols(); ++c)
             EXPECT_NEAR(g(r, c), gFd(r, c), tol * (1.0 + std::abs(gFd(r, c))))
                 << "G mismatch at (" << r << "," << c << ")";
     const Matrix cm = dae.evalC(t, x);
-    const Matrix cFd = num::fdJacobian([&](const Vec& xv) { return dae.evalQ(t, xv); }, x);
+    const Matrix cFd = testutil::fdJacobian([&](const Vec& xv) { return dae.evalQ(t, xv); }, x);
     for (std::size_t r = 0; r < cm.rows(); ++r)
         for (std::size_t c = 0; c < cm.cols(); ++c)
             EXPECT_NEAR(cm(r, c), cFd(r, c), tol * (1.0 + std::abs(cFd(r, c))))

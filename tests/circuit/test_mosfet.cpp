@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "circuit/dae.hpp"
-#include "numeric/newton.hpp"
+#include "common/newton_oracle.hpp"
 
 namespace phlogon::ckt {
 namespace {
@@ -142,7 +142,7 @@ TEST(MosfetDevice, InverterStampJacobianConsistent) {
         Vec x{3.0, 0.0, vout, 1.5, 0.0};
         const Matrix g = dae.evalG(0.0, x);
         const Matrix gFd =
-            num::fdJacobian([&](const Vec& xv) { return dae.evalF(0.0, xv); }, x);
+            testutil::fdJacobian([&](const Vec& xv) { return dae.evalF(0.0, xv); }, x);
         for (std::size_t r = 0; r < g.rows(); ++r)
             for (std::size_t c = 0; c < g.cols(); ++c)
                 EXPECT_NEAR(g(r, c), gFd(r, c), 1e-5 * (1.0 + std::abs(gFd(r, c))));

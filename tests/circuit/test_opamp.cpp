@@ -6,7 +6,7 @@
 
 #include "circuit/dae.hpp"
 #include "circuit/subckt.hpp"
-#include "numeric/newton.hpp"
+#include "common/newton_oracle.hpp"
 
 namespace phlogon::ckt {
 namespace {
@@ -51,7 +51,7 @@ TEST(OpampDevice, JacobianConsistent) {
         Vec x{vd, 0.0, 1.0};
         const Matrix g = dae.evalG(0.0, x);
         const Matrix gFd =
-            num::fdJacobian([&](const Vec& xv) { return dae.evalF(0.0, xv); }, x);
+            testutil::fdJacobian([&](const Vec& xv) { return dae.evalF(0.0, xv); }, x);
         for (std::size_t r = 0; r < g.rows(); ++r)
             for (std::size_t c = 0; c < g.cols(); ++c)
                 EXPECT_NEAR(g(r, c), gFd(r, c), 1e-4 * (1.0 + std::abs(gFd(r, c))));
@@ -62,12 +62,12 @@ TEST(OpampDevice, JacobianConsistent) {
 /// feedback circuits.
 Vec solveDc(const Dae& dae) {
     Vec x(dae.size(), 1.0);
-    const num::ResidualFn f = [&](const Vec& xv) { return dae.evalF(0.0, xv); };
-    const num::JacobianFn j = [&](const Vec& xv) { return dae.evalG(0.0, xv); };
+    const testutil::ResidualFn f = [&](const Vec& xv) { return dae.evalF(0.0, xv); };
+    const testutil::JacobianFn j = [&](const Vec& xv) { return dae.evalG(0.0, xv); };
     num::NewtonOptions opt;
     opt.maxIter = 200;
     opt.maxStep = 0.5;
-    const auto r = num::newtonSolve(f, j, x, opt);
+    const auto r = testutil::newtonSolve(f, j, x, opt);
     EXPECT_TRUE(r.converged) << r.message;
     return x;
 }

@@ -8,10 +8,13 @@
 
 #include "common/osc_fixture.hpp"
 #include "common/scoped_env.hpp"
+#include "common/stochastic_gae_oracle.hpp"
 #include "core/gae_sweep.hpp"
 
 namespace phlogon::core {
 namespace {
+
+using testutil::stochasticGaeTransient;
 
 const PpvModel& model() { return testutil::sharedOsc().model(); }
 std::size_t injNode() { return testutil::sharedOsc().outputUnknown(); }
@@ -69,10 +72,8 @@ TEST(StochasticGae, Reproducible) {
         EXPECT_DOUBLE_EQ(r1.dphi[i], r2.dphi[i]);
 
     // storeEvery = 0 counts as 1: every step is stored, no division by zero.
-    opt.storeEvery = 1;
-    const auto every = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt);
-    opt.storeEvery = 0;
-    const auto zero = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt);
+    const auto every = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt, 1);
+    const auto zero = stochasticGaeTransient(gae, c, 0.1, 0.0, 10.0 / d.f1, opt, 0);
     ASSERT_TRUE(every.ok && zero.ok);
     EXPECT_GT(every.t.size(), r1.t.size());
     EXPECT_EQ(zero.t, every.t);
@@ -92,8 +93,7 @@ TEST(StochasticGae, FreeRunningVarianceMatchesDiffusion) {
     for (std::size_t k = 0; k < trials; ++k) {
         StochasticGaeOptions opt;
         opt.seed = 1000 + k;
-        opt.storeEvery = 1u << 20;
-        const auto r = stochasticGaeTransient(gae, c, 0.0, 0.0, span, opt);
+        const auto r = stochasticGaeTransient(gae, c, 0.0, 0.0, span, opt, 1u << 20);
         sum += r.dphi.back();
         sum2 += r.dphi.back() * r.dphi.back();
     }
@@ -203,8 +203,7 @@ TEST(HoldErrorBatched, SimdOnEqualsOff) {
     for (std::size_t k = 0; k < trials; ++k) {
         StochasticGaeOptions one = opt;
         one.seed = opt.seed + 0x9e3779b97f4a7c15ull * k;
-        one.storeEvery = 1u << 20;
-        const auto path = stochasticGaeTransient(gae, c, start, 0.0, span, one);
+        const auto path = stochasticGaeTransient(gae, c, start, 0.0, span, one, 1u << 20);
         ASSERT_TRUE(path.ok);
         lost[k] = nearest(path.dphi.back()) != start ? 1 : 0;
         pathErrors += lost[k];

@@ -12,6 +12,7 @@
 
 #include "common/osc_fixture.hpp"
 #include "common/scoped_env.hpp"
+#include "common/stochastic_gae_oracle.hpp"
 #include "core/gae_sweep.hpp"
 #include "core/noise.hpp"
 #include "numeric/parallel.hpp"
@@ -20,6 +21,7 @@ namespace phlogon::core {
 namespace {
 
 using testutil::ScopedThreadsEnv;
+using testutil::stochasticGaeTransient;
 
 /// fn() evaluated under PHLOGON_THREADS=1 and then =4.
 template <class Fn>
@@ -157,8 +159,7 @@ TEST(MonteCarloDeterminism, TrialSeedsAreCounterBased) {
     for (std::size_t k = 0; k < trials; ++k) {
         StochasticGaeOptions one = opt;
         one.seed = opt.seed + 0x9e3779b97f4a7c15ull * k;
-        one.storeEvery = 1u << 20;
-        const auto path = stochasticGaeTransient(gae, c, start, 0.0, span, one);
+        const auto path = stochasticGaeTransient(gae, c, start, 0.0, span, one, 1u << 20);
         ASSERT_TRUE(path.ok);
         pathLost[k] = nearest(path.dphi.back()) != start ? 1 : 0;
     }
@@ -217,8 +218,7 @@ TEST(MonteCarloDeterminism, EnsembleEndpointsBitwiseEqual) {
             [&](std::size_t k) {
                 StochasticGaeOptions o;
                 o.seed = 7 + 0x9e3779b97f4a7c15ull * k;
-                o.storeEvery = 1u << 20;
-                out[k] = stochasticGaeTransient(gae, c, 0.1, 0.0, span, o).dphi.back();
+                out[k] = stochasticGaeTransient(gae, c, 0.1, 0.0, span, o, 1u << 20).dphi.back();
             },
             threads);
         return out;

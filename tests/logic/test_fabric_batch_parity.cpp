@@ -2,7 +2,7 @@
 // compiled fabrics, the paper's serial adder among them.
 //
 // The values below were printed at %.17g from the engine's last two-engine
-// version, where the recursive evaluator driving num::rk4 and the Program
+// version, where the recursive evaluator driving the plain rk4 and the Program
 // pass driving BatchOde::rk4Lockstep agreed bitwise at every lane partition,
 // thread count and SIMD tier, and re-pinned once when the PSS time origin
 // moved to n1's rising mean-crossing on the converged orbit.  They pin point

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -209,4 +210,13 @@ TEST(FabricEquivalence, CompileRejectsBadSchedules) {
                  logic::FabricError);
     EXPECT_THROW(logic::compileFabric(nl, testutil::sharedFsmDesign(), {{1, 0}}),
                  logic::FabricError);  // 5 inputs, 2 bits
+    // A slot must last a positive, finite time.
+    for (const double cycles : {0.0, -1.0, std::nan("")}) {
+        logic::FabricCompileOptions opt;
+        opt.bitPeriodCycles = cycles;
+        EXPECT_THROW(logic::compileFabric(nl, testutil::sharedFsmDesign(),
+                                          {std::vector<int>(nl.inputs().size(), 0)}, opt),
+                     logic::FabricError)
+            << cycles;
+    }
 }

@@ -4,8 +4,12 @@
 
 #include <cmath>
 
+#include "common/ode_oracle.hpp"
+
 namespace phlogon::num {
 namespace {
+
+using testutil::rkf45Scalar;
 
 // Scalar RHS and its batched mirror: per-lane arithmetic is identical, which
 // is the precondition for BatchOde's bitwise-equivalence contract.

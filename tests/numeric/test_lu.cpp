@@ -36,13 +36,6 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(Lu, Determinant) {
-    Matrix a{{2, 0}, {0, 3}};
-    EXPECT_NEAR(LuFactor::factor(a)->determinant(), 6.0, 1e-12);
-    Matrix b{{0, 1}, {1, 0}};  // permutation, det = -1
-    EXPECT_NEAR(LuFactor::factor(b)->determinant(), -1.0, 1e-12);
-}
-
 TEST(Lu, SolveTransposedMatchesExplicitTranspose) {
     std::mt19937 rng(42);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -85,20 +78,15 @@ TEST(Lu, ResidualSmallOnRandomSystems) {
 
 TEST(Lu, SolveMatrixReproducesInverse) {
     Matrix a{{4, 1}, {2, 3}};
-    auto inv = inverse(a);
-    ASSERT_TRUE(inv.has_value());
-    const Matrix prod = a * (*inv);
+    auto f = LuFactor::factor(a);
+    ASSERT_TRUE(f.has_value());
+    Matrix inv;
+    f->solveMatrixInto(Matrix::identity(2), inv);
+    const Matrix prod = a * inv;
     EXPECT_NEAR(prod(0, 0), 1.0, 1e-12);
     EXPECT_NEAR(prod(0, 1), 0.0, 1e-12);
     EXPECT_NEAR(prod(1, 0), 0.0, 1e-12);
     EXPECT_NEAR(prod(1, 1), 1.0, 1e-12);
-}
-
-TEST(Lu, SolveLinearConvenience) {
-    const auto x = solveLinear(Matrix{{1, 0}, {0, 2}}, Vec{1, 4});
-    ASSERT_TRUE(x.has_value());
-    EXPECT_NEAR((*x)[1], 2.0, 1e-14);
-    EXPECT_FALSE(solveLinear(Matrix{{1, 1}, {1, 1}}, Vec{1, 1}).has_value());
 }
 
 TEST(Lu, RefactorReusesStorageAndMatchesFactor) {
@@ -173,14 +161,6 @@ TEST(Lu, SolveMatrixIntoMatchesColumnwiseSolves) {
     }
 }
 
-TEST(Lu, RcondEstimateOrdersWellVsIllConditioned) {
-    const double good = LuFactor::factor(Matrix::identity(3))->rcondEstimate();
-    Matrix bad{{1, 0}, {0, 1e-10}};
-    const double poor = LuFactor::factor(bad)->rcondEstimate();
-    EXPECT_GT(good, 0.5);
-    EXPECT_LT(poor, 1e-9);
-}
-
 TEST(Eigen, InverseIterationFindsNearestEigenpair) {
     // Symmetric matrix with eigenvalues 1 and 3.
     Matrix a{{2, 1}, {1, 2}};
@@ -199,13 +179,6 @@ TEST(Eigen, InverseIterationHandlesExactShift) {
     const auto p = inverseIteration(a, 5.0);  // exactly singular shift: nudged internally
     ASSERT_TRUE(p.has_value());
     EXPECT_NEAR(p->first, 5.0, 1e-6);
-}
-
-TEST(Eigen, PowerIterationFindsDominant) {
-    Matrix a{{3, 1}, {0, 1}};
-    const auto p = powerIteration(a);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_NEAR(p->first, 3.0, 1e-8);
 }
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
@@ -227,22 +200,7 @@ TEST(LuDeathTest, SolveMatrixIntoRejectsAliasedOutput) {
 }
 #endif
 
-TEST(Eigen, PowerIterationBreaksDownOnZeroMatrix) {
-    // A v = 0 on the first multiply: the iteration cannot normalize and must
-    // report failure instead of dividing by zero.
-    EXPECT_FALSE(powerIteration(Matrix(3, 3)).has_value());
-}
-
-TEST(Eigen, PowerIterationBreaksDownOnNilpotent) {
-    // [[0,1],[0,0]] annihilates every vector in two steps; all eigenvalues
-    // are 0 so there is no dominant direction for the iteration to find.
-    Matrix a{{0, 1}, {0, 0}};
-    EXPECT_FALSE(powerIteration(a).has_value());
-}
-
 TEST(Eigen, IterationsRejectEmptyAndNonSquare) {
-    EXPECT_FALSE(powerIteration(Matrix()).has_value());
-    EXPECT_FALSE(powerIteration(Matrix(2, 3)).has_value());
     EXPECT_FALSE(inverseIteration(Matrix(), 0.0).has_value());
     EXPECT_FALSE(inverseIteration(Matrix(2, 3), 0.0).has_value());
 }

@@ -85,7 +85,6 @@ TEST(Matrix, MultTranspose) {
 
 TEST(Matrix, Norms) {
     Matrix a{{3, 0}, {0, 4}};
-    EXPECT_DOUBLE_EQ(a.normFro(), 5.0);
     EXPECT_DOUBLE_EQ(a.normMax(), 4.0);
 }
 

@@ -4,15 +4,21 @@
 
 #include <cmath>
 
+#include "common/newton_oracle.hpp"
+
 namespace phlogon::num {
 namespace {
+
+using testutil::fdJacobian;
+using testutil::JacobianFn;
+using testutil::ResidualFn;
 
 TEST(Newton, SolvesScalarQuadratic) {
     // x^2 - 4 = 0, starting near the positive root.
     const ResidualFn f = [](const Vec& x) { return Vec{x[0] * x[0] - 4.0}; };
     const JacobianFn j = [](const Vec& x) { return Matrix{{2.0 * x[0]}}; };
     Vec x{3.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 2.0, 1e-8);
     EXPECT_LT(r.iterations, 12);
@@ -27,7 +33,7 @@ TEST(Newton, Solves2dNonlinearSystem) {
         return Matrix{{2.0 * v[0], 2.0 * v[1]}, {-1.0, 1.0}};
     };
     Vec x{1.0, 0.5};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 1.0 / std::sqrt(2.0), 1e-8);
     EXPECT_NEAR(x[1], 1.0 / std::sqrt(2.0), 1e-8);
@@ -37,7 +43,7 @@ TEST(Newton, QuadraticConvergenceIsFast) {
     const ResidualFn f = [](const Vec& x) { return Vec{std::exp(x[0]) - 2.0}; };
     const JacobianFn j = [](const Vec& x) { return Matrix{{std::exp(x[0])}}; };
     Vec x{0.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], std::log(2.0), 1e-10);
     EXPECT_LE(r.iterations, 8);
@@ -48,7 +54,7 @@ TEST(Newton, DampingRescuesOvershoot) {
     const ResidualFn f = [](const Vec& x) { return Vec{std::atan(x[0])}; };
     const JacobianFn j = [](const Vec& x) { return Matrix{{1.0 / (1.0 + x[0] * x[0])}}; };
     Vec x{3.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 0.0, 1e-8);
 }
@@ -57,7 +63,7 @@ TEST(Newton, ReportsSingularJacobian) {
     const ResidualFn f = [](const Vec& x) { return Vec{x[0] * x[0] + 1.0}; };
     const JacobianFn j = [](const Vec&) { return Matrix{{0.0}}; };
     Vec x{1.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.message, "singular Jacobian");
 }
@@ -69,7 +75,7 @@ TEST(Newton, MaxIterationsReported) {
     Vec x{1.0};
     NewtonOptions opt;
     opt.maxIter = 15;
-    const NewtonResult r = newtonSolve(f, j, x, opt);
+    const NewtonResult r = testutil::newtonSolve(f, j, x, opt);
     EXPECT_FALSE(r.converged);
 }
 
@@ -80,7 +86,7 @@ TEST(Newton, MaxStepClampRespected) {
     NewtonOptions opt;
     opt.maxStep = 10.0;
     opt.maxIter = 30;
-    const NewtonResult r = newtonSolve(f, j, x, opt);
+    const NewtonResult r = testutil::newtonSolve(f, j, x, opt);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 100.0, 1e-8);
     EXPECT_GE(r.iterations, 10);  // clamped to <= 10 per step
@@ -90,7 +96,7 @@ TEST(Newton, AlreadyConvergedReturnsImmediately) {
     const ResidualFn f = [](const Vec& x) { return Vec{x[0]}; };
     const JacobianFn j = [](const Vec&) { return Matrix{{1.0}}; };
     Vec x{0.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.iterations, 1);
 }
@@ -105,7 +111,7 @@ TEST(Newton, DampingExhaustedFallbackIsCountedAndReported) {
     NewtonOptions opt;
     opt.maxIter = 3;
     opt.maxDampings = 2;
-    const NewtonResult r = newtonSolve(f, j, x, opt);
+    const NewtonResult r = testutil::newtonSolve(f, j, x, opt);
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.counters.dampingEvents, 3u);  // one per iteration
     EXPECT_NE(r.message.find("damping exhausted"), std::string::npos) << r.message;
@@ -115,7 +121,7 @@ TEST(Newton, CleanFailureMessageHasNoDampingSuffix) {
     const ResidualFn f = [](const Vec& x) { return Vec{x[0] * x[0] + 1.0}; };
     const JacobianFn j = [](const Vec&) { return Matrix{{0.0}}; };
     Vec x{1.0};
-    const NewtonResult r = newtonSolve(f, j, x);
+    const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_EQ(r.counters.dampingEvents, 0u);
     EXPECT_EQ(r.message, "singular Jacobian");
 }
@@ -128,7 +134,7 @@ TEST(Newton, WorkspaceOverloadMatchesAllocatingOverload) {
         return Matrix{{2.0 * v[0], 2.0 * v[1]}, {-1.0, 1.0}};
     };
     Vec xa{1.0, 0.5};
-    const NewtonResult ra = newtonSolve(ResidualFn(resid), JacobianFn(jacob), xa);
+    const NewtonResult ra = testutil::newtonSolve(ResidualFn(resid), JacobianFn(jacob), xa);
 
     const ResidualInPlaceFn fi = [&resid](const Vec& v, Vec& out) { out = resid(v); };
     const JacobianInPlaceFn ji = [&jacob](const Vec& v, Matrix& out) { out = jacob(v); };

@@ -1,4 +1,4 @@
-#include "numeric/ode.hpp"
+#include "common/ode_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,11 @@
 
 namespace phlogon::num {
 namespace {
+
+using testutil::OdeRhs;
+using testutil::rk4;
+using testutil::rkf45;
+using testutil::rkf45Scalar;
 
 TEST(Rkf45, ExponentialDecay) {
     const OdeRhs f = [](double, const Vec& y) { return Vec{-y[0]}; };

@@ -8,22 +8,6 @@
 namespace phlogon::num {
 namespace {
 
-TEST(Bisection, FindsRootInBracket) {
-    const auto r = bisection([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_NEAR(*r, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisection, RejectsNonBracket) {
-    EXPECT_FALSE(bisection([](double x) { return x * x + 1.0; }, -1.0, 1.0).has_value());
-}
-
-TEST(Bisection, ExactEndpointRoots) {
-    const auto a = bisection([](double x) { return x; }, 0.0, 1.0);
-    ASSERT_TRUE(a.has_value());
-    EXPECT_DOUBLE_EQ(*a, 0.0);
-}
-
 TEST(Brent, FindsRootFasterThanBisection) {
     int evalsBrent = 0;
     const auto r = brent(
@@ -47,44 +31,24 @@ TEST(Brent, RejectsNonBracket) {
     EXPECT_FALSE(brent([](double x) { return x * x + 0.5; }, -1.0, 1.0).has_value());
 }
 
-TEST(FindAllRoots, SineHasKnownRoots) {
-    const auto roots = findAllRoots([](double x) { return std::sin(x); }, 0.1,
-                                    4.0 * std::numbers::pi - 0.1, 720);
-    ASSERT_EQ(roots.size(), 3u);
-    EXPECT_NEAR(roots[0], std::numbers::pi, 1e-9);
-    EXPECT_NEAR(roots[1], 2.0 * std::numbers::pi, 1e-9);
-    EXPECT_NEAR(roots[2], 3.0 * std::numbers::pi, 1e-9);
-}
-
-TEST(FindAllRoots, NoRootsReturnsEmpty) {
-    EXPECT_TRUE(findAllRoots([](double) { return 1.0; }, 0.0, 1.0).empty());
-}
-
-TEST(FindAllRoots, CountsEquilibriaOfShiftedSinusoid) {
+TEST(FindAllRootsPeriodic, CountsEquilibriaOfShiftedSinusoid) {
     // sin(2 pi 2 x) - c has 4 roots in [0,1) for |c| < 1.
     for (double c : {-0.5, 0.0, 0.5}) {
-        const auto roots = findAllRoots(
+        const auto roots = findAllRootsPeriodic(
             [c](double x) { return std::sin(2.0 * std::numbers::pi * 2.0 * x) - c; }, 0.0, 1.0);
         EXPECT_EQ(roots.size(), 4u) << "c=" << c;
     }
     // |c| > 1: none.
-    EXPECT_TRUE(findAllRoots(
+    EXPECT_TRUE(findAllRootsPeriodic(
                     [](double x) { return std::sin(2.0 * std::numbers::pi * 2.0 * x) - 1.5; },
                     0.0, 1.0)
                     .empty());
 }
 
-TEST(FindAllRoots, MergesPeriodicDuplicateAtBoundary) {
-    // sin(2 pi x) has roots at 0, 0.5 (and 1.0 == 0 periodically).
-    const auto roots =
-        findAllRoots([](double x) { return std::sin(2.0 * std::numbers::pi * x); }, 0.0, 1.0);
-    EXPECT_EQ(roots.size(), 2u);
-}
-
-TEST(FindAllRoots, ClusteredRootsSeparated) {
+TEST(FindAllRootsPeriodic, ClusteredRootsSeparated) {
     // (x-0.5)^2 - eps^2: two roots 2*eps apart.
     const double eps = 1e-3;
-    const auto roots = findAllRoots(
+    const auto roots = findAllRootsPeriodic(
         [eps](double x) { return (x - 0.5) * (x - 0.5) - eps * eps; }, 0.0, 1.0, 4096);
     ASSERT_EQ(roots.size(), 2u);
     EXPECT_NEAR(roots[0], 0.5 - eps, 1e-8);
@@ -138,11 +102,6 @@ TEST(FindAllRootsPeriodic, NonUnitPeriod) {
     ASSERT_EQ(roots.size(), 2u);
     EXPECT_NEAR(roots[0], 0.0, 1e-9);
     EXPECT_NEAR(roots[1], std::numbers::pi, 1e-9);
-}
-
-TEST(FdDerivative, MatchesAnalytic) {
-    EXPECT_NEAR(fdDerivative([](double x) { return x * x * x; }, 2.0), 12.0, 1e-6);
-    EXPECT_NEAR(fdDerivative([](double x) { return std::sin(x); }, 0.0), 1.0, 1e-8);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/ode_oracle.hpp"
 #include "numeric/batch_ode.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/rkf45_tableau.hpp"
@@ -428,7 +429,7 @@ num::BatchRhs1 pendulumRhs() {
 TEST(SimdBatchOde, Rkf45SimdOnEqualsOff) {
     // BatchOde on the process-wide tier against the scalar reference
     // integrator, lane by lane, bit for bit.
-    const num::OdeRhs1 scalarRhs = [](double t, double y) {
+    const testutil::OdeRhs1 scalarRhs = [](double t, double y) {
         return -2.5 * std::sin(y) + 0.3 * std::cos(3.0 * t);
     };
     for (std::size_t lanes : {1ul, 5ul, 32ul, 63ul}) {
@@ -443,7 +444,7 @@ TEST(SimdBatchOde, Rkf45SimdOnEqualsOff) {
         ASSERT_EQ(b.lanes.size(), lanes);
         EXPECT_TRUE(b.ok);
         for (std::size_t l = 0; l < lanes; ++l) {
-            const num::OdeSolution1 a = num::rkf45Scalar(scalarRhs, y0[l], 0.0, 2.0, opt);
+            const num::OdeSolution1 a = testutil::rkf45Scalar(scalarRhs, y0[l], 0.0, 2.0, opt);
             EXPECT_EQ(a.ok, b.lanes[l].ok) << "lane " << l;
             ASSERT_EQ(a.t.size(), b.lanes[l].t.size()) << "lane " << l;
             for (std::size_t i = 0; i < a.t.size(); ++i) {
@@ -455,7 +456,7 @@ TEST(SimdBatchOde, Rkf45SimdOnEqualsOff) {
 }
 
 TEST(SimdBatchOde, Rk4LockstepSimdOnEqualsOff) {
-    // rk4Lockstep on the process-wide tier against num::rk4 thinned to the
+    // rk4Lockstep on the process-wide tier against the reference rk4 thinned to the
     // same storeEvery grid: the initial point, every 7th step, the last.
     const auto coupled = [](double t, const double* y, double* dydt, std::size_t lanes) {
         // Ring diffusion plus a forcing term.
@@ -465,7 +466,7 @@ TEST(SimdBatchOde, Rk4LockstepSimdOnEqualsOff) {
             dydt[l] = 0.5 * (left + right - 2.0 * y[l]) + 0.1 * std::sin(t + static_cast<double>(l));
         }
     };
-    const num::OdeRhs vecRhs = [&](double t, const num::Vec& y) {
+    const testutil::OdeRhs vecRhs = [&](double t, const num::Vec& y) {
         num::Vec dydt(y.size());
         coupled(t, y.data(), dydt.data(), y.size());
         return dydt;
@@ -476,7 +477,7 @@ TEST(SimdBatchOde, Rk4LockstepSimdOnEqualsOff) {
         for (std::size_t l = 0; l < lanes; ++l) y0[l] = std::cos(static_cast<double>(l));
         num::BatchOde batch(lanes);
         const num::OdeSolution b = batch.rk4Lockstep(coupled, y0, 0.0, 1.0, nSteps, storeEvery);
-        const num::OdeSolution full = num::rk4(vecRhs, y0, 0.0, 1.0, nSteps);
+        const num::OdeSolution full = testutil::rk4(vecRhs, y0, 0.0, 1.0, nSteps);
         num::OdeSolution a;
         for (std::size_t i = 0; i <= nSteps; ++i) {
             if (i % storeEvery != 0 && i != nSteps) continue;

@@ -328,41 +328,6 @@ TEST(SparseLu, FillReducingOrderKeepsArrowFillLinear) {
     EXPECT_LT(normInf(r), 1e-10);
 }
 
-TEST(SparseLu, RcondEstimateOrdersWellVsIllConditioned) {
-    SparseMatrix eye(3, 3);
-    for (std::size_t i = 0; i < 3; ++i) eye.add(i, i, 1.0);
-    eye.endAssembly();
-    SparseLu good;
-    ASSERT_TRUE(good.factor(eye));
-    EXPECT_GT(good.rcondEstimate(), 0.5);
-
-    SparseMatrix bad(2, 2);
-    bad.add(0, 0, 1.0);
-    bad.add(1, 1, 1e-10);
-    bad.endAssembly();
-    SparseLu poor;
-    ASSERT_TRUE(poor.factor(bad));
-    EXPECT_LT(poor.rcondEstimate(), 1e-9);
-}
-
-TEST(SparseLu, SolveLinearSparseConvenience) {
-    SparseMatrix a(2, 2);
-    a.add(0, 0, 1.0);
-    a.add(1, 1, 2.0);
-    a.endAssembly();
-    const auto x = solveLinearSparse(a, Vec{1, 4});
-    ASSERT_TRUE(x.has_value());
-    EXPECT_NEAR((*x)[1], 2.0, 1e-14);
-
-    SparseMatrix s(2, 2);
-    s.add(0, 0, 1.0);
-    s.add(0, 1, 1.0);
-    s.add(1, 0, 1.0);
-    s.add(1, 1, 1.0);
-    s.endAssembly();
-    EXPECT_FALSE(solveLinearSparse(s, Vec{1, 1}).has_value());
-}
-
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
 TEST(SparseLuDeathTest, SolveIntoRejectsAliasedOutput) {
     SparseMatrix a(2, 2);

@@ -6,6 +6,7 @@
 
 #include "common/osc_fixture.hpp"
 #include "core/gae_sweep.hpp"
+#include "core/gae_transient.hpp"
 
 namespace phlogon::logic {
 namespace {
@@ -23,13 +24,10 @@ TEST(BitSchedule, RejectsEmpty) {
     EXPECT_THROW(bitSchedule({}, 1.0), std::invalid_argument);
 }
 
-TEST(SyncWaveform, SecondHarmonicAmplitude) {
-    const auto& d = testutil::sharedDesign();
-    const ckt::Waveform w = syncWaveform(d);
-    EXPECT_NEAR(w(0.0), d.syncAmp, 1e-12);
-    // Period is 1/(2 f1).
-    EXPECT_NEAR(w(1.0 / (2.0 * d.f1)), d.syncAmp, 1e-9);
-    EXPECT_NEAR(w(1.0 / (4.0 * d.f1)), -d.syncAmp, 1e-9);
+TEST(BitSchedule, RejectsNonPositivePeriod) {
+    // A zero period would divide into an infinite slot index.
+    for (const double period : {0.0, -1.0, std::nan("")})
+        EXPECT_THROW(bitSchedule({1, 0}, period), std::invalid_argument) << period;
 }
 
 TEST(DataCurrentWaveform, PhaseFlipsBetweenBits) {
@@ -64,35 +62,28 @@ TEST(DataVoltageWaveform, SwingsZeroToVdd) {
     EXPECT_NEAR(hi, d.reference.vdd, 1e-3);
 }
 
-TEST(DataInjectionSchedule, OneSegmentPerBit) {
-    const auto& d = testutil::sharedDesign();
-    const auto sched = dataInjectionSchedule(d, 100e-6, {1, 0, 1}, 2.0, 5.0);
-    ASSERT_EQ(sched.size(), 3u);
-    EXPECT_DOUBLE_EQ(sched[0].tStart, 5.0);
-    EXPECT_DOUBLE_EQ(sched[2].tStart, 9.0);
-    for (const auto& seg : sched) EXPECT_EQ(seg.injections.size(), 2u);  // SYNC + D
-}
-
-TEST(DataInjectionSchedule, RejectsEmpty) {
-    const auto& d = testutil::sharedDesign();
-    EXPECT_THROW(dataInjectionSchedule(d, 1e-6, {}, 1.0), std::invalid_argument);
-}
-
 TEST(DecodeRoundTrip, RandomBitStreamsSurviveEncodeDecode) {
-    // Property: encode a random bit stream as a GAE injection schedule,
-    // simulate, decode -> identical bits.
+    // Property: encode a random bit stream as a GAE injection schedule (one
+    // {SYNC, D} segment per bit, as in the Fig. 12 bench), simulate, decode
+    // each slot just before its end -> identical bits.
     const auto& d = testutil::sharedDesign();
     const double bitT = 40.0 / d.f1;
     const std::vector<Bits> streams{
         {1, 0, 1}, {0, 1, 1, 0}, {1, 1, 1}, {0, 0, 1, 0, 1},
     };
     for (const Bits& bits : streams) {
-        const auto sched = dataInjectionSchedule(d, 150e-6, bits, bitT);
+        std::vector<core::GaeSegment> sched;
+        for (std::size_t k = 0; k < bits.size(); ++k)
+            sched.push_back({static_cast<double>(k) * bitT,
+                             {d.sync(), d.dataInjection(150e-6, bits[k])}});
         const auto traj = core::gaeTransient(d.model, d.f1, sched,
                                              d.reference.phaseForBit(bits.front()) + 0.02, 0.0,
                                              static_cast<double>(bits.size()) * bitT);
         ASSERT_TRUE(traj.ok);
-        const Bits decoded = decodePhaseTrajectory(d.reference, traj, bitT, bits.size());
+        Bits decoded;
+        for (std::size_t k = 0; k < bits.size(); ++k)
+            decoded.push_back(
+                d.reference.decode(traj.at((static_cast<double>(k) + 0.98) * bitT)));
         EXPECT_EQ(decoded, bits);
     }
 }

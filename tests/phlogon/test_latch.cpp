@@ -147,35 +147,5 @@ TEST(SrGateInjection, SmallWeightsTolerateMismatch) {
     EXPECT_LT(gStrong.stableEquilibria().size(), 2u);
 }
 
-TEST(HoldErrorSweep, ErrorRateDropsWithSyncAmplitude) {
-    // Fig.-style noise-immunity curve: each bistable point runs the
-    // Monte-Carlo engine; stronger SYNC must lose (weakly) fewer bits.
-    const auto& d = testutil::sharedDesign();
-    const core::Vec amps{60e-6, 300e-6};
-    const double c = 2e-7;
-    const auto curve = holdErrorVsSyncAmplitude(d, amps, c, 60.0 / d.model.f0(), 120);
-    ASSERT_EQ(curve.size(), 2u);
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        EXPECT_DOUBLE_EQ(curve[i].syncAmp, amps[i]);
-        ASSERT_TRUE(curve[i].bistable);
-        EXPECT_EQ(curve[i].result.trials, 120u);
-    }
-    EXPECT_GT(curve[0].result.errorRate(), curve[1].result.errorRate());
-    EXPECT_GT(curve[0].result.errorRate(), 0.02);
-}
-
-TEST(HoldErrorSweep, NonBistablePointsReportZeroTrials) {
-    // An amplitude of zero cannot store a bit: the sweep must flag the point
-    // instead of running (or crashing in) the Monte-Carlo.
-    const auto& d = testutil::sharedDesign();
-    const auto curve = holdErrorVsSyncAmplitude(d, core::Vec{0.0, 100e-6}, 1e-9,
-                                                30.0 / d.model.f0(), 10);
-    ASSERT_EQ(curve.size(), 2u);
-    EXPECT_FALSE(curve[0].bistable);
-    EXPECT_EQ(curve[0].result.trials, 0u);
-    EXPECT_TRUE(curve[1].bistable);
-    EXPECT_EQ(curve[1].result.trials, 10u);
-}
-
 }  // namespace
 }  // namespace phlogon::logic

@@ -21,24 +21,6 @@ TEST(PhaseReference, DecodeNearestLockPhase) {
     EXPECT_EQ(ref.decode(1.62), 0);
 }
 
-TEST(PhaseReference, DecodeMarginSymmetricMidpointIsZero) {
-    PhaseReference ref;
-    ref.phase1 = 0.0;
-    ref.phase0 = 0.5;
-    EXPECT_NEAR(ref.decodeMargin(0.25), 0.0, 1e-12);
-    EXPECT_NEAR(ref.decodeMargin(0.0), 0.5, 1e-12);
-}
-
-TEST(PhaseReference, RefWaveformPeaksAtLockAlignment) {
-    const PhaseReference& ref = testutil::sharedDesign().reference;
-    // REF(bit) peaks when f1 t = dphiPeak - phase_bit.
-    for (int bit : {0, 1}) {
-        const double tPeak = (ref.dphiPeak - ref.phaseForBit(bit)) / ref.f1;
-        EXPECT_NEAR(ref.refValue(tPeak, bit), ref.vdd, 1e-9);
-        EXPECT_NEAR(ref.refValue(tPeak + 0.5 / ref.f1, bit), 0.0, 1e-9);
-    }
-}
-
 TEST(PhaseReference, RefSignalUnitAmplitudeVersion) {
     const PhaseReference& ref = testutil::sharedDesign().reference;
     const auto s1 = ref.refSignal(1);
