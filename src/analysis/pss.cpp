@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "analysis/dcop.hpp"
 #include "analysis/step_solver.hpp"
@@ -44,7 +45,9 @@ int autoPhaseUnknown(const Dae& dae, const TransientResult& tr) {
 struct PeriodWorkspace {
     explicit PeriodWorkspace(const Dae& dae)
         : alg(detail::algebraicRows(dae.evalC(0.0, Vec(dae.size(), 0.0)))),
-          stepper(dae, alg) {}
+          stepper(dae, alg),
+          mMat(dae.size(), dae.size()),
+          nMat(dae.size(), dae.size()) {}
 
     std::vector<bool> alg;
     detail::ImplicitStepper stepper;
@@ -55,82 +58,73 @@ struct PeriodWorkspace {
 };
 
 /// Integrate `m` TRAP steps of size h from x0 (autonomous: t arbitrary),
-/// propagating the n x (n+1) sensitivity [dx/dx0 | dx/dT] when `sens` is
-/// non-null; then `meanRow` receives the derivative of the trapezoid mean of
-/// unknown p over the period with respect to (x0, T).  Fills states (m+1
-/// entries).  Returns false on step failure.
+/// propagating the n x (n+1) sensitivity `sens` = [dx/dx0 | dx/dT]; then
+/// `meanRow` receives the derivative of the trapezoid mean of unknown p over
+/// the period with respect to (x0, T).  Fills states (m+1 entries).  Returns
+/// false on step failure.
 bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double period,
                      std::size_t m, const num::NewtonOptions& stepNewton,
-                     std::vector<Vec>& states, Matrix* sens, std::size_t p, Vec& meanRow,
+                     std::vector<Vec>& states, Matrix& sens, std::size_t p, Vec& meanRow,
                      num::SolverCounters& counters) {
     OBS_SPAN("pss.period");
     const std::size_t n = dae.size();
     const double h = period / static_cast<double>(m);
+    const double invH = 1.0 / h;
     states.resize(m + 1);
     states[0] = x0;
 
     dae.eval(0.0, x0, pw.qk, pw.fk, &pw.ck, &pw.gk);
     ++counters.rhsEvals;
-    ++counters.jacEvals;
 
-    if (sens) {
-        sens->resize(n, n + 1);
-        for (std::size_t i = 0; i < n; ++i) (*sens)(i, i) = 1.0;
-        meanRow.assign(n + 1, 0.0);
-        meanRow[p] = 0.5 / static_cast<double>(m);
-    }
+    sens.resize(n, n + 1);
+    for (std::size_t i = 0; i < n; ++i) sens(i, i) = 1.0;
+    meanRow.assign(n + 1, 0.0);
+    meanRow[p] = 0.5 / static_cast<double>(m);
 
     for (std::size_t k = 0; k < m; ++k) {
         // TRAP residual (algebraic rows collocated at the new point):
         //   (q(x1)-q(xk))/h + w f(x1) + (1-w) f(xk) = 0.
         states[k + 1] = states[k];  // predictor: previous value
         Vec& x1 = states[k + 1];
-        if (!pw.stepper.step(0.0, h, pw.qk, pw.fk, x1, stepNewton, counters,
-                             /*wantMatrices=*/sens != nullptr)) {
-            return false;
-        }
+        if (!pw.stepper.step(0.0, h, pw.qk, pw.fk, x1, stepNewton, counters)) return false;
         ++counters.steps;
 
-        if (sens) {
-            // M * S1 = N * Sk + extra_T, with per-row weights w:
-            //   M = C1/h + w G1,  N = Ck/h - (1-w) Gk,
-            //   extra for the T column: (q1 - qk) / (h^2 m)   (since h = T/m).
-            const Matrix& c1 = pw.stepper.c1();
-            const Matrix& g1 = pw.stepper.g1();
-            const Vec& q1 = pw.stepper.q1();
-            pw.mMat = c1;
-            pw.mMat *= 1.0 / h;
-            pw.nMat = pw.ck;
-            pw.nMat *= 1.0 / h;
-            for (std::size_t r = 0; r < n; ++r) {
-                const double w = detail::newWeight(pw.alg, r);
-                for (std::size_t c = 0; c < n; ++c) {
-                    pw.mMat(r, c) += w * g1(r, c);
-                    pw.nMat(r, c) -= (1.0 - w) * pw.gk(r, c);
-                }
-            }
-            if (!pw.sensLu.refactor(pw.mMat)) return false;
-            ++counters.luFactorizations;
-            pw.rhs.resize(n, n + 1);
-            // rhs = N * sens  (+ T-column extra)
-            for (std::size_t r = 0; r < n; ++r)
-                for (std::size_t c = 0; c <= n; ++c) {
-                    double s = 0.0;
-                    for (std::size_t j = 0; j < n; ++j) s += pw.nMat(r, j) * (*sens)(j, c);
-                    pw.rhs(r, c) = s;
-                }
-            const double hm2 = 1.0 / (h * h * static_cast<double>(m));
-            for (std::size_t r = 0; r < n; ++r) pw.rhs(r, n) += (q1[r] - pw.qk[r]) * hm2;
-            // rhs is fully built, so the solve may overwrite *sens directly
-            // (blocked column sweep — the n+1-column hot path of shooting).
-            pw.sensLu.solveMatrixInto(pw.rhs, *sens);
-            pw.ck = c1;
-            pw.gk = pw.stepper.g1();
-            const double w = (k + 1 == m ? 0.5 : 1.0) / static_cast<double>(m);
-            for (std::size_t c = 0; c <= n; ++c) meanRow[c] += w * (*sens)(p, c);
+        // M * S1 = N * Sk + extra_T, with per-row weights w:
+        //   M = C1/h + w G1,  N = Ck/h - (1-w) Gk,
+        //   extra for the T column: (q1 - qk) / (h^2 m)   (since h = T/m).
+        const Matrix& c1 = pw.stepper.c1();
+        const Matrix& g1 = pw.stepper.g1();
+        const Vec& q1 = pw.stepper.q1();
+        for (std::size_t r = 0; r < n; ++r) {
+            const double w = detail::newWeight(pw.alg, r);
+            for (std::size_t c = 0; c < n; ++c) pw.mMat(r, c) = c1(r, c) * invH + w * g1(r, c);
         }
+        for (std::size_t r = 0; r < n; ++r) {
+            const double w = detail::newWeight(pw.alg, r);
+            for (std::size_t c = 0; c < n; ++c)
+                pw.nMat(r, c) = pw.ck(r, c) * invH - (1.0 - w) * pw.gk(r, c);
+        }
+        if (!pw.sensLu.refactor(pw.mMat)) return false;
+        ++counters.luFactorizations;
+        pw.rhs.resize(n, n + 1);
+        // rhs = N * sens  (+ T-column extra)
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c <= n; ++c) {
+                double s = 0.0;
+                for (std::size_t j = 0; j < n; ++j) s += pw.nMat(r, j) * sens(j, c);
+                pw.rhs(r, c) = s;
+            }
+        const double hm2 = 1.0 / (h * h * static_cast<double>(m));
+        for (std::size_t r = 0; r < n; ++r) pw.rhs(r, n) += (q1[r] - pw.qk[r]) * hm2;
+        // rhs is fully built, so the solve may overwrite sens directly
+        // (blocked column sweep — the n+1-column hot path of shooting).
+        pw.sensLu.solveMatrixInto(pw.rhs, sens);
+        pw.ck = c1;
+        pw.gk = g1;
+        const double w = (k + 1 == m ? 0.5 : 1.0) / static_cast<double>(m);
+        for (std::size_t c = 0; c <= n; ++c) meanRow[c] += w * sens(p, c);
 
-        pw.qk = pw.stepper.q1();
+        pw.qk = q1;
         pw.fk = pw.stepper.f1();
     }
     return true;
@@ -252,7 +246,7 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     bool converged = false;
     for (int it = 0; it < opt.maxShootIter; ++it) {
         res.shootIterations = it + 1;
-        if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, &sens, p, meanRow,
+        if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, sens, p, meanRow,
                              res.counters)) {
             res.message = "shooting: period integration failed";
             finish();
@@ -300,21 +294,16 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
         return res;
     }
 
-    // 3. Final fine trajectory + uniform resampling.
-    if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, nullptr, p, meanRow,
-                         res.counters)) {
-        res.message = "final PSS integration failed";
-        finish();
-        return res;
-    }
+    // 3. Uniform resampling of the converged iteration's trajectory: it ran
+    // from this x0 and period, so it is the final fine trajectory.
     res.period = period;
     res.f0 = 1.0 / period;
-    res.xFine = states;
+    res.xFine = std::move(states);
     res.tFine = num::linspace(0.0, period, m + 1);
     res.xs.assign(opt.nSamples, Vec(n));
     for (std::size_t i = 0; i < n; ++i) {
         Vec col(m + 1);
-        for (std::size_t k = 0; k <= m; ++k) col[k] = states[k][i];
+        for (std::size_t k = 0; k <= m; ++k) col[k] = res.xFine[k][i];
         const Vec u = num::resampleUniform(res.tFine, col, 0.0, period, opt.nSamples);
         for (std::size_t k = 0; k < opt.nSamples; ++k) res.xs[k][i] = u[k];
     }

@@ -8,10 +8,14 @@
 //
 //     (q(x1) - qk) / h + w f(x1) + (1 - w) fk = 0,
 //
-// solved by damped full Newton with Jacobian  C(x1)/h + w G(x1).  The
-// stepper owns every buffer the inner loop needs — DAE evaluation scratch,
-// the Newton workspace (residual/step/trial/Jacobian/LU storage) — so
-// repeated steps perform no heap allocation.
+// solved by damped full Newton with Jacobian  C(x1)/h + w G(x1).  Each
+// Newton point costs one device pass: the residual's Dae evaluation fills
+// q, f, C and G together, the Jacobian callback assembles C/h + w G from
+// that pass (Newton calls it only at the point of its latest residual,
+// numeric/newton.hpp), and the converged point's q, f, C and G are the last
+// pass's.  The stepper owns every buffer the inner loop needs — DAE
+// evaluation scratch, the Newton workspace (residual/step/trial/Jacobian/LU
+// storage) — so repeated steps perform no heap allocation.
 
 #include <vector>
 
@@ -31,17 +35,18 @@ public:
     /// Solve one implicit step ending at time `tNew` with step size `h`,
     /// from old-point charges/currents (`qk`, `fk`).  The caller presets
     /// `xNew` with the predictor (typically the old state); on success it
-    /// holds the new state and q1()/f1() hold q, f refreshed at the
-    /// converged point (plus C1()/G1() when `wantMatrices`).  Newton work is
-    /// accumulated into `counters`.
+    /// holds the new state and q1()/f1() hold q, f at the converged point.
+    /// Newton work is accumulated into `counters`.
     bool step(double tNew, double h, const num::Vec& qk, const num::Vec& fk, num::Vec& xNew,
-              const num::NewtonOptions& opt, num::SolverCounters& counters,
-              bool wantMatrices = false);
+              const num::NewtonOptions& opt, num::SolverCounters& counters);
 
-    const num::Vec& q1() const { return q1_; }
-    const num::Vec& f1() const { return f1_; }
-    const num::Matrix& c1() const { return c1_; }
-    const num::Matrix& g1() const { return g1_; }
+    const num::Vec& q1() const { return q_; }
+    const num::Vec& f1() const { return f_; }
+    /// C and G at the converged point, dense.  Under the sparse backend the
+    /// pass assembled them as CSR, and this call converts them (only
+    /// shooting's dense sensitivity chain asks for them).
+    const num::Matrix& c1();
+    const num::Matrix& g1();
 
 private:
     const ckt::Dae* dae_;
@@ -57,15 +62,16 @@ private:
     double h_ = 0.0;
     const num::Vec* qk_ = nullptr;
     const num::Vec* fk_ = nullptr;
+    bool sparse_ = false;
 
-    // Evaluation scratch (callbacks) and refreshed converged-point values.
-    num::Vec qv_, fv_, q1_, f1_;
-    num::Matrix cj_, gj_, c1_, g1_;
-    // Sparse-backend scratch: C and G assembled by Dae::evalSparse.  Their
-    // patterns (and that of the combined step Jacobian in the workspace)
-    // freeze after the first assembly, so steady-state stepping allocates
-    // nothing and SparseLu sees a stable pattern to reuse symbolically.
-    num::SparseMatrix scj_, sgj_;
+    // The latest device pass: q, f and C, G (dense backend) or their CSR
+    // twins (sparse backend).  The CSR patterns (and that of the combined
+    // step Jacobian in the workspace) freeze after the first assembly, so
+    // steady-state stepping allocates nothing and SparseLu sees a stable
+    // pattern to reuse symbolically.
+    num::Vec q_, f_;
+    num::Matrix c_, g_;
+    num::SparseMatrix sc_, sg_;
 };
 
 }  // namespace phlogon::an::detail

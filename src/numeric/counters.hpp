@@ -4,9 +4,10 @@
 // Every analysis (DC, transient, shooting PSS, GAE transient) accumulates
 // one SolverCounters instance into its result struct, so callers — and
 // perfbench's layer attribution — can see exactly where the work went:
-// residual evaluations, Jacobian evaluations (device sweeps with matrix
-// stamping, roughly 2x a residual eval), LU factorizations, Newton
-// iterations, accepted/rejected time steps and wall time.
+// residual evaluations (device passes; on the TRAP step solver's path one
+// pass also yields C and G), Jacobian assemblies (one per Newton LU there),
+// LU factorizations, Newton iterations, accepted/rejected time steps and
+// wall time.  DESIGN.md §10 gives the per-analysis semantics.
 
 #include <cstddef>
 #include <cstdio>
@@ -15,8 +16,8 @@
 namespace phlogon::num {
 
 struct SolverCounters {
-    std::size_t rhsEvals = 0;         ///< residual / RHS evaluations
-    std::size_t jacEvals = 0;         ///< Jacobian (C/G stamp) evaluations
+    std::size_t rhsEvals = 0;         ///< residual / RHS evaluations (device passes)
+    std::size_t jacEvals = 0;         ///< Jacobian assemblies
     std::size_t luFactorizations = 0; ///< linear-system factorizations (dense or sparse)
     std::size_t newtonIters = 0;      ///< Newton iterations (all solves)
     std::size_t dampingEvents = 0;    ///< damping-exhausted fallback accepts

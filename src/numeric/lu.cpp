@@ -1,5 +1,6 @@
 #include "numeric/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -16,10 +17,21 @@ bool LuFactor::refactor(const Matrix& a, double pivotTol) {
     valid_ = false;
     if (a.rows() != a.cols() || a.rows() == 0) return false;
     const std::size_t n = a.rows();
-    lu_ = a;  // reuses existing storage when the size is unchanged
+    if (lu_.rows() != n || lu_.cols() != n) lu_.resize(n, n);
+    // One read of `a`: copy it, take its max-abs entry for the pivot scale,
+    // and reject any NaN or inf.
+    double scale = 0.0;
+    const double* src = a.data();
+    double* dst = lu_.data();
+    for (std::size_t i = 0; i < n * n; ++i) {
+        const double v = src[i];
+        if (!std::isfinite(v)) return false;
+        dst[i] = v;
+        scale = std::max(scale, std::abs(v));
+    }
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-    const double tol = pivotTol * std::max(a.normMax(), 1e-300);
+    const double tol = pivotTol * std::max(scale, 1e-300);
 
     Matrix& lu = lu_;
     for (std::size_t k = 0; k < n; ++k) {

@@ -25,13 +25,15 @@ public:
     /// Empty factorization; call `refactor` before solving.
     LuFactor() = default;
 
-    /// Factor `a`; returns std::nullopt when the matrix is numerically
-    /// singular (pivot below `pivotTol * normMax`).
+    /// Factor `a`; returns std::nullopt when the matrix holds a NaN or inf
+    /// or is numerically singular (pivot below `pivotTol * normMax`).
     static std::optional<LuFactor> factor(const Matrix& a, double pivotTol = 1e-14);
 
     /// Re-factor `a` in place, reusing existing storage (no allocation when
     /// the size is unchanged).  Returns false — and leaves the object
-    /// invalid — when `a` is non-square, empty, or numerically singular.
+    /// invalid — when `a` is non-square, empty, holds a NaN or inf, or is
+    /// numerically singular.  `a` is read once: the copy also yields the
+    /// pivot scale and the finiteness check.
     bool refactor(const Matrix& a, double pivotTol = 1e-14);
 
     /// True after a successful factor/refactor.

@@ -80,6 +80,7 @@ static NewtonResult newtonLoop(const ResidualInPlaceFn& f, LinBackend lin, Vec& 
             finalize(true, fn, "converged on residual");
             return res;
         }
+        // x is the point of the latest f(x): the header's callback contract.
         if (!lin.refresh(x, res)) {
             finalize(false, fn, "singular Jacobian");
             return res;

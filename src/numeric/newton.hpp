@@ -14,6 +14,12 @@
 //
 // Every iteration evaluates and factors a fresh Jacobian (full Newton);
 // DESIGN.md §10 gives the measurements behind keeping no chord variant.
+//
+// Callback contract: the solver calls jac(x) only at the x of its latest
+// f(x), bit for bit, and returns with x at the point of its latest f(x).
+// A caller may therefore compute everything the Jacobian needs in the
+// residual's pass (the circuit step solver fills q, f, C and G in one
+// device evaluation) and have jac(x) assemble from that stored pass.
 
 #include <functional>
 #include <string>
@@ -63,10 +69,12 @@ struct NewtonResult {
 /// In-place residual: write F(x) into `fx` (callback sizes the output).
 using ResidualInPlaceFn = std::function<void(const Vec& x, Vec& fx)>;
 /// In-place Jacobian: write dF/dx into `j` (callback sizes the output).
+/// Called only at the x of the latest residual call (see the file comment).
 using JacobianInPlaceFn = std::function<void(const Vec& x, Matrix& j)>;
 /// In-place sparse Jacobian: assemble dF/dx into the pattern-cached `j`
 /// (callback begins/ends assembly; the pattern freezes after the first call
-/// and subsequent assemblies are in-place accumulations).
+/// and subsequent assemblies are in-place accumulations).  Same call
+/// contract as JacobianInPlaceFn.
 using SparseJacobianInPlaceFn = std::function<void(const Vec& x, SparseMatrix& j)>;
 
 namespace detail {

@@ -109,10 +109,10 @@ TEST(SolverStrategies, ChordDoesFarFewerFactorizations) {
         shootingPss(dae, logic::RingOscCharacterization::defaultPssOptions());
     ASSERT_TRUE(pss.ok) << pss.message;
     const num::SolverCounters& c = pss.counters;
-    EXPECT_EQ(c.steps, 3850u);
-    EXPECT_EQ(c.luFactorizations, 8927u);
-    EXPECT_EQ(c.newtonIters, 11588u);
-    EXPECT_EQ(c.rhsEvals, 15443u);
+    EXPECT_EQ(c.steps, 3450u);
+    EXPECT_EQ(c.luFactorizations, 8127u);
+    EXPECT_EQ(c.newtonIters, 10388u);
+    EXPECT_EQ(c.rhsEvals, 10392u);
     // Counter sanity: one Jacobian per factorization at most, and at least
     // one residual evaluation per Newton iteration.
     EXPECT_LE(c.luFactorizations, c.jacEvals + c.steps);

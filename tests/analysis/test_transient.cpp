@@ -215,6 +215,25 @@ TEST(Transient, ChordMatchesFullNewtonOnRc) {
     EXPECT_EQ(r.counters.newtonIters, 2 * r.counters.steps);
 }
 
+TEST(Transient, OneDevicePassPerNewtonPoint) {
+    // The linear RC converges in one Newton update per step.  Each Newton
+    // point costs one device pass, which also yields C and G: two passes
+    // per step (predictor and update) plus the initial point's, and one
+    // Jacobian assembly and LU per step.
+    Netlist nl;
+    nl.addResistor("r", "n", "0", 1e3);
+    nl.addCapacitor("c", "n", "0", 1e-6);
+    ckt::Dae dae(nl);
+    TransientOptions opt;
+    opt.dt = 1e-5;
+    const TransientResult r = transient(dae, Vec{1.0}, 0.0, 2e-3, opt);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.counters.steps, 200u);
+    EXPECT_EQ(r.counters.rhsEvals, r.counters.newtonIters + 1);
+    EXPECT_EQ(r.counters.jacEvals, r.counters.luFactorizations);
+    EXPECT_EQ(r.counters.luFactorizations, r.counters.steps);
+}
+
 TEST(Transient, ReachesT1AndStoresFinalPoint) {
     // A span that is not a whole number of steps ends on a short last step
     // exactly at t1, and that final point is stored even though storeEvery

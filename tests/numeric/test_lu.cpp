@@ -27,6 +27,30 @@ TEST(Lu, RejectsEmptyAndNonSquare) {
     EXPECT_FALSE(LuFactor::factor(Matrix(2, 3)).has_value());
 }
 
+TEST(Lu, RefactorRejectsNonFiniteEntries) {
+    // A NaN or inf anywhere makes the matrix unfactorable, whatever the
+    // pivot scale says.
+    const Matrix small{{2, 1}, {1, 3}};
+    Matrix big(5, 5);
+    for (std::size_t r = 0; r < 5; ++r)
+        for (std::size_t c = 0; c < 5; ++c) big(r, c) = r == c ? 4.0 : 1.0 / (1.0 + r + c);
+    for (const Matrix& a : {small, big}) {
+        ASSERT_TRUE(LuFactor::factor(a).has_value());
+        for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+            for (std::size_t r = 0; r < a.rows(); ++r)
+                for (std::size_t c = 0; c < a.cols(); ++c) {
+                    Matrix m = a;
+                    m(r, c) = bad;
+                    EXPECT_FALSE(LuFactor::factor(m).has_value())
+                        << bad << " at (" << r << ", " << c << ")";
+                    LuFactor lu;
+                    EXPECT_FALSE(lu.refactor(m));
+                    EXPECT_FALSE(lu.valid());
+                }
+        }
+    }
+}
+
 TEST(Lu, PivotingHandlesZeroDiagonal) {
     Matrix a{{0, 1}, {1, 0}};
     auto f = LuFactor::factor(a);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/newton_oracle.hpp"
 
@@ -57,6 +58,49 @@ TEST(Newton, DampingRescuesOvershoot) {
     const NewtonResult r = testutil::newtonSolve(f, j, x);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(x[0], 0.0, 1e-8);
+}
+
+TEST(NewtonSolve, JacobianFollowsLastResidualPoint) {
+    // atan from x0 = 3: the full Newton step overshoots and the line search
+    // rejects trials before it accepts one.  Every jac(x) must get, bit for
+    // bit, the x of the latest f(x), on both linear backends, and the solve
+    // must end at the point of its latest f(x).
+    std::vector<Vec> fPoints;
+    std::size_t jacCalls = 0;
+    const auto checkJac = [&](const Vec& x) {
+        ++jacCalls;
+        ASSERT_FALSE(fPoints.empty());
+        EXPECT_EQ(x, fPoints.back()) << "jacobian call " << jacCalls;
+    };
+    const ResidualInPlaceFn f = [&](const Vec& x, Vec& out) {
+        fPoints.push_back(x);
+        out.assign(1, std::atan(x[0]));
+    };
+    const JacobianInPlaceFn jDense = [&](const Vec& x, Matrix& out) {
+        checkJac(x);
+        out = Matrix{{1.0 / (1.0 + x[0] * x[0])}};
+    };
+    const SparseJacobianInPlaceFn jSparse = [&](const Vec& x, SparseMatrix& out) {
+        checkJac(x);
+        if (out.rows() != 1) out.reset(1, 1);
+        out.beginAssembly();
+        out.add(0, 0, 1.0 / (1.0 + x[0] * x[0]));
+        out.endAssembly();
+    };
+    for (const bool sparse : {false, true}) {
+        fPoints.clear();
+        jacCalls = 0;
+        NewtonWorkspace ws;
+        Vec x{3.0};
+        const NewtonResult r = sparse ? newtonSolveSparse(f, jSparse, x, ws)
+                                      : newtonSolve(f, jDense, x, ws);
+        EXPECT_TRUE(r.converged);
+        EXPECT_EQ(jacCalls, r.counters.jacEvals);
+        // Rejected trials: more residual calls than one per Jacobian plus
+        // the initial point.
+        EXPECT_GT(fPoints.size(), jacCalls + 1);
+        EXPECT_EQ(x, fPoints.back());
+    }
 }
 
 TEST(Newton, ReportsSingularJacobian) {
