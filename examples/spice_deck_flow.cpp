@@ -43,6 +43,10 @@ int main() {
     ckt::Dae dae(nl);
     an::PssOptions popt;
     popt.freqHint = 10e3;
+    // Time origin on the output's rising mean-crossing, as the library's
+    // ring characterization pins it: the three ring nodes swing alike, so the
+    // automatic pick would set the bit phases' origin by a near tie.
+    popt.phaseUnknown = nl.findNode("n1");
     const an::PssResult pss = an::shootingPss(dae, popt);
     if (!pss.ok) {
         std::printf("PSS failed: %s\n", pss.message.c_str());

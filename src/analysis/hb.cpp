@@ -50,8 +50,8 @@ PssResult solveHb(const ckt::Dae& dae, const HbOptions& opt) {
     }
 
     // ---- warm start (shared with shooting) --------------------------------
-    const WarmStart ws = warmStart(dae, opt.freqHint, opt.warmupCycles, opt.stepsPerCycleWarmup,
-                                   opt.kick, opt.phaseUnknown, TransientOptions{}.newton);
+    const WarmStart ws = warmStart(dae, opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
+                                   opt.phaseUnknown, TransientOptions{}.newton);
     res.counters += ws.counters;
     if (!ws.ok) {
         res.message = ws.message;

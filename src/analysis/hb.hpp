@@ -32,8 +32,7 @@ struct HbOptions {
     std::size_t nColloc = 128;
     int maxIter = 60;
     double tol = 1e-8;      ///< on the collocation residual (current units)
-    double freqHint = 10e3;
-    std::size_t warmupCycles = 15;  ///< seeds Newton only (see PssOptions)
+    double freqHint = 10e3;  ///< sizes the warm start (see PssOptions)
     std::size_t stepsPerCycleWarmup = 150;
     double kick = 0.3;
     int phaseUnknown = -1;  ///< -1 = auto

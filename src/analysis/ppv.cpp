@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "analysis/trap_util.hpp"
 #include "numeric/interp.hpp"
@@ -65,38 +66,34 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     // rows collocated at the new point, matching the PSS integrator):
     //   M_k dx_{k+1} = N_k dx_k,  M_k = C_{k+1}/h + w G_{k+1},
     //                             N_k = C_k/h - (1-w) G_k.
-    std::vector<LuFactor> mFactors;
-    std::vector<Matrix> nMats;
-    mFactors.reserve(m);
-    nMats.reserve(m);
+    // The step LUs are refactored in place and each N_k is built in its slot.
+    std::vector<LuFactor> mFactors(m);
+    std::vector<Matrix> nMats(m);
     std::vector<bool> alg;
     {
         Vec q, f;
         Matrix cPrev, gPrev, cCur, gCur;
+        Matrix mMat(n, n);
         dae.eval(0.0, pss.xFine[0], q, f, &cPrev, &gPrev);
         alg = detail::algebraicRows(cPrev);
+        const double invH = 1.0 / h;
         for (std::size_t k = 0; k < m; ++k) {
             dae.eval(0.0, pss.xFine[k + 1], q, f, &cCur, &gCur);
-            Matrix mMat = cCur;
-            mMat *= 1.0 / h;
-            Matrix nMat = cPrev;
-            nMat *= 1.0 / h;
+            Matrix& nMat = nMats[k];
+            nMat.resize(n, n);
             for (std::size_t r = 0; r < n; ++r) {
                 const double w = detail::newWeight(alg, r);
                 for (std::size_t c = 0; c < n; ++c) {
-                    mMat(r, c) += w * gCur(r, c);
-                    nMat(r, c) -= (1.0 - w) * gPrev(r, c);
+                    mMat(r, c) = cCur(r, c) * invH + w * gCur(r, c);
+                    nMat(r, c) = cPrev(r, c) * invH - (1.0 - w) * gPrev(r, c);
                 }
             }
-            auto lu = LuFactor::factor(mMat);
-            if (!lu) {
+            if (!mFactors[k].refactor(mMat)) {
                 res.message = "singular step matrix in PPV extraction";
                 return res;
             }
-            mFactors.push_back(std::move(*lu));
-            nMats.push_back(std::move(nMat));
-            cPrev = cCur;
-            gPrev = gCur;
+            std::swap(cPrev, cCur);
+            std::swap(gPrev, gCur);
         }
     }
 
@@ -108,14 +105,16 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     double wn = num::norm2(w);
     w *= 1.0 / wn;
 
+    // y = M_k^{-T} w and the solve's intermediate live in caller-owned
+    // scratch, so a sweep allocates nothing.
     double mu = 0.0;
-    Vec wPrev;
+    Vec wPrev, y, work;
     int sweeps = 0;
     for (; sweeps < opt.maxPeriods; ++sweeps) {
         wPrev = w;
         for (std::size_t k = m; k-- > 0;) {
-            const Vec y = mFactors[k].solveTransposed(w);
-            w = num::multTranspose(nMats[k], y);
+            mFactors[k].solveTransposedInto(w, y, work);
+            num::multTransposeInto(nMats[k], y, w);
         }
         const double norm = num::norm2(w);
         if (!(norm > 0) || !std::isfinite(norm)) {
@@ -139,17 +138,17 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     std::vector<Vec> wGrid(m + 1);
     wGrid[m] = w;
     for (std::size_t k = m; k-- > 0;) {
-        const Vec y = mFactors[k].solveTransposed(wGrid[k + 1]);
+        mFactors[k].solveTransposedInto(wGrid[k + 1], y, work);
         vMid[k] = (1.0 / h) * y;
-        wGrid[k] = num::multTranspose(nMats[k], y);
+        num::multTransposeInto(nMats[k], y, wGrid[k]);
     }
 
     // Normalization: the discrete phase readout requires w_k^T u_k = 1 with
     // u_k = d(xs)/dt at t_k (central differences, periodic).
     Vec cks(m);
     double cMean = 0.0;
+    Vec u(n);
     for (std::size_t k = 0; k < m; ++k) {
-        Vec u(n);
         const Vec& xp = pss.xFine[k + 1];
         const Vec& xm = pss.xFine[k == 0 ? m - 1 : k - 1];
         for (std::size_t i = 0; i < n; ++i) u[i] = (xp[i] - xm[i]) / (2.0 * h);

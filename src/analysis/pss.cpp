@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "analysis/dcop.hpp"
@@ -21,6 +22,9 @@ namespace {
 using num::LuFactor;
 using num::Matrix;
 using num::Vec;
+
+/// Hinted cycles after which a warm-up that has not settled gives up.
+constexpr std::size_t kMaxWarmupCycles = 105;
 
 /// Pick the unknown with the largest swing over the stored trajectory,
 /// preferring node voltages over branch currents.
@@ -83,9 +87,22 @@ bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double 
 
     for (std::size_t k = 0; k < m; ++k) {
         // TRAP residual (algebraic rows collocated at the new point):
-        //   (q(x1)-q(xk))/h + w f(x1) + (1-w) f(xk) = 0.
-        states[k + 1] = states[k];  // predictor: previous value
+        //   (q(x1)-q(xk))/h + w f(x1) + (1-w) f(xk) = 0,
+        // solved from the quadratic extrapolation of the last three points
+        // (linear from two at k = 1, the period start at k = 0).
         Vec& x1 = states[k + 1];
+        const Vec& xk = states[k];
+        x1.resize(n);
+        if (k >= 2) {
+            const Vec& xk1 = states[k - 1];
+            const Vec& xk2 = states[k - 2];
+            for (std::size_t i = 0; i < n; ++i) x1[i] = 3.0 * (xk[i] - xk1[i]) + xk2[i];
+        } else if (k == 1) {
+            const Vec& xk1 = states[0];
+            for (std::size_t i = 0; i < n; ++i) x1[i] = 2.0 * xk[i] - xk1[i];
+        } else {
+            x1 = xk;
+        }
         if (!pw.stepper.step(0.0, h, pw.qk, pw.fk, x1, stepNewton, counters)) return false;
         ++counters.steps;
 
@@ -138,9 +155,9 @@ num::Vec PssResult::column(std::size_t idx) const {
     return out;
 }
 
-WarmStart warmStart(const Dae& dae, double freqHint, std::size_t cycles,
-                    std::size_t stepsPerCycle, double kick, int phaseUnknown,
-                    const num::NewtonOptions& newton) {
+WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, double kick,
+                    int phaseUnknown, const num::NewtonOptions& newton) {
+    OBS_SPAN("pss.warmup");
     WarmStart ws;
     const std::size_t n = dae.size();
     const DcopResult dc = dcOperatingPoint(dae);
@@ -157,40 +174,48 @@ WarmStart warmStart(const Dae& dae, double freqHint, std::size_t cycles,
     TransientOptions trOpt;
     trOpt.dt = 1.0 / (freqHint * static_cast<double>(stepsPerCycle));
     trOpt.newton = newton;
-    double span = static_cast<double>(cycles) / freqHint;
+    const double cycle = 1.0 / freqHint;
+    TransientResult& rec = ws.record;
+    rec.t.assign(1, 0.0);
+    rec.x.assign(1, x);
     int phaseIdx = phaseUnknown;
     PeriodEstimate pe;
     Vec sig;
     double level = 0.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        OBS_SPAN("pss.warmup");
-        ws.record = transient(dae, x, 0.0, span, trOpt);
-        ws.counters += ws.record.counters;
-        if (!ws.record.ok) {
-            ws.message = "warmup transient failed: " + ws.record.message;
+    bool settled = false;
+    // Grow the record one hinted cycle at a time until it settles.
+    for (std::size_t c = 0; c < kMaxWarmupCycles && !settled; ++c) {
+        TransientResult tr =
+            transient(dae, rec.x.back(), rec.t.back(), rec.t.back() + cycle, trOpt);
+        ws.counters += tr.counters;
+        rec.counters += tr.counters;
+        if (!tr.ok) {
+            ws.message = "warmup transient failed: " + tr.message;
             return ws;
         }
-        if (phaseIdx < 0) phaseIdx = autoPhaseUnknown(dae, ws.record);
+        rec.t.insert(rec.t.end(), tr.t.begin() + 1, tr.t.end());
+        rec.x.insert(rec.x.end(), std::make_move_iterator(tr.x.begin() + 1),
+                     std::make_move_iterator(tr.x.end()));
+        if (phaseIdx < 0) phaseIdx = autoPhaseUnknown(dae, rec);
         if (phaseIdx < 0) {
             ws.message = "no oscillating unknown found";
             return ws;
         }
         // Estimate the period from the second half of the record only.
-        sig = ws.record.column(static_cast<std::size_t>(phaseIdx));
+        sig = rec.column(static_cast<std::size_t>(phaseIdx));
         const std::size_t half = sig.size() / 2;
-        const Vec tTail(ws.record.t.begin() + static_cast<long>(half), ws.record.t.end());
+        const Vec tTail(rec.t.begin() + static_cast<long>(half), rec.t.end());
         const Vec sTail(sig.begin() + static_cast<long>(half), sig.end());
         level = mean(sTail);
         pe = estimatePeriod(tTail, sTail, level);
-        if (pe.ok && pe.jitter < 0.05 * pe.period) break;
-        span *= 2.0;  // not settled yet: warm up longer
-        x = ws.record.x.back();
-        pe.ok = false;
+        settled = pe.ok && pe.jitter < 0.05 * pe.period;
     }
-    if (!pe.ok) {
+    if (!settled) {
         ws.message = "oscillation did not settle during warmup";
         return ws;
     }
+    rec.ok = true;
+    rec.message = "ok";
     ws.phaseUnknown = phaseIdx;
     ws.period = pe.period;
 
@@ -221,8 +246,8 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     const std::size_t n = dae.size();
 
     // 1. Warm start: DC op, kick, warm-up, seed on a rising crossing.
-    const WarmStart ws = warmStart(dae, opt.freqHint, opt.warmupCycles, opt.stepsPerCycleWarmup,
-                                   opt.kick, opt.phaseUnknown, opt.stepNewton);
+    const WarmStart ws = warmStart(dae, opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
+                                   opt.phaseUnknown, opt.stepNewton);
     res.counters += ws.counters;
     if (!ws.ok) {
         res.message = ws.message;

@@ -19,6 +19,11 @@
 // shooting tolerance.  logic::RingOscCharacterization pins p to the stage
 // output n1; other callers get the node with the largest warm-up swing.
 //
+// Each shooting step starts its Newton solve from the quadratic
+// extrapolation 3 x_k - 3 x_{k-1} + x_{k-2} of the period's previous points
+// (linear at k = 1, the period start at k = 0), so a step on the smooth
+// orbit takes one Jacobian and a residual check.
+//
 // The circuit must be autonomous (DC sources only); time-varying sources
 // would make the "period" ill-defined.
 
@@ -30,11 +35,8 @@
 namespace phlogon::an {
 
 struct PssOptions {
-    /// Rough frequency guess used only to size the warmup transient.
+    /// Rough frequency guess: the warm-up's step size and cycle length.
     double freqHint = 10e3;
-    /// Warm-up length; it only seeds Newton (doubled up to twice while the
-    /// period estimate has not settled).
-    std::size_t warmupCycles = 15;
     std::size_t stepsPerCycleWarmup = 150;
     /// TRAP steps per period inside shooting (also the fine output grid).
     std::size_t shootingSteps = 400;
@@ -78,10 +80,13 @@ struct PssResult {
 PssResult shootingPss(const Dae& dae, const PssOptions& opt = {});
 
 /// The seed shooting and harmonic balance start Newton from: DC operating
-/// point, a deterministic kick, then `cycles` warm-up cycles at `freqHint`,
-/// doubled up to twice until the period estimate settles.  A negative
-/// `phaseUnknown` picks the node voltage with the largest swing.  The seed
-/// is the last rising crossing of the warm-up mean of that unknown.
+/// point, a deterministic kick, then a transient that grows one `freqHint`
+/// cycle at a time and stops at the first cycle after which the record
+/// has settled: at least three rising crossings of its second half's mean
+/// in that half, with period jitter under 5 % of the period.  It gives up
+/// after 105 cycles.  A negative `phaseUnknown` picks the node voltage
+/// with the largest swing over the first cycle.  The seed is the last
+/// rising crossing of the settled record's mean of that unknown.
 struct WarmStart {
     bool ok = false;
     std::string message;
@@ -89,12 +94,11 @@ struct WarmStart {
     double period = 0.0;     ///< period estimate from the settled record
     double tSeed = 0.0;      ///< time of the seed crossing within `record`
     Vec xSeed;               ///< state at tSeed (linear interpolation)
-    TransientResult record;  ///< the last warm-up transient
-    num::SolverCounters counters;  ///< DC solve + every warm-up attempt
+    TransientResult record;  ///< the whole warm-up, kick to last cycle
+    num::SolverCounters counters;  ///< DC solve + every warm-up cycle
 };
 
-WarmStart warmStart(const Dae& dae, double freqHint, std::size_t cycles,
-                    std::size_t stepsPerCycle, double kick, int phaseUnknown,
-                    const num::NewtonOptions& newton);
+WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, double kick,
+                    int phaseUnknown, const num::NewtonOptions& newton);
 
 }  // namespace phlogon::an

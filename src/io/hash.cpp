@@ -51,7 +51,6 @@ void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt) {
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt) {
     h.str("PssOptions")
         .f64(opt.freqHint)
-        .u64(opt.warmupCycles)
         .u64(opt.stepsPerCycleWarmup)
         .u64(opt.shootingSteps)
         .u64(static_cast<std::uint64_t>(opt.maxShootIter))

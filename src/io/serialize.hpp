@@ -39,9 +39,10 @@
 namespace phlogon::io {
 
 /// Bumped whenever a payload layout or the result of the same options changes
-/// (3: the PSS time origin moved); part of every cache key, so a version bump
-/// invalidates all previously cached artifacts at once.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// (3: the PSS time origin moved; 4: the warm-up stops once it settles and
+/// shooting steps start from an extrapolated point); part of every cache
+/// key, so a version bump invalidates all previously cached artifacts at once.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 inline constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
     return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |

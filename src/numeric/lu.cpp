@@ -94,25 +94,25 @@ Vec LuFactor::solve(const Vec& b) const {
     return x;
 }
 
-Vec LuFactor::solveTransposed(const Vec& b) const {
-    // A = P^T L U  =>  A^T = U^T L^T P.  Solve U^T z = b, L^T w = z, x = P^T w.
+void LuFactor::solveTransposedInto(const Vec& b, Vec& x, Vec& work) const {
+    // A = P^T L U  =>  A^T = U^T L^T P.  Solve U^T z = b, then L^T w = z in
+    // place (both in `work`), then scatter x = P^T w.
     const std::size_t n = size();
     assert(b.size() == n);
-    Vec z(n);
+    assert(&b != &work && &x != &work);
+    work.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         double s = b[i];
-        for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * z[j];
-        z[i] = s / lu_(i, i);
+        for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * work[j];
+        work[i] = s / lu_(i, i);
     }
-    Vec w(n);
     for (std::size_t ii = n; ii-- > 0;) {
-        double s = z[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(j, ii) * w[j];
-        w[ii] = s;
+        double s = work[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(j, ii) * work[j];
+        work[ii] = s;
     }
-    Vec x(n);
-    for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = w[i];
-    return x;
+    x.resize(n);
+    for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = work[i];
 }
 
 void LuFactor::solveMatrixInto(const Matrix& b, Matrix& x) const {

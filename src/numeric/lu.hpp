@@ -45,8 +45,10 @@ public:
     Vec solve(const Vec& b) const;
     /// Solve A x = b into caller-owned storage (resized; must not alias b).
     void solveInto(const Vec& b, Vec& x) const;
-    /// Solve A^T x = b (needed by adjoint/PPV computations).
-    Vec solveTransposed(const Vec& b) const;
+    /// Solve A^T x = b into caller-owned storage (the PPV adjoint sweep);
+    /// `work` holds the triangular sweeps' intermediate.  Both are resized,
+    /// and `work` must alias neither b nor x.
+    void solveTransposedInto(const Vec& b, Vec& x, Vec& work) const;
     /// Solve A X = B for a multi-column RHS into caller-owned storage
     /// (resized; must not alias b).
     /// The substitution sweeps all RHS columns per pivot row — contiguous

@@ -133,15 +133,15 @@ double normInf(const Vec& a) {
 
 double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
 
-Vec multTranspose(const Matrix& a, const Vec& x) {
+void multTransposeInto(const Matrix& a, const Vec& x, Vec& y) {
     assert(a.rows() == x.size());
-    Vec y(a.cols(), 0.0);
+    assert(&x != &y);
+    y.assign(a.cols(), 0.0);
     for (std::size_t i = 0; i < a.rows(); ++i) {
         const double xi = x[i];
         if (xi == 0.0) continue;
         for (std::size_t j = 0; j < a.cols(); ++j) y[j] += a(i, j) * xi;
     }
-    return y;
 }
 
 Vec linspace(double a, double b, std::size_t n) {

@@ -90,8 +90,8 @@ double dot(const Vec& a, const Vec& b);
 double normInf(const Vec& a);
 double norm2(const Vec& a);
 
-/// y = A^T x.
-Vec multTranspose(const Matrix& a, const Vec& x);
+/// y = A^T x into caller-owned storage (resized; must not alias x).
+void multTransposeInto(const Matrix& a, const Vec& x, Vec& y);
 
 /// Uniformly spaced grid of n points from a to b inclusive.
 Vec linspace(double a, double b, std::size_t n);

@@ -447,6 +447,16 @@ json::Value Daemon::statusJson() {
                                               static_cast<double>(lookups)));
     s.set("cache", cj);
 
+    // The process-wide logger's losses: records dropped by a full ring and
+    // records folded into suppression summaries by the rate limiter.
+    const obs::Logger& logger = obs::Logger::instance();
+    json::Value lj = json::Value::object();
+    lj.set("droppedRecords",
+           json::Value::integer(static_cast<std::int64_t>(logger.droppedRecords())));
+    lj.set("suppressedRecords",
+           json::Value::integer(static_cast<std::int64_t>(logger.suppressedRecords())));
+    s.set("log", lj);
+
     DaemonStats d = stats();
     json::Value dj = json::Value::object();
     dj.set("requests", json::Value::integer(static_cast<std::int64_t>(d.requests)));
@@ -529,6 +539,11 @@ std::string Daemon::servicePrometheus() {
     line("phlogon_service_queue_running", static_cast<double>(q.running));
     line("phlogon_service_cache_hits_total", static_cast<double>(c.hits));
     line("phlogon_service_cache_misses_total", static_cast<double>(c.misses));
+    const obs::Logger& logger = obs::Logger::instance();
+    out += "# TYPE phlogon_service_log_dropped_total counter\n";
+    line("phlogon_service_log_dropped_total", static_cast<double>(logger.droppedRecords()));
+    out += "# TYPE phlogon_service_log_suppressed_total counter\n";
+    line("phlogon_service_log_suppressed_total", static_cast<double>(logger.suppressedRecords()));
     const obs::WindowedHistogram::Stats rw = requestWindow_.stats();
     out += "# TYPE phlogon_service_request_seconds summary\n";
     line("phlogon_service_request_seconds{quantile=\"0.5\"}", rw.p50Seconds);

@@ -22,9 +22,8 @@ TEST(HarmonicBalance, AgreesWithShootingOnRingOscillator) {
     // time steps), then one LU factorization per collocation Newton
     // iteration, and the wall time.
     const HbOptions opt;
-    const WarmStart ws = warmStart(osc.dae(), opt.freqHint, opt.warmupCycles,
-                                   opt.stepsPerCycleWarmup, opt.kick, opt.phaseUnknown,
-                                   TransientOptions{}.newton);
+    const WarmStart ws = warmStart(osc.dae(), opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
+                                   opt.phaseUnknown, TransientOptions{}.newton);
     ASSERT_TRUE(ws.ok);
     EXPECT_GT(hb.counters.steps, 0u);
     EXPECT_EQ(hb.counters.steps, ws.counters.steps);
@@ -110,7 +109,6 @@ TEST(HarmonicBalance, NonOscillatorFailsGracefully) {
     ckt::Dae dae(nl);
     HbOptions opt;
     opt.freqHint = 1e5;
-    opt.warmupCycles = 10;
     const PssResult r = harmonicBalancePss(dae, opt);
     EXPECT_FALSE(r.ok);
     EXPECT_FALSE(r.message.empty());

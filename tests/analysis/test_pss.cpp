@@ -119,7 +119,6 @@ TEST(ShootingPss, NonOscillatingCircuitFailsGracefully) {
     ckt::Dae dae(nl);
     PssOptions opt;
     opt.freqHint = 1e5;
-    opt.warmupCycles = 10;
     const PssResult r = shootingPss(dae, opt);
     EXPECT_FALSE(r.ok);
     EXPECT_FALSE(r.message.empty());
@@ -136,10 +135,22 @@ TEST(ShootingPss, WaveformPeakMatchesPaperConvention) {
 TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
     // The warm-up only seeds Newton: t = 0 is n1's rising crossing of its own
     // mean on the converged orbit, so the PSS, the PPV and every phase
-    // measured from them agree at any warm-up length that settles.
-    const auto characterize = [](std::size_t cycles) {
+    // measured from them agree whatever seed the warm-up hands over.  The
+    // kick and the frequency hint change the warm-up's record, the number of
+    // cycles it takes to settle and the seed crossing, not the outputs.
+    struct Seed {
+        double kick, freqHint;
+    };
+    std::vector<Seed> seeds;
+    for (const double kick : {0.1, 0.3, 1.0})
+        for (const double freqHint : {7e3, 10e3, 14e3}) seeds.push_back({kick, freqHint});
+    const auto label = [](const Seed& s) {
+        return "kick = " + std::to_string(s.kick) + ", freqHint = " + std::to_string(s.freqHint);
+    };
+    const auto characterize = [](const Seed& s) {
         PssOptions opt = logic::RingOscCharacterization::defaultPssOptions();
-        opt.warmupCycles = cycles;
+        opt.kick = s.kick;
+        opt.freqHint = s.freqHint;
         return logic::RingOscCharacterization::run(ckt::RingOscSpec{}, opt);
     };
     struct Outputs {
@@ -164,11 +175,13 @@ TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
     };
     const auto relDiff = [](double a, double b) { return std::abs(a / b - 1.0); };
 
-    const auto ref = characterize(15);
+    // The default seed (kick 0.3 at a 10 kHz hint) is the reference.
+    const auto ref = characterize({0.3, 10e3});
     const Outputs want = outputs(ref);
-    for (const std::size_t cycles : {10u, 60u}) {
-        SCOPED_TRACE("warmupCycles = " + std::to_string(cycles));
-        const Outputs got = outputs(characterize(cycles));
+    for (const Seed& seed : seeds) {
+        if (seed.kick == 0.3 && seed.freqHint == 10e3) continue;
+        SCOPED_TRACE(label(seed));
+        const Outputs got = outputs(characterize(seed));
         EXPECT_LT(relDiff(got.f0, want.f0), 5e-8);
         EXPECT_LT(cycleDiff(got.phase0, want.phase0), 1e-6);
         EXPECT_LT(cycleDiff(got.phase1, want.phase1), 1e-6);
@@ -179,13 +192,14 @@ TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
     }
 
     // Harmonic balance in the same gauge, pinned to n1: its output waveform
-    // lines up with shooting's sample by sample at either warm-up length.
+    // lines up with shooting's sample by sample from every seed.
     const std::size_t out = ref.outputUnknown();
     std::vector<double> hbF0;
-    for (const std::size_t cycles : {10u, 60u}) {
-        SCOPED_TRACE("HB warmupCycles = " + std::to_string(cycles));
+    for (const Seed& seed : seeds) {
+        SCOPED_TRACE("HB " + label(seed));
         HbOptions opt;
-        opt.warmupCycles = cycles;
+        opt.kick = seed.kick;
+        opt.freqHint = seed.freqHint;
         opt.phaseUnknown = static_cast<int>(out);
         const PssResult hb = harmonicBalancePss(ref.dae(), opt);
         ASSERT_TRUE(hb.ok) << hb.message;
@@ -196,8 +210,47 @@ TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
         EXPECT_LT(maxDiff, 0.1);
         hbF0.push_back(hb.f0);
     }
-    // HB's own Newton tolerance bounds the agreement of its two periods.
-    EXPECT_LT(relDiff(hbF0[0], hbF0[1]), 2e-6);
+    // HB's own Newton tolerance bounds the agreement of its periods.
+    for (std::size_t i = 1; i < hbF0.size(); ++i) {
+        SCOPED_TRACE("HB " + label(seeds[i]));
+        EXPECT_LT(relDiff(hbF0[i], hbF0[0]), 2e-6);
+    }
+}
+
+TEST(ShootingPss, WarmupStopsWhenSettled) {
+    // The warm-up grows one hinted cycle at a time and stops once its record
+    // has settled, so its length follows the oscillator rather than the
+    // hint: a 5-stage ring runs at about 0.57x the default 10 kHz hint and a
+    // 1 nF ring at about 4.5x.  Both converge in fewer warm-up steps than a
+    // fixed 15-cycle warm-up (2 250), and the slower ring needs more cycles.
+    const auto warmupSteps = [](const ckt::RingOscSpec& spec) {
+        ckt::Netlist nl;
+        ckt::buildRingOscillator(nl, "osc", spec);
+        const ckt::Dae dae(nl);
+        const PssOptions opt = logic::RingOscCharacterization::defaultPssOptions();
+        const PssResult pss = shootingPss(dae, opt);
+        EXPECT_TRUE(pss.ok) << pss.message;
+        const WarmStart ws = warmStart(dae, opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
+                                       opt.phaseUnknown, opt.stepNewton);
+        EXPECT_TRUE(ws.ok) << ws.message;
+        // Whole hinted cycles, and the rest of the PSS's steps are shooting's.
+        EXPECT_EQ(ws.counters.steps % opt.stepsPerCycleWarmup, 0u);
+        EXPECT_EQ(pss.counters.steps,
+                  ws.counters.steps +
+                      static_cast<std::size_t>(pss.shootIterations) * opt.shootingSteps);
+        return ws.counters.steps;
+    };
+    ckt::RingOscSpec fiveStage;
+    fiveStage.stages = 5;
+    ckt::RingOscSpec fast;
+    fast.capFarads = 1e-9;
+    const std::size_t slowSteps = warmupSteps(fiveStage);
+    const std::size_t fastSteps = warmupSteps(fast);
+    EXPECT_GT(slowSteps, 0u);
+    EXPECT_GT(fastSteps, 0u);
+    EXPECT_LT(slowSteps, 2250u);
+    EXPECT_LT(fastSteps, 2250u);
+    EXPECT_GT(slowSteps, fastSteps);
 }
 
 }  // namespace

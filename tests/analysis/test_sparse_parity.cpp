@@ -140,7 +140,6 @@ TEST(SparseParity, ShootingPssFrequencyMatchesDense) {
     ckt::Dae dae(nl);
 
     PssOptions opt;
-    opt.warmupCycles = 20;
     opt.shootingSteps = 200;
     opt.nSamples = 64;
     const PssResult rd = shootingPss(dae, opt);

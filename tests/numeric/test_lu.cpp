@@ -74,10 +74,13 @@ TEST(Lu, SolveTransposedMatchesExplicitTranspose) {
         for (double& v : b) v = dist(rng);
         auto f = LuFactor::factor(a);
         ASSERT_TRUE(f.has_value());
-        const Vec x1 = f->solveTransposed(b);
+        // Stale caller-owned storage of the wrong size is overwritten.
+        Vec x1(n + 3, 7.0), work(1, -2.0);
+        f->solveTransposedInto(b, x1, work);
         auto ft = LuFactor::factor(a.transposed());
         ASSERT_TRUE(ft.has_value());
         const Vec x2 = ft->solve(b);
+        ASSERT_EQ(x1.size(), n);
         for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-10);
     }
 }

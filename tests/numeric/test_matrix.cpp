@@ -78,7 +78,9 @@ TEST(Matrix, MatrixVectorProduct) {
 
 TEST(Matrix, MultTranspose) {
     Matrix a{{1, 2}, {3, 4}};
-    const Vec y = multTranspose(a, Vec{1.0, 1.0});
+    Vec y{9.0, 9.0, 9.0};  // stale storage is overwritten, not accumulated
+    multTransposeInto(a, Vec{1.0, 1.0}, y);
+    ASSERT_EQ(y.size(), 2u);
     EXPECT_DOUBLE_EQ(y[0], 4.0);
     EXPECT_DOUBLE_EQ(y[1], 6.0);
 }

@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 
@@ -407,6 +410,60 @@ TEST(Daemon, MetricsRequestReturnsJsonAndPrometheus) {
     EXPECT_NE(prom.find("phlogon_service_job_seconds{type=\"characterize-latch\""),
               std::string::npos);
     obs::setMetricsEnabled(false);
+}
+
+TEST(Daemon, StatusReportsDroppedLogRecords) {
+    // A full log ring drops records rather than block; status, metrics and
+    // the Prometheus text report how many, next to the queue and cache.
+    const fs::path logPath = fs::temp_directory_path() /
+                             ("phlogon_daemon_logdrop_" + std::to_string(::getpid()) + ".jsonl");
+    fs::remove(logPath);
+    obs::Logger& logger = obs::Logger::instance();
+    obs::Logger::Options lo;
+    lo.path = logPath.string();
+    lo.threshold = obs::LogLevel::Error;  // keeps the daemon's own records out
+    lo.ringCapacity = 2;
+    lo.rateLimit = 0;  // no suppression: every record reaches the ring
+    logger.configure(lo);
+    const std::uint64_t droppedBefore = logger.droppedRecords();
+    constexpr std::uint64_t kRecords = 20000;
+    for (std::uint64_t i = 0; i < kRecords; ++i) PHLOGON_LOG_ERROR("test.flood", {"i", i});
+    logger.flush();
+    const std::uint64_t dropped = logger.droppedRecords() - droppedBefore;
+    std::uint64_t written = 0;
+    {
+        std::ifstream in(logPath);
+        std::string line;
+        while (std::getline(in, line))
+            if (line.find("\"test.flood\"") != std::string::npos) ++written;
+    }
+    // The producer outruns the drain thread into a 2-record ring, and every
+    // record is either written or counted as dropped.
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(written + dropped, kRecords);
+
+    {
+        DaemonFixture f("logdrop", /*withSocket=*/false);
+        const double total = static_cast<double>(logger.droppedRecords());
+        const double suppressed = static_cast<double>(logger.suppressedRecords());
+        const json::Value st = dispatchJson(f.daemon, R"({"type": "status", "id": 1})");
+        const json::Value* lg = st.field("status")->field("log");
+        ASSERT_NE(lg, nullptr);
+        EXPECT_DOUBLE_EQ(lg->fieldNumber("droppedRecords", -1), total);
+        EXPECT_DOUBLE_EQ(lg->fieldNumber("suppressedRecords", -1), suppressed);
+
+        const json::Value m = dispatchJson(f.daemon, R"({"type": "metrics", "id": 2})");
+        const json::Value* mlg = m.field("status")->field("log");
+        ASSERT_NE(mlg, nullptr);
+        EXPECT_DOUBLE_EQ(mlg->fieldNumber("droppedRecords", -1), total);
+        const std::string prom = m.fieldString("prometheus", "");
+        char want[96];
+        std::snprintf(want, sizeof want, "phlogon_service_log_dropped_total %.9g\n", total);
+        EXPECT_NE(prom.find(want), std::string::npos) << prom;
+        EXPECT_NE(prom.find("phlogon_service_log_suppressed_total"), std::string::npos);
+    }
+    logger.disable();
+    fs::remove(logPath);
 }
 
 TEST(Daemon, TraceIdRidesOnSnapshotsAndRecentRing) {
