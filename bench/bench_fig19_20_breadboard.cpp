@@ -131,10 +131,13 @@ int main() {
     // Export a short oscilloscope-style window: REF, Q1, Q2 over 4 cycles.
     viz::Chart scope("Figs. 19/20 — 'oscilloscope' window (REF, Q1, Q2)", "t (cycles)",
                      "V");
+    // Both ends fall on stored samples; a half-sample margin keeps each of
+    // them in the window whatever the rounding of the stored times.
     const double tw0 = 1.6 * sc.bitPeriod;
+    const double margin = 0.5 * topt.dt * static_cast<double>(topt.storeEvery);
     num::Vec tx, vr, v1, v2;
     for (std::size_t i = 0; i < res.t.size(); ++i) {
-        if (res.t[i] < tw0 || res.t[i] > tw0 + 4.0 / ref.f1) continue;
+        if (res.t[i] < tw0 - margin || res.t[i] > tw0 + 4.0 / ref.f1 + margin) continue;
         tx.push_back(res.t[i] * ref.f1);
         vr.push_back(res.x[i][static_cast<std::size_t>(nl.findNode(sc.refNode))]);
         v1.push_back(res.x[i][static_cast<std::size_t>(nl.findNode(sc.q1Node))]);

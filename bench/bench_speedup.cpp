@@ -255,7 +255,7 @@ void reportCache() {
     const an::PssOptions pssOpt = logic::RingOscCharacterization::defaultPssOptions();
     const auto charMs = [&] {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto r = io::characterizeCached(dae, nl, pssOpt, {}, cache);
+        const auto r = io::characterizeCached(dae, nl, pssOpt, cache);
         const double ms =
             std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                 .count();

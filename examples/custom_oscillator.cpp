@@ -34,6 +34,8 @@ int main() {
     // ---- characterize -----------------------------------------------------
     an::PssOptions popt;
     popt.freqHint = 8e3;  // rough guess is enough; shooting refines it
+    // Time the PSS from the node the model and the latch are built on.
+    popt.phaseUnknown = nl.findNode(nodes.out());
     const an::PssResult pss = an::shootingPss(dae, popt);
     if (!pss.ok) {
         std::printf("PSS failed: %s\n", pss.message.c_str());

@@ -11,6 +11,10 @@ namespace phlogon::an {
 
 namespace {
 
+/// First and last gmin of the homotopy (decade steps).
+constexpr double kGminStart = 1e-2;
+constexpr double kGminEnd = 1e-12;
+
 /// Levenberg-style pseudo-transient continuation: solve (G + lam*I) dx = -f
 /// with lambda adapted to the residual.  Far more robust than plain Newton
 /// on sharply saturating circuits (op-amp gates pinned at a rail knee),
@@ -106,7 +110,7 @@ DcopResult dcOperatingPoint(const Dae& dae, const DcopOptions& opt) {
     num::NewtonWorkspace ws;
     const bool sparse = opt.newton.linearSolver == num::LinearSolver::Sparse;
 
-    double gmin = opt.gminStart;
+    double gmin = kGminStart;
     bool lastPass = false;
     while (true) {
         g = lastPass ? 0.0 : gmin;
@@ -144,7 +148,7 @@ DcopResult dcOperatingPoint(const Dae& dae, const DcopOptions& opt) {
         }
         // Advance the homotopy (even on failure: a smaller gmin sometimes
         // succeeds where a larger one stalled on this circuit family).
-        if (gmin <= opt.gminEnd) {
+        if (gmin <= kGminEnd) {
             lastPass = true;
         } else {
             gmin *= 0.1;

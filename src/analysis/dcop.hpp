@@ -1,5 +1,7 @@
 #pragma once
-// DC operating point: solve f(x, t=0) = 0 with gmin homotopy.
+// DC operating point: solve f(x, t=0) = 0 with gmin homotopy: a
+// conductance gmin from every unknown to ground is stepped down decade by
+// decade from 1e-2 to 1e-12, warm-starting Newton, before a gmin = 0 pass.
 //
 // For oscillators the DC solution is the (unstable) equilibrium — the
 // starting point that transient warmup "kicks" off the metastable point
@@ -17,10 +19,6 @@ using num::Vec;
 
 struct DcopOptions {
     num::NewtonOptions newton{.maxIter = 200, .absTol = 1e-9, .maxStep = 0.5};
-    /// gmin stepping: a conductance `gmin` from every unknown to ground is
-    /// stepped down decade by decade from start to end, warm-starting Newton.
-    double gminStart = 1e-2;
-    double gminEnd = 1e-12;
     /// Initial guess; empty = all zeros.
     Vec initialGuess;
     /// Evaluation time for time-dependent sources (normally 0).

@@ -17,6 +17,16 @@ using num::LuFactor;
 using num::Matrix;
 using num::Vec;
 
+/// Time domain: backward power-iteration sweeps (periods) at most, and the
+/// direction-convergence tolerance between consecutive sweeps.
+constexpr int kMaxPeriods = 80;
+constexpr double kSweepTol = 1e-10;
+/// Frequency domain: collocation points over the period.
+constexpr std::size_t kColloc = 64;
+static_assert(kColloc % 2 == 0 && kColloc >= 4, "the spectral derivative needs an even grid");
+/// Output samples over one period, both methods.
+constexpr std::size_t kOutputSamples = 256;
+
 /// Resample vector samples given at (possibly midpoint) times over one period
 /// onto a uniform nSamples grid, per component, periodically.
 std::vector<Vec> resamplePeriodic(const Vec& times, const std::vector<Vec>& vals, double period,
@@ -50,7 +60,7 @@ num::Vec PpvResult::component(std::size_t idx) const {
     return out;
 }
 
-PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const PpvOptions& opt) {
+PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss) {
     OBS_SPAN("ppv.extract");
     PpvResult res;
     if (!pss.ok || pss.xFine.size() < 3) {
@@ -110,7 +120,7 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     double mu = 0.0;
     Vec wPrev, y, work;
     int sweeps = 0;
-    for (; sweeps < opt.maxPeriods; ++sweeps) {
+    for (; sweeps < kMaxPeriods; ++sweeps) {
         wPrev = w;
         for (std::size_t k = m; k-- > 0;) {
             mFactors[k].solveTransposedInto(w, y, work);
@@ -124,7 +134,7 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
         mu = num::dot(w, wPrev) > 0 ? norm : -norm;  // signed multiplier estimate
         w *= 1.0 / norm;
         const double delta = std::min(num::norm2(w - wPrev), num::norm2(w + wPrev));
-        if (sweeps > 0 && delta < opt.tol) {
+        if (sweeps > 0 && delta < kSweepTol) {
             ++sweeps;
             break;
         }
@@ -171,7 +181,7 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     // Midpoint times -> uniform output grid.
     Vec tMid(m);
     for (std::size_t k = 0; k < m; ++k) tMid[k] = (static_cast<double>(k) + 0.5) * h;
-    res.v = resamplePeriodic(tMid, vMid, period, opt.nSamples);
+    res.v = resamplePeriodic(tMid, vMid, period, kOutputSamples);
     res.period = period;
     res.f0 = 1.0 / period;
     res.ok = true;
@@ -179,8 +189,7 @@ PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss, const 
     return res;
 }
 
-PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss,
-                                    const PpvFdOptions& opt) {
+PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss) {
     OBS_SPAN("ppv.extract_fd");
     PpvResult res;
     if (!pss.ok || pss.xs.empty()) {
@@ -188,11 +197,7 @@ PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss,
         return res;
     }
     const std::size_t n = dae.size();
-    const std::size_t nc = opt.nColloc;
-    if (nc % 2 != 0 || nc < 4) {
-        res.message = "nColloc must be even and >= 4";
-        return res;
-    }
+    const std::size_t nc = kColloc;
     const double period = pss.period;
 
     // Collocation states: resample the PSS solution onto nc points.
@@ -297,7 +302,7 @@ PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss,
     Vec tc(nc);
     for (std::size_t k = 0; k < nc; ++k)
         tc[k] = period * static_cast<double>(k) / static_cast<double>(nc);
-    res.v = resamplePeriodic(tc, vc, period, opt.nSamples);
+    res.v = resamplePeriodic(tc, vc, period, kOutputSamples);
     res.period = period;
     res.f0 = 1.0 / period;
     res.floquetMu = 1.0;  // by construction (null vector)

@@ -20,20 +20,16 @@
 //  * frequency domain (PPV-HB, Mei-Roychowdhury 2006, realized here as
 //    Fourier spectral collocation): the PPV is the null vector of the
 //    adjoint operator discretized with a spectral differentiation matrix.
+//
+// Both return the PPV on 256 uniform samples over one period.  The time
+// domain iterates at most 80 backward sweeps, until consecutive directions
+// agree to 1e-10; the frequency domain collocates on 64 points (its
+// operator is dense, (n*64)^2).
 
 #include "analysis/pss.hpp"
 #include "circuit/dae.hpp"
 
 namespace phlogon::an {
-
-struct PpvOptions {
-    /// Maximum backward power-iteration sweeps (periods) for the TD method.
-    int maxPeriods = 80;
-    /// Direction-convergence tolerance between consecutive sweeps.
-    double tol = 1e-10;
-    /// Output samples over one (normalized) period.
-    std::size_t nSamples = 256;
-};
 
 struct PpvResult {
     bool ok = false;
@@ -41,7 +37,7 @@ struct PpvResult {
     double period = 0.0;
     double f0 = 0.0;
     /// Uniform samples over one period: v[k] is the PPV vector at
-    /// t = k * period / nSamples (same time origin as the PssResult).
+    /// t = k * period / v.size() (same time origin as the PssResult).
     std::vector<num::Vec> v;
     /// Floquet-multiplier estimate of the extracted mode (should be ~1).
     double floquetMu = 0.0;
@@ -55,18 +51,9 @@ struct PpvResult {
 };
 
 /// Time-domain extraction along the fine grid of a converged PSS solution.
-PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss,
-                               const PpvOptions& opt = {});
-
-struct PpvFdOptions {
-    /// Collocation points over the period (keep n * nColloc modest; the
-    /// operator is dense (n*nColloc)^2).
-    std::size_t nColloc = 64;
-    std::size_t nSamples = 256;  ///< output grid (interpolated)
-};
+PpvResult extractPpvTimeDomain(const ckt::Dae& dae, const PssResult& pss);
 
 /// Frequency-domain (spectral collocation) extraction.
-PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss,
-                                    const PpvFdOptions& opt = {});
+PpvResult extractPpvFrequencyDomain(const ckt::Dae& dae, const PssResult& pss);
 
 }  // namespace phlogon::an

@@ -23,8 +23,16 @@ using num::LuFactor;
 using num::Matrix;
 using num::Vec;
 
+/// TRAP steps per hinted warm-up cycle.
+constexpr std::size_t kWarmupStepsPerCycle = 150;
 /// Hinted cycles after which a warm-up that has not settled gives up.
 constexpr std::size_t kMaxWarmupCycles = 105;
+/// Shooting Newton: iteration cap and convergence tolerance on the
+/// infinity-norm of the residual (state units).
+constexpr int kMaxShootIter = 40;
+constexpr double kShootTol = 1e-7;
+/// Uniform samples of the returned steady state over one period.
+constexpr std::size_t kOutputSamples = 256;
 
 /// Pick the unknown with the largest swing over the stored trajectory,
 /// preferring node voltages over branch currents.
@@ -147,18 +155,28 @@ bool integratePeriod(const Dae& dae, PeriodWorkspace& pw, const Vec& x0, double 
     return true;
 }
 
-}  // namespace
+/// The seed shooting starts Newton from: DC operating point, a
+/// deterministic kick, then a transient that grows one `freqHint` cycle at
+/// a time and stops at the first cycle after which the record has settled:
+/// at least three rising crossings of its second half's mean in that half,
+/// with period jitter under 5 % of the period.  It gives up after
+/// kMaxWarmupCycles.  A negative `phaseUnknown` picks the node voltage with
+/// the largest swing over the first cycle.  The seed is the state at the
+/// last rising crossing of the settled record's mean of that unknown
+/// (linear interpolation).
+struct WarmupSeed {
+    bool ok = false;
+    std::string message;
+    int phaseUnknown = -1;
+    double period = 0.0;  ///< period estimate from the settled record
+    Vec xSeed;
+    num::SolverCounters counters;  ///< DC solve + every warm-up cycle
+};
 
-num::Vec PssResult::column(std::size_t idx) const {
-    num::Vec out(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = xs[i][idx];
-    return out;
-}
-
-WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, double kick,
-                    int phaseUnknown, const num::NewtonOptions& newton) {
+WarmupSeed warmStart(const Dae& dae, double freqHint, double kick, int phaseUnknown,
+                     const num::NewtonOptions& newton) {
     OBS_SPAN("pss.warmup");
-    WarmStart ws;
+    WarmupSeed ws;
     const std::size_t n = dae.size();
     const DcopResult dc = dcOperatingPoint(dae);
     ws.counters += dc.counters;
@@ -172,10 +190,10 @@ WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, 
         x[i] += kick * std::sin(1.0 + 2.3 * static_cast<double>(i));
 
     TransientOptions trOpt;
-    trOpt.dt = 1.0 / (freqHint * static_cast<double>(stepsPerCycle));
+    trOpt.dt = 1.0 / (freqHint * static_cast<double>(kWarmupStepsPerCycle));
     trOpt.newton = newton;
     const double cycle = 1.0 / freqHint;
-    TransientResult& rec = ws.record;
+    TransientResult rec;  // the whole warm-up, kick to last cycle
     rec.t.assign(1, 0.0);
     rec.x.assign(1, x);
     int phaseIdx = phaseUnknown;
@@ -188,7 +206,6 @@ WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, 
         TransientResult tr =
             transient(dae, rec.x.back(), rec.t.back(), rec.t.back() + cycle, trOpt);
         ws.counters += tr.counters;
-        rec.counters += tr.counters;
         if (!tr.ok) {
             ws.message = "warmup transient failed: " + tr.message;
             return ws;
@@ -214,8 +231,6 @@ WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, 
         ws.message = "oscillation did not settle during warmup";
         return ws;
     }
-    rec.ok = true;
-    rec.message = "ok";
     ws.phaseUnknown = phaseIdx;
     ws.period = pe.period;
 
@@ -225,13 +240,20 @@ WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, 
     while (!(sig[kc - 1] < level && sig[kc] >= level)) --kc;
     const double a = sig[kc - 1] - level, b = sig[kc] - level;
     const double f = (b - a) != 0.0 ? -a / (b - a) : 0.0;
-    const Vec& xa = ws.record.x[kc - 1];
-    const Vec& xb = ws.record.x[kc];
-    ws.tSeed = ws.record.t[kc - 1] + f * (ws.record.t[kc] - ws.record.t[kc - 1]);
+    const Vec& xa = rec.x[kc - 1];
+    const Vec& xb = rec.x[kc];
     ws.xSeed.resize(n);
     for (std::size_t i = 0; i < n; ++i) ws.xSeed[i] = xa[i] + f * (xb[i] - xa[i]);
     ws.ok = true;
     return ws;
+}
+
+}  // namespace
+
+num::Vec PssResult::column(std::size_t idx) const {
+    num::Vec out(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = xs[i][idx];
+    return out;
 }
 
 PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
@@ -246,8 +268,7 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     const std::size_t n = dae.size();
 
     // 1. Warm start: DC op, kick, warm-up, seed on a rising crossing.
-    const WarmStart ws = warmStart(dae, opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
-                                   opt.phaseUnknown, opt.stepNewton);
+    const WarmupSeed ws = warmStart(dae, opt.freqHint, opt.kick, opt.phaseUnknown, opt.stepNewton);
     res.counters += ws.counters;
     if (!ws.ok) {
         res.message = ws.message;
@@ -269,7 +290,7 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     Vec bigF(n + 1), dz, meanRow;
     double fNorm = 0.0;
     bool converged = false;
-    for (int it = 0; it < opt.maxShootIter; ++it) {
+    for (int it = 0; it < kMaxShootIter; ++it) {
         res.shootIterations = it + 1;
         if (!integratePeriod(dae, pw, x0, period, m, opt.stepNewton, states, sens, p, meanRow,
                              res.counters)) {
@@ -284,7 +305,7 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
         bigF[n] = x0[p] - meanP / static_cast<double>(m);
         fNorm = num::normInf(bigF);
         res.shootResidual = fNorm;
-        if (fNorm < opt.tol) {
+        if (fNorm < kShootTol) {
             converged = true;
             break;
         }
@@ -325,12 +346,12 @@ PssResult shootingPss(const Dae& dae, const PssOptions& opt) {
     res.f0 = 1.0 / period;
     res.xFine = std::move(states);
     res.tFine = num::linspace(0.0, period, m + 1);
-    res.xs.assign(opt.nSamples, Vec(n));
+    res.xs.assign(kOutputSamples, Vec(n));
     for (std::size_t i = 0; i < n; ++i) {
         Vec col(m + 1);
         for (std::size_t k = 0; k <= m; ++k) col[k] = res.xFine[k][i];
-        const Vec u = num::resampleUniform(res.tFine, col, 0.0, period, opt.nSamples);
-        for (std::size_t k = 0; k < opt.nSamples; ++k) res.xs[k][i] = u[k];
+        const Vec u = num::resampleUniform(res.tFine, col, 0.0, period, kOutputSamples);
+        for (std::size_t k = 0; k < kOutputSamples; ++k) res.xs[k][i] = u[k];
     }
     res.ok = true;
     res.message = "ok";

@@ -14,10 +14,13 @@
 //
 // Gauge: t = 0 is where unknown p rises through its own mean on the
 // converged orbit, so the time origin, and every phase measured from it,
-// is a property of the orbit alone.  A transient warm-up (warmStart below)
-// only seeds Newton; any warm-up long enough to settle gives the same PSS to
-// shooting tolerance.  logic::RingOscCharacterization pins p to the stage
-// output n1; other callers get the node with the largest warm-up swing.
+// is a property of the orbit alone.  A transient warm-up only seeds Newton
+// (150-step TRAP cycles of `freqHint` until the record settles, pss.cpp);
+// any warm-up long enough to settle gives the same PSS to shooting
+// tolerance.  logic::RingOscCharacterization pins p to the stage output n1;
+// other callers get the node with the largest swing over the first warm-up
+// cycle.  Shooting converges at ||x(T)-x0||_inf < 1e-7 (state units) within
+// 40 iterations, and xs holds 256 uniform samples of the orbit.
 //
 // Each shooting step starts its Newton solve from the quadratic
 // extrapolation 3 x_k - 3 x_{k-1} + x_{k-2} of the period's previous points
@@ -37,14 +40,8 @@ namespace phlogon::an {
 struct PssOptions {
     /// Rough frequency guess: the warm-up's step size and cycle length.
     double freqHint = 10e3;
-    std::size_t stepsPerCycleWarmup = 150;
     /// TRAP steps per period inside shooting (also the fine output grid).
     std::size_t shootingSteps = 400;
-    int maxShootIter = 40;
-    /// Convergence tolerance on ||x(T)-x0||_inf (state units).
-    double tol = 1e-7;
-    /// Uniform samples of the returned steady state over one period.
-    std::size_t nSamples = 256;
     /// Perturbation applied after the DC solve to kick the oscillator off
     /// its unstable equilibrium.
     double kick = 0.3;
@@ -63,7 +60,7 @@ struct PssResult {
     int shootIterations = 0;
 
     /// Uniform samples over one period: xs[k] is the full state at
-    /// t = k * period / nSamples; xs.size() == nSamples.
+    /// t = k * period / xs.size() (256 samples).
     std::vector<num::Vec> xs;
     /// Fine shooting grid (shootingSteps + 1 states including the endpoint).
     std::vector<num::Vec> xFine;
@@ -78,27 +75,5 @@ struct PssResult {
 };
 
 PssResult shootingPss(const Dae& dae, const PssOptions& opt = {});
-
-/// The seed shooting and harmonic balance start Newton from: DC operating
-/// point, a deterministic kick, then a transient that grows one `freqHint`
-/// cycle at a time and stops at the first cycle after which the record
-/// has settled: at least three rising crossings of its second half's mean
-/// in that half, with period jitter under 5 % of the period.  It gives up
-/// after 105 cycles.  A negative `phaseUnknown` picks the node voltage
-/// with the largest swing over the first cycle.  The seed is the last
-/// rising crossing of the settled record's mean of that unknown.
-struct WarmStart {
-    bool ok = false;
-    std::string message;
-    int phaseUnknown = -1;
-    double period = 0.0;     ///< period estimate from the settled record
-    double tSeed = 0.0;      ///< time of the seed crossing within `record`
-    Vec xSeed;               ///< state at tSeed (linear interpolation)
-    TransientResult record;  ///< the whole warm-up, kick to last cycle
-    num::SolverCounters counters;  ///< DC solve + every warm-up cycle
-};
-
-WarmStart warmStart(const Dae& dae, double freqHint, std::size_t stepsPerCycle, double kick,
-                    int phaseUnknown, const num::NewtonOptions& newton);
 
 }  // namespace phlogon::an

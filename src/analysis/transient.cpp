@@ -10,6 +10,11 @@
 
 namespace phlogon::an {
 
+namespace {
+/// Halvings of a step whose Newton solve failed before the run aborts.
+constexpr int kMaxStepHalvings = 8;
+}  // namespace
+
 Vec TransientResult::column(std::size_t idx) const {
     Vec out(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i][idx];
@@ -57,7 +62,7 @@ TransientResult transient(const Dae& dae, const Vec& x0, double t0, double t1,
     while (t1 - tk > 1e-3 * opt.dt) {
         double h = std::min(opt.dt, t1 - tk);
         bool done = false;
-        for (int halving = 0; halving <= opt.maxStepHalvings; ++halving) {
+        for (int halving = 0; halving <= kMaxStepHalvings; ++halving) {
             xNew = xk;  // predictor: previous value
             if (stepper.step(tk + h, h, qk, fk, xNew, opt.newton, res.counters)) {
                 done = true;

@@ -5,8 +5,8 @@
 // oscillations, which matters when simulating oscillator phase over
 // thousands of cycles), with algebraic rows collocated at the new point
 // (trap_util.hpp).  A step whose Newton solve fails is retried at half the
-// size; otherwise every step is dt, and the last one is shortened to land
-// on t1.
+// size, up to 8 times before the run aborts; otherwise every step is dt,
+// and the last one is shortened to land on t1.
 //
 // The inner loop runs on the zero-allocation ImplicitStepper: all Newton
 // temporaries live in a workspace reused across steps.
@@ -30,9 +30,6 @@ struct TransientOptions {
     /// Store every `storeEvery`-th point (1 = all, and so does 0); the
     /// initial point and the final point are always stored.
     std::size_t storeEvery = 1;
-    /// On a Newton failure the step is retried with dt/2 up to this many
-    /// times (then the run aborts).
-    int maxStepHalvings = 8;
 };
 
 struct TransientResult {

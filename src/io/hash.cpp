@@ -42,7 +42,6 @@ std::string hashHex(std::uint64_t h) {
 void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt) {
     h.u64(static_cast<std::uint64_t>(opt.maxIter))
         .f64(opt.absTol)
-        .f64(opt.stepTol)
         .u64(static_cast<std::uint64_t>(opt.maxDampings))
         .f64(opt.maxStep)
         .u64(static_cast<std::uint64_t>(opt.linearSolver));
@@ -51,21 +50,10 @@ void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt) {
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt) {
     h.str("PssOptions")
         .f64(opt.freqHint)
-        .u64(opt.stepsPerCycleWarmup)
         .u64(opt.shootingSteps)
-        .u64(static_cast<std::uint64_t>(opt.maxShootIter))
-        .f64(opt.tol)
-        .u64(opt.nSamples)
         .f64(opt.kick)
         .u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(opt.phaseUnknown)));
     hashNewtonOptions(h, opt.stepNewton);
-}
-
-void hashPpvOptions(Fnv1a64& h, const an::PpvOptions& opt) {
-    h.str("PpvOptions")
-        .u64(static_cast<std::uint64_t>(opt.maxPeriods))
-        .f64(opt.tol)
-        .u64(opt.nSamples);
 }
 
 std::uint64_t hashPpvModel(const core::PpvModel& model) {

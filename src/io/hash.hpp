@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "analysis/ppv.hpp"
 #include "analysis/pss.hpp"
 #include "core/ppv_model.hpp"
 #include "numeric/matrix.hpp"
@@ -38,7 +37,6 @@ std::string hashHex(std::uint64_t h);
 
 /// Fold analysis options into a hasher (every field, bit-exact).
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt);
-void hashPpvOptions(Fnv1a64& h, const an::PpvOptions& opt);
 void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt);
 
 /// Content hash of a built PpvModel (samples, names, scalars) — the key

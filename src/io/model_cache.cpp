@@ -16,8 +16,7 @@ std::string cacheOutcomeName(CacheOutcome o) {
 }
 
 std::optional<std::uint64_t> characterizationKey(const ckt::Netlist& nl,
-                                                 const an::PssOptions& pssOpt,
-                                                 const an::PpvOptions& ppvOpt) {
+                                                 const an::PssOptions& pssOpt) {
     const std::string canon = nl.canonicalForm();
     if (canon.empty()) return std::nullopt;
     Fnv1a64 h;
@@ -25,17 +24,15 @@ std::optional<std::uint64_t> characterizationKey(const ckt::Netlist& nl,
     h.u64(kFormatVersion);
     h.str(canon);
     hashPssOptions(h, pssOpt);
-    hashPpvOptions(h, ppvOpt);
     return h.digest();
 }
 
 CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlist& nl,
                                           const an::PssOptions& pssOpt,
-                                          const an::PpvOptions& ppvOpt,
                                           const ArtifactCache& cache) {
     OBS_SPAN("cache.characterize");
     CachedCharacterization out;
-    const std::optional<std::uint64_t> key = characterizationKey(nl, pssOpt, ppvOpt);
+    const std::optional<std::uint64_t> key = characterizationKey(nl, pssOpt);
     if (key) out.key = *key;
     if (!key) {
         out.outcome = CacheOutcome::NotCacheable;
@@ -55,7 +52,7 @@ CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlis
     }
 
     out.value.pss = an::shootingPss(dae, pssOpt);
-    if (out.value.pss.ok) out.value.ppv = an::extractPpvTimeDomain(dae, out.value.pss, ppvOpt);
+    if (out.value.pss.ok) out.value.ppv = an::extractPpvTimeDomain(dae, out.value.pss);
     if (out.outcome == CacheOutcome::Miss && out.value.pss.ok && out.value.ppv.ok)
         cache.store(*key, kTypeCharacterization, encodeCharacterization(out.value));
     return out;

@@ -33,10 +33,9 @@ enum class CacheOutcome { Disabled, NotCacheable, Miss, Hit };
 std::string cacheOutcomeName(CacheOutcome o);
 
 /// Content key for a full PSS+PPV characterization of `nl` under the given
-/// options.  std::nullopt when the netlist has no canonical form.
+/// PSS options.  std::nullopt when the netlist has no canonical form.
 std::optional<std::uint64_t> characterizationKey(const ckt::Netlist& nl,
-                                                 const an::PssOptions& pssOpt,
-                                                 const an::PpvOptions& ppvOpt);
+                                                 const an::PssOptions& pssOpt);
 
 struct CachedCharacterization {
     Characterization value;
@@ -49,7 +48,6 @@ struct CachedCharacterization {
 /// failed runs are never stored).
 CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlist& nl,
                                           const an::PssOptions& pssOpt,
-                                          const an::PpvOptions& ppvOpt,
                                           const ArtifactCache& cache = ArtifactCache::global());
 
 /// Key + outcome reporting for the cached sweep wrapper.

@@ -15,10 +15,12 @@ namespace {
 
 using SignalId = core::PhaseSystem::SignalId;
 
+/// Combinational gate soft-clip level.
+constexpr double kGateClip = 0.5;
+
 /// Lowers one combinational gate onto phase majority/NOT primitives.
 struct GateLowerer {
     core::PhaseSystem& sys;
-    const FabricCompileOptions& opt;
     SignalId const0;
     SignalId const1;
 
@@ -27,18 +29,18 @@ struct GateLowerer {
         // split), so the clipped output is renormalized against a unit
         // resultant: identities like the sum below nearly cancel and are
         // sensitive to amplitude mismatch.
-        return addUnitNormalizer(sys, raw, 1.0, opt.gateClip, label);
+        return addUnitNormalizer(sys, raw, 1.0, kGateClip, label);
     }
 
     /// xor(a, b) = MAJ(a, b, 0, 2*~t),  t = AND(a, b)  — the serial adder's
     /// sum identity (workloads.hpp) with the carry input pinned to constant 0.
     SignalId xor2(SignalId a, SignalId b, const std::string& label) const {
-        const auto andRaw = sys.addGate({{a, 1.0}, {b, 1.0}, {const0, 1.0}}, false, opt.gateClip,
+        const auto andRaw = sys.addGate({{a, 1.0}, {b, 1.0}, {const0, 1.0}}, false, kGateClip,
                                         label + ".and.raw");
         const auto t = norm(andRaw, label + ".and");
         const auto tBar = addNotGate(sys, t, label + ".nand");
         const auto raw = sys.addGate({{a, 1.0}, {b, 1.0}, {const0, 1.0}, {tBar, 2.0}}, false,
-                                     opt.gateClip, label + ".raw");
+                                     kGateClip, label + ".raw");
         return norm(raw, label);
     }
 
@@ -54,20 +56,19 @@ struct GateLowerer {
             case GateOp::Not:
                 return addNotGate(sys, ins[0].first, name);
             case GateOp::Maj:
-                return norm(sys.addGate(std::move(ins), false, opt.gateClip, name + ".raw"),
-                            name);
+                return norm(sys.addGate(std::move(ins), false, kGateClip, name + ".raw"), name);
             case GateOp::And:
             case GateOp::Nand:
                 // AND(n) = MAJ(a_1..a_n, (n-1) x const0): the constant loses
                 // the vote only when every input is 1.
                 ins.push_back({const0, nIns - 1.0});
-                return norm(sys.addGate(std::move(ins), g.op == GateOp::Nand, opt.gateClip,
+                return norm(sys.addGate(std::move(ins), g.op == GateOp::Nand, kGateClip,
                                         name + ".raw"),
                             name);
             case GateOp::Or:
             case GateOp::Nor:
                 ins.push_back({const1, nIns - 1.0});
-                return norm(sys.addGate(std::move(ins), g.op == GateOp::Nor, opt.gateClip,
+                return norm(sys.addGate(std::move(ins), g.op == GateOp::Nor, kGateClip,
                                         name + ".raw"),
                             name);
             case GateOp::Xor:
@@ -89,7 +90,7 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
                              std::vector<std::vector<int>> inputVectors,
                              const FabricCompileOptions& opt) {
     OBS_SPAN("fabric.compile");
-    netlist.validate({opt.maxFanIn});
+    netlist.validate();
     if (inputVectors.empty())
         throw FabricError("compileFabric: need at least one input vector (slot)");
     for (const auto& v : inputVectors)
@@ -148,7 +149,7 @@ CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign&
     }
 
     // Combinational network in dependency order.
-    const GateLowerer low{sys, opt, bus.const0, bus.const1};
+    const GateLowerer low{sys, bus.const0, bus.const1};
     for (const std::size_t g : netlist.topoOrder()) {
         const auto& gate = netlist.gates()[g];
         fab.netSignals[static_cast<std::size_t>(gate.out)] =

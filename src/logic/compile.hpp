@@ -35,12 +35,8 @@ namespace phlogon::logic {
 struct FabricCompileOptions {
     /// Clock-slot duration in reference cycles (one input vector per slot).
     double bitPeriodCycles = 100.0;
-    /// Combinational gate soft-clip level.
-    double gateClip = 0.5;
     /// Latch write-path options (shared by every flip-flop).
     PhaseDLatchOptions latch{};
-    /// Structural fan-in limit forwarded to LogicNetlist::validate.
-    std::size_t maxFanIn = 9;
 };
 
 /// One flip-flop's lowered latches.
@@ -82,8 +78,9 @@ struct CompiledFabric {
 /// Lower `netlist` onto phase logic.  `inputVectors[k]` holds the bit of
 /// every primary input during clock slot k (aligned with
 /// netlist.inputs()); the number of vectors sets the run length.  Validates
-/// the netlist, the input vectors and the bit period (bitPeriodCycles / f1,
-/// positive and finite) first: FabricError on any problem.
+/// the netlist (default ValidateOptions), the input vectors and the bit
+/// period (bitPeriodCycles / f1, positive and finite) first: FabricError on
+/// any problem.  Combinational gates soft-clip at 0.5.
 CompiledFabric compileFabric(const LogicNetlist& netlist, const SyncLatchDesign& design,
                              std::vector<std::vector<int>> inputVectors,
                              const FabricCompileOptions& opt = {});

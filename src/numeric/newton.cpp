@@ -7,6 +7,11 @@
 
 namespace phlogon::num {
 
+namespace {
+/// Step-size convergence: an update under kStepTol * (|x|_inf + 1).
+constexpr double kStepTol = 1e-12;
+}  // namespace
+
 /// Shared iteration loop behind newtonSolve/newtonSolveSparse, templated
 /// over the linear backend.  A single friend of NewtonWorkspace (nested
 /// members inherit the access), so the public API stays two free functions.
@@ -124,7 +129,7 @@ static NewtonResult newtonLoop(const ResidualInPlaceFn& f, LinBackend lin, Vec& 
         std::swap(ws.fx_, ws.fTrial_);
         fn = fnTrial;
 
-        if (stepNorm <= opt.stepTol * (normInf(x) + 1.0) && fn <= std::sqrt(opt.absTol)) {
+        if (stepNorm <= kStepTol * (normInf(x) + 1.0) && fn <= std::sqrt(opt.absTol)) {
             finalize(true, fn, "converged on step size");
             return res;
         }

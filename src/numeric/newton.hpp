@@ -40,8 +40,9 @@ enum class LinearSolver { Dense, Sparse };
 
 struct NewtonOptions {
     int maxIter = 60;
-    double absTol = 1e-10;   ///< on the residual infinity-norm
-    double stepTol = 1e-12;  ///< on the update infinity-norm (relative to |x|+1)
+    /// On the residual infinity-norm.  A solve also converges once an update
+    /// falls under 1e-12 (|x|_inf + 1) with the residual under sqrt(absTol).
+    double absTol = 1e-10;
     /// Line-search damping: halve the step until the residual norm decreases,
     /// at most this many times per iteration.  0 disables damping.
     int maxDampings = 8;

@@ -52,6 +52,25 @@ void atomicMax(std::atomic<std::uint64_t>& a, std::uint64_t v) {
     }
 }
 
+/// Quantile q (0..1) of `n` observations in log2-ns bins (`binCount(k)`):
+/// the geometric midpoint of the [2^k, 2^(k+1)) ns bin that holds it,
+/// clamped to the observed [minSeconds, maxSeconds].  Both histograms
+/// answer their quantiles here.
+template <class BinCount>
+double binnedQuantile(double q, std::uint64_t n, double minSeconds, double maxSeconds,
+                      BinCount binCount) {
+    const double target = q * static_cast<double>(n);
+    std::uint64_t seen = 0;
+    for (int k = 0; k < Histogram::kBins; ++k) {
+        seen += binCount(k);
+        if (static_cast<double>(seen) >= target) {
+            const double mid = std::exp2(static_cast<double>(k) + 0.5) / 1e9;
+            return std::min(std::max(mid, minSeconds), maxSeconds);
+        }
+    }
+    return maxSeconds;
+}
+
 }  // namespace
 
 void Histogram::observe(double seconds) {
@@ -76,16 +95,7 @@ double Histogram::maxSeconds() const {
 double Histogram::quantileSeconds(double q) const {
     const std::uint64_t n = count();
     if (n == 0) return 0.0;
-    const double target = q * static_cast<double>(n);
-    std::uint64_t seen = 0;
-    for (int k = 0; k < kBins; ++k) {
-        seen += binCount(k);
-        if (static_cast<double>(seen) >= target) {
-            // Geometric midpoint of the [2^k, 2^(k+1)) nanosecond bin.
-            return std::exp2(static_cast<double>(k) + 0.5) / 1e9;
-        }
-    }
-    return maxSeconds();
+    return binnedQuantile(q, n, minSeconds(), maxSeconds(), [this](int k) { return binCount(k); });
 }
 
 void Histogram::reset() {
@@ -135,7 +145,8 @@ void WindowedHistogram::observeAt(double seconds, std::int64_t nowNs) {
     slot.bins[binForNs(ns)] += 1;
     slot.count += 1;
     slot.sumNs += ns;
-    if (ns > slot.maxNs) slot.maxNs = ns;
+    slot.minNs = std::min(slot.minNs, ns);
+    slot.maxNs = std::max(slot.maxNs, ns);
 }
 
 WindowedHistogram::Stats WindowedHistogram::stats() const {
@@ -149,6 +160,7 @@ WindowedHistogram::Stats WindowedHistogram::statsAt(std::int64_t nowNs) const {
     const std::int64_t cur = nowNs / bucketNs_;
     std::uint64_t bins[Histogram::kBins] = {};
     std::uint64_t sumNs = 0;
+    std::uint64_t minNs = UINT64_MAX;
     std::uint64_t maxNs = 0;
     {
         std::lock_guard<std::mutex> lk(mx_);
@@ -158,24 +170,18 @@ WindowedHistogram::Stats WindowedHistogram::statsAt(std::int64_t nowNs) const {
             for (int k = 0; k < Histogram::kBins; ++k) bins[k] += slot.bins[k];
             out.count += slot.count;
             sumNs += slot.sumNs;
-            if (slot.maxNs > maxNs) maxNs = slot.maxNs;
+            minNs = std::min(minNs, slot.minNs);
+            maxNs = std::max(maxNs, slot.maxNs);
         }
     }
     if (out.count == 0) return out;
     out.ratePerSec = static_cast<double>(out.count) / out.windowSeconds;
     out.totalSeconds = static_cast<double>(sumNs) / 1e9;
     out.maxSeconds = static_cast<double>(maxNs) / 1e9;
-    auto quantile = [&](double q) {
-        const double target = q * static_cast<double>(out.count);
-        std::uint64_t seen = 0;
-        for (int k = 0; k < Histogram::kBins; ++k) {
-            seen += bins[k];
-            if (static_cast<double>(seen) >= target) {
-                const double mid = std::exp2(static_cast<double>(k) + 0.5) / 1e9;
-                return std::min(mid, out.maxSeconds);
-            }
-        }
-        return out.maxSeconds;
+    const double minSeconds = static_cast<double>(minNs) / 1e9;
+    const auto quantile = [&](double q) {
+        return binnedQuantile(q, out.count, minSeconds, out.maxSeconds,
+                              [&bins](int k) { return bins[k]; });
     };
     out.p50Seconds = quantile(0.50);
     out.p95Seconds = quantile(0.95);

@@ -110,7 +110,8 @@ public:
     }
     double minSeconds() const;
     double maxSeconds() const;
-    /// Approximate quantile (0..1) from the log-bin midpoints.
+    /// Approximate quantile (0..1): the midpoint of its log2 bin, clamped
+    /// to the observed [min, max].
     double quantileSeconds(double q) const;
     std::uint64_t binCount(int k) const { return bins_[k].load(std::memory_order_relaxed); }
     void reset();
@@ -162,6 +163,7 @@ private:
         std::uint64_t bins[Histogram::kBins] = {};
         std::uint64_t count = 0;
         std::uint64_t sumNs = 0;
+        std::uint64_t minNs = UINT64_MAX;
         std::uint64_t maxNs = 0;
     };
     void rotateLocked(std::int64_t bucket);

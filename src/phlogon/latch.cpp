@@ -12,6 +12,10 @@ namespace phlogon::logic {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+/// Phase D latch: total write current (A) when CLK enables the latch, and
+/// the S/R majority-gate soft-clip level.
+constexpr double kWriteAmp = 150e-6;
+constexpr double kGateClip = 0.3;
 }
 
 an::PssOptions RingOscCharacterization::defaultPssOptions() {
@@ -22,7 +26,6 @@ an::PssOptions RingOscCharacterization::defaultPssOptions() {
 
 RingOscCharacterization RingOscCharacterization::run(const ckt::RingOscSpec& spec,
                                                      an::PssOptions pssOpt,
-                                                     an::PpvOptions ppvOpt,
                                                      const io::ArtifactCache& cache) {
     OBS_SPAN("latch.characterize");
     RingOscCharacterization c;
@@ -32,8 +35,7 @@ RingOscCharacterization RingOscCharacterization::run(const ckt::RingOscSpec& spe
     c.outputUnknown_ = static_cast<std::size_t>(c.nl_->findNode(nodes.out()));
     if (pssOpt.phaseUnknown < 0) pssOpt.phaseUnknown = static_cast<int>(c.outputUnknown_);
 
-    io::CachedCharacterization cc =
-        io::characterizeCached(*c.dae_, *c.nl_, pssOpt, ppvOpt, cache);
+    io::CachedCharacterization cc = io::characterizeCached(*c.dae_, *c.nl_, pssOpt, cache);
     c.cacheOutcome_ = cc.outcome;
     c.cacheKey_ = cc.key;
     c.pss_ = std::move(cc.value.pss);
@@ -96,10 +98,10 @@ PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design
     // see PhaseDLatchOptions::clockWeight).
     const double w = opt.clockWeight;
     out.sGate =
-        sys.addGate({{d, 1.0}, {clk, w}, {bus.const0, w}}, false, opt.gateClip, label + ".S");
+        sys.addGate({{d, 1.0}, {clk, w}, {bus.const0, w}}, false, kGateClip, label + ".S");
     // R = MAJ(D, W*~CLK, W*1): passes D when CLK=1, outputs constant 1 otherwise.
     out.rGate =
-        sys.addGate({{d, 1.0}, {clkBar, w}, {bus.const1, w}}, false, opt.gateClip, label + ".R");
+        sys.addGate({{d, 1.0}, {clkBar, w}, {bus.const1, w}}, false, kGateClip, label + ".R");
 
     // When CLK=1 both gates output D and add; when CLK=0 they output
     // opposite constants and cancel, leaving SHIL to hold the bit.  The
@@ -107,9 +109,9 @@ PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design
     // Delaying a tone by `shift` cycles adds `shift` to its phase, which is
     // exactly the calibrated correction.
     const double shift = design.signalCouplingShift();
-    // Gate outputs saturate near gateClip; normalize so the two gates
-    // together inject ~writeAmp when aligned.
-    const double gain = opt.writeAmp / (2.0 * opt.gateClip);
+    // Gate outputs saturate near kGateClip; normalize so the two gates
+    // together inject ~kWriteAmp when aligned.
+    const double gain = kWriteAmp / (2.0 * kGateClip);
     sys.connect(out.latch, design.injUnknown, out.sGate, gain, shift);
     sys.connect(out.latch, design.injUnknown, out.rGate, gain, shift);
     return out;

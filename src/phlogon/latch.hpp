@@ -37,7 +37,7 @@ public:
     /// mean-crossing.  Throws std::runtime_error on analysis failure.
     static RingOscCharacterization run(
         const ckt::RingOscSpec& spec, an::PssOptions pssOpt = defaultPssOptions(),
-        an::PpvOptions ppvOpt = {}, const io::ArtifactCache& cache = io::ArtifactCache::global());
+        const io::ArtifactCache& cache = io::ArtifactCache::global());
 
     static an::PssOptions defaultPssOptions();
 
@@ -111,11 +111,6 @@ struct PhaseDLatch {
 };
 
 struct PhaseDLatchOptions {
-    /// Total write current amplitude (A) when CLK enables the latch.
-    double writeAmp = 150e-6;
-    /// Majority-gate soft-clip level; hard-ish clipping equalizes S/R
-    /// amplitudes so they cancel cleanly when CLK disables the latch.
-    double gateClip = 0.3;
     /// Weight of the CLK and constant gate inputs relative to D.  During a
     /// write CLK and the constant cancel exactly, so this does not affect
     /// write strength; during hold it divides the angular deflection the
@@ -126,7 +121,10 @@ struct PhaseDLatchOptions {
 
 /// `d`/`clk`/`clkBar` are phase-encoded signals already in `sys` (REF-aligned
 /// shape, unit amplitude); `bus` comes from addPhaseLatchBus on the same
-/// system.  Adds three signals: the latch output and the S and R gates.
+/// system.  Adds three signals: the latch output and the S and R gates,
+/// soft-clipped at 0.3 (hard-ish clipping equalizes S/R amplitudes so they
+/// cancel cleanly when CLK disables the latch) and scaled so that together
+/// they write 150 uA when CLK enables it.
 PhaseDLatch addPhaseDLatch(core::PhaseSystem& sys, const SyncLatchDesign& design,
                            const PhaseLatchBus& bus, core::PhaseSystem::SignalId d,
                            core::PhaseSystem::SignalId clk, core::PhaseSystem::SignalId clkBar,

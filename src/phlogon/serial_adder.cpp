@@ -135,7 +135,7 @@ SerialAdderCircuit buildSerialAdderCircuit(ckt::Netlist& nl, const SyncLatchDesi
     // data input cannot deflect a holding gate's output phase (see
     // PhaseDLatchOptions::clockWeight).
     const double shift = design.signalCouplingShift();
-    const double w = opt.latch.clockWeight;
+    const double w = PhaseDLatchOptions{}.clockWeight;
     buildMajorityGateCircuit(nl, "gs1",
                              {{sc.coutNode, 1.0}, {sc.clkNode, w}, {"const0", w}}, "s1",
                              "vmid");

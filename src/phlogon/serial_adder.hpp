@@ -22,9 +22,6 @@ struct SerialAdderOptions {
     /// input pair.  CLK encodes 0 in the first half-slot (slave transparent,
     /// carry becomes available) and 1 in the second (master samples cout).
     double bitPeriodCycles = 100.0;
-    /// Only clockWeight is read: the weight of CLK and the constants in the
-    /// flip-flop's S/R gates.
-    PhaseDLatchOptions latch{};
 };
 
 struct CircuitCouplingSpec {

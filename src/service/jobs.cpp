@@ -98,7 +98,7 @@ JobBody makeCharacterizeLatch(const LatchParams& lp, const JobEnv& env) {
     const io::ArtifactCache* cache = envCache(env);
     return [lp, cache](JobContext&) {
         const auto ch = logic::RingOscCharacterization::run(
-            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
             ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         json::Value r = json::Value::object();
@@ -124,7 +124,7 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
     const io::ArtifactCache* cache = envCache(env);
     return [lp, ampMin, ampMax, ampCount, cache](JobContext&) {
         const auto ch = logic::RingOscCharacterization::run(
-            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), *cache);
         core::Vec amps(ampCount);
         for (std::size_t i = 0; i < ampCount; ++i)
             amps[i] = ampMin + (ampMax - ampMin) * static_cast<double>(i) /
@@ -194,7 +194,7 @@ JobBody makeHoldErrorMc(const json::Value& p, const JobEnv& env) {
     return [lp, cSeconds, holdCycles, trials, chunk, seed, jobKey, ckptPath,
             cache](JobContext& ctx) {
         const auto ch = logic::RingOscCharacterization::run(
-            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
             ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         const core::Gae gae(d.model, d.f1, {d.sync()}, lp.gridSize);
@@ -302,7 +302,7 @@ JobBody makeFsmTransient(const json::Value& p, const JobEnv& env) {
 
     return [lp, bits, writeAmp, slotCycles, jobKey, ckptPath, cache](JobContext& ctx) {
         const auto ch = logic::RingOscCharacterization::run(
-            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), {}, *cache);
+            lp.spec, logic::RingOscCharacterization::defaultPssOptions(), *cache);
         const logic::SyncLatchDesign d = logic::designSyncLatch(
             ch.model(), ch.outputUnknown(), lp.f1, lp.syncAmp, lp.spec.vdd);
         const double slotT = slotCycles / d.f1;

@@ -53,13 +53,6 @@ TEST(PpvFrequencyDomain, AgreesWithTimeDomain) {
         EXPECT_NEAR(td.v[k][idx], fd.v[k][idx], 0.02 * scale) << "sample " << k;
 }
 
-TEST(PpvFrequencyDomain, RejectsOddCollocation) {
-    const auto& osc = testutil::sharedOsc();
-    PpvFdOptions opt;
-    opt.nColloc = 31;
-    EXPECT_FALSE(extractPpvFrequencyDomain(osc.dae(), osc.pss(), opt).ok);
-}
-
 TEST(Ppv, SecondHarmonicPresentForAsymmetricInverter) {
     // SHIL needs |V2| > 0; the asymmetric (unmatched N/P) inverter provides
     // it.  This is the enabling physics of the paper's latches.

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/hb.hpp"
 #include "analysis/waveform.hpp"
 #include "circuit/subckt.hpp"
 #include "common/osc_fixture.hpp"
@@ -190,31 +189,6 @@ TEST(ShootingPss, OutputsDoNotDependOnWarmupLength) {
         EXPECT_LT(relDiff(got.ppv2, want.ppv2), 1e-6);
         EXPECT_LT(relDiff(got.width, want.width), 1e-6);
     }
-
-    // Harmonic balance in the same gauge, pinned to n1: its output waveform
-    // lines up with shooting's sample by sample from every seed.
-    const std::size_t out = ref.outputUnknown();
-    std::vector<double> hbF0;
-    for (const Seed& seed : seeds) {
-        SCOPED_TRACE("HB " + label(seed));
-        HbOptions opt;
-        opt.kick = seed.kick;
-        opt.freqHint = seed.freqHint;
-        opt.phaseUnknown = static_cast<int>(out);
-        const PssResult hb = harmonicBalancePss(ref.dae(), opt);
-        ASSERT_TRUE(hb.ok) << hb.message;
-        ASSERT_EQ(hb.xs.size(), ref.pss().xs.size());
-        double maxDiff = 0.0;
-        for (std::size_t k = 0; k < hb.xs.size(); ++k)
-            maxDiff = std::max(maxDiff, std::abs(hb.xs[k][out] - ref.pss().xs[k][out]));
-        EXPECT_LT(maxDiff, 0.1);
-        hbF0.push_back(hb.f0);
-    }
-    // HB's own Newton tolerance bounds the agreement of its periods.
-    for (std::size_t i = 1; i < hbF0.size(); ++i) {
-        SCOPED_TRACE("HB " + label(seeds[i]));
-        EXPECT_LT(relDiff(hbF0[i], hbF0[0]), 2e-6);
-    }
 }
 
 TEST(ShootingPss, WarmupStopsWhenSettled) {
@@ -230,15 +204,12 @@ TEST(ShootingPss, WarmupStopsWhenSettled) {
         const PssOptions opt = logic::RingOscCharacterization::defaultPssOptions();
         const PssResult pss = shootingPss(dae, opt);
         EXPECT_TRUE(pss.ok) << pss.message;
-        const WarmStart ws = warmStart(dae, opt.freqHint, opt.stepsPerCycleWarmup, opt.kick,
-                                       opt.phaseUnknown, opt.stepNewton);
-        EXPECT_TRUE(ws.ok) << ws.message;
-        // Whole hinted cycles, and the rest of the PSS's steps are shooting's.
-        EXPECT_EQ(ws.counters.steps % opt.stepsPerCycleWarmup, 0u);
-        EXPECT_EQ(pss.counters.steps,
-                  ws.counters.steps +
-                      static_cast<std::size_t>(pss.shootIterations) * opt.shootingSteps);
-        return ws.counters.steps;
+        // Every step that is not a shooting period's is the warm-up's, and
+        // the warm-up runs whole 150-step hinted cycles.
+        const std::size_t steps =
+            pss.counters.steps - static_cast<std::size_t>(pss.shootIterations) * opt.shootingSteps;
+        EXPECT_EQ(steps % 150, 0u);
+        return steps;
     };
     ckt::RingOscSpec fiveStage;
     fiveStage.stages = 5;

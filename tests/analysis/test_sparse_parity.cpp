@@ -141,7 +141,6 @@ TEST(SparseParity, ShootingPssFrequencyMatchesDense) {
 
     PssOptions opt;
     opt.shootingSteps = 200;
-    opt.nSamples = 64;
     const PssResult rd = shootingPss(dae, opt);
     ASSERT_TRUE(rd.ok) << rd.message;
 

@@ -141,7 +141,7 @@ TEST(Transient, ColumnExtraction) {
     EXPECT_DOUBLE_EQ(col[0], 1.0);
 }
 
-TEST(Transient, AdaptiveRcMeetsToleranceWithFewerSteps) {
+TEST(Transient, TrapIsSecondOrderOnRc) {
     // TRAP is second order: halving dt on the linear RC discharge cuts the
     // max error against the analytic exponential by 4.
     Netlist nl;
@@ -163,7 +163,7 @@ TEST(Transient, AdaptiveRcMeetsToleranceWithFewerSteps) {
     EXPECT_NEAR(coarse / fine, 4.0, 0.2);
 }
 
-TEST(Transient, AdaptiveRejectsOnSourceStep) {
+TEST(Transient, FixedStepCrossesPwlEdgeWithoutRejection) {
     // A sharp PWL edge inside the span: the fixed-step run steps straight
     // through it (600 steps, none rejected) and still tracks the response.
     Netlist nl;
@@ -198,7 +198,7 @@ TEST(Transient, DefaultCountersAreConsistent) {
     EXPECT_GT(r.counters.wallSeconds, 0.0);
 }
 
-TEST(Transient, ChordMatchesFullNewtonOnRc) {
+TEST(Transient, LinearStepTakesTwoNewtonItersAndOneLu) {
     // On a linear circuit full Newton takes exactly two iterations per step:
     // one update with a fresh Jacobian and LU, then the residual check.
     Netlist nl;

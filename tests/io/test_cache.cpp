@@ -281,20 +281,19 @@ TEST_F(ModelCacheTest, CharacterizeMissesThenHitsWithZeroedCounters) {
     ckt::buildRingOscillator(nl, "osc", ckt::RingOscSpec{});
     ckt::Dae dae(nl);
     const an::PssOptions pssOpt = logic::RingOscCharacterization::defaultPssOptions();
-    const an::PpvOptions ppvOpt{};
     const ArtifactCache cache(dir_);
 
-    const auto key = characterizationKey(nl, pssOpt, ppvOpt);
+    const auto key = characterizationKey(nl, pssOpt);
     ASSERT_TRUE(key.has_value());  // ring oscillator devices all canonical
 
-    const auto cold = characterizeCached(dae, nl, pssOpt, ppvOpt, cache);
+    const auto cold = characterizeCached(dae, nl, pssOpt, cache);
     ASSERT_TRUE(cold.value.pss.ok);
     ASSERT_TRUE(cold.value.ppv.ok);
     EXPECT_EQ(cold.outcome, CacheOutcome::Miss);
     EXPECT_EQ(cold.key, *key);
     EXPECT_GT(cold.value.pss.counters.luFactorizations, 0u);
 
-    const auto warm = characterizeCached(dae, nl, pssOpt, ppvOpt, cache);
+    const auto warm = characterizeCached(dae, nl, pssOpt, cache);
     ASSERT_TRUE(warm.value.pss.ok);
     EXPECT_EQ(warm.outcome, CacheOutcome::Hit);
     // Counters report work done *this run*: a hit does none.
@@ -315,7 +314,7 @@ TEST_F(ModelCacheTest, CorruptCacheEntryRecomputesInsteadOfCrashing) {
     const an::PssOptions pssOpt = logic::RingOscCharacterization::defaultPssOptions();
     const ArtifactCache cache(dir_);
 
-    const auto cold = characterizeCached(dae, nl, pssOpt, {}, cache);
+    const auto cold = characterizeCached(dae, nl, pssOpt, cache);
     ASSERT_EQ(cold.outcome, CacheOutcome::Miss);
 
     // Truncate the stored artifact mid-payload.
@@ -323,12 +322,12 @@ TEST_F(ModelCacheTest, CorruptCacheEntryRecomputesInsteadOfCrashing) {
     ASSERT_TRUE(fs::exists(p));
     fs::resize_file(p, fs::file_size(p) / 2);
 
-    const auto again = characterizeCached(dae, nl, pssOpt, {}, cache);
+    const auto again = characterizeCached(dae, nl, pssOpt, cache);
     EXPECT_EQ(again.outcome, CacheOutcome::Miss);  // recomputed, no crash
     ASSERT_TRUE(again.value.pss.ok);
     EXPECT_GT(again.value.pss.counters.luFactorizations, 0u);
     // And the recompute re-published a valid entry.
-    EXPECT_EQ(characterizeCached(dae, nl, pssOpt, {}, cache).outcome, CacheOutcome::Hit);
+    EXPECT_EQ(characterizeCached(dae, nl, pssOpt, cache).outcome, CacheOutcome::Hit);
 }
 
 TEST_F(ModelCacheTest, NonCanonicalNetlistIsNotCacheable) {
@@ -337,12 +336,12 @@ TEST_F(ModelCacheTest, NonCanonicalNetlistIsNotCacheable) {
     // A time switch carries an opaque std::function control: no sound key.
     nl.addSwitch("sw", nodes.out(), "0", [](double) { return false; }, 1.0, 1e9);
     EXPECT_TRUE(nl.canonicalForm().empty());
-    EXPECT_FALSE(characterizationKey(nl, {}, {}).has_value());
+    EXPECT_FALSE(characterizationKey(nl, {}).has_value());
 
     ckt::Dae dae(nl);
     const ArtifactCache cache(dir_);
-    const auto r = characterizeCached(dae, nl, logic::RingOscCharacterization::defaultPssOptions(),
-                                      {}, cache);
+    const auto r =
+        characterizeCached(dae, nl, logic::RingOscCharacterization::defaultPssOptions(), cache);
     EXPECT_EQ(r.outcome, CacheOutcome::NotCacheable);
     EXPECT_TRUE(r.value.pss.ok);  // still computes the real answer
     EXPECT_TRUE(cache.entries().empty());
@@ -353,9 +352,9 @@ TEST_F(ModelCacheTest, KeyChangesWithOptionsAndCircuit) {
     ckt::buildRingOscillator(nl, "osc", ckt::RingOscSpec{});
     const an::PssOptions pssOpt = logic::RingOscCharacterization::defaultPssOptions();
     an::PssOptions pssOpt2 = pssOpt;
-    pssOpt2.nSamples += 1;
-    const auto k1 = characterizationKey(nl, pssOpt, {});
-    const auto k2 = characterizationKey(nl, pssOpt2, {});
+    pssOpt2.shootingSteps += 1;
+    const auto k1 = characterizationKey(nl, pssOpt);
+    const auto k2 = characterizationKey(nl, pssOpt2);
     ASSERT_TRUE(k1 && k2);
     EXPECT_NE(*k1, *k2);
 
@@ -363,7 +362,7 @@ TEST_F(ModelCacheTest, KeyChangesWithOptionsAndCircuit) {
     // they must not share an entry.
     an::PssOptions sparse = pssOpt;
     sparse.stepNewton.linearSolver = num::LinearSolver::Sparse;
-    const auto kSparse = characterizationKey(nl, sparse, {});
+    const auto kSparse = characterizationKey(nl, sparse);
     ASSERT_TRUE(kSparse.has_value());
     EXPECT_NE(*k1, *kSparse);
 
@@ -371,7 +370,7 @@ TEST_F(ModelCacheTest, KeyChangesWithOptionsAndCircuit) {
     ckt::RingOscSpec spec;
     spec.capFarads *= 1.0000001;  // tiny parameter change must change the key
     ckt::buildRingOscillator(nl2, "osc", spec);
-    const auto k3 = characterizationKey(nl2, pssOpt, {});
+    const auto k3 = characterizationKey(nl2, pssOpt);
     ASSERT_TRUE(k3.has_value());
     EXPECT_NE(*k1, *k3);
 }

@@ -55,6 +55,27 @@ TEST(MetricPrimitives, HistogramCountsAndBounds) {
     EXPECT_EQ(h.count(), 0u);
 }
 
+TEST(MetricPrimitives, QuantilesStayInsideObservedRange) {
+    // 0.6 ms and 1.0 ms share the [2^19, 2^20) ns bin, whose midpoint is
+    // 0.741 ms: above the first observation and below the second.  A
+    // quantile of one observation is that observation, in both histograms.
+    for (const double seconds : {0.6e-3, 1.0e-3}) {
+        SCOPED_TRACE(seconds);
+        Histogram h;
+        h.observe(seconds);
+        EXPECT_EQ(h.quantileSeconds(0.5), h.maxSeconds());
+        EXPECT_EQ(h.quantileSeconds(0.95), h.minSeconds());
+        EXPECT_NEAR(h.quantileSeconds(0.5), seconds, 1e-9);
+
+        WindowedHistogram w;
+        w.observeAt(seconds, 0);
+        const WindowedHistogram::Stats s = w.statsAt(0);
+        EXPECT_EQ(s.p50Seconds, s.maxSeconds);
+        EXPECT_EQ(s.p99Seconds, s.maxSeconds);
+        EXPECT_NEAR(s.p50Seconds, seconds, 1e-9);
+    }
+}
+
 #ifndef PHLOGON_NO_OBS
 
 class MetricsOn : public ::testing::Test {

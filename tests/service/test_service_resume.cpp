@@ -132,7 +132,7 @@ TEST(ServiceJobs, CharacterizeLatchKeyIsTheLibraryRunKey) {
     ckt::RingOscSpec spec;
     spec.capFarads = 4.6e-9;
     const auto osc = logic::RingOscCharacterization::run(
-        spec, logic::RingOscCharacterization::defaultPssOptions(), {}, sharedCache());
+        spec, logic::RingOscCharacterization::defaultPssOptions(), sharedCache());
     EXPECT_EQ(cache->fieldString("key", ""), io::hashHex(osc.cacheKey()));
     EXPECT_TRUE(osc.fromCache());  // the job stored it
 }
