@@ -9,12 +9,6 @@ Resistor::Resistor(std::string name, int a, int b, double ohms)
     if (!(ohms > 0)) throw std::invalid_argument("Resistor: non-positive resistance");
 }
 
-void Resistor::setResistance(double ohms) {
-    if (!(ohms > 0)) throw std::invalid_argument("Resistor: non-positive resistance");
-    r_ = ohms;
-    g_ = 1.0 / ohms;
-}
-
 void Resistor::eval(double /*t*/, const Vec& x, Stamps& s) const {
     const double v = nodeVoltage(x, a_) - nodeVoltage(x, b_);
     const double i = g_ * v;

@@ -118,7 +118,6 @@ public:
     void eval(double t, const Vec& x, Stamps& s) const override;
     std::string canonicalDesc() const override;
     double resistance() const { return r_; }
-    void setResistance(double ohms);
 
 private:
     int a_, b_;

@@ -21,12 +21,6 @@ Waveform Waveform::cosine(double amp, double freqHz, double phaseCycles, double 
                         " " + canonNum(offset));
 }
 
-Waveform Waveform::scheduledCosine(Fn ampAt, double freqHz, Fn phaseAt, double offset) {
-    return Waveform([amp = std::move(ampAt), freqHz, ph = std::move(phaseAt), offset](double t) {
-        return offset + amp(t) * std::cos(kTwoPi * (freqHz * t - ph(t)));
-    });
-}
-
 Waveform Waveform::custom(Fn fn) { return Waveform(std::move(fn)); }
 
 Waveform Waveform::pwl(std::vector<std::pair<double, double>> points) {
@@ -44,20 +38,6 @@ Waveform Waveform::pwl(std::vector<std::pair<double, double>> points) {
         const double f = dt > 0 ? (t - lo.first) / dt : 0.0;
         return lo.second + f * (hi.second - lo.second);
     }, std::move(desc));
-}
-
-Waveform::Fn stepSchedule(double before, double after, double tStep) {
-    return [=](double t) { return t < tStep ? before : after; };
-}
-
-Waveform::Fn piecewiseConstant(std::vector<double> times, std::vector<double> values) {
-    if (times.size() != values.size() || times.empty())
-        throw std::invalid_argument("piecewiseConstant: times/values size mismatch");
-    return [ts = std::move(times), vs = std::move(values)](double t) {
-        const auto it = std::upper_bound(ts.begin(), ts.end(), t);
-        const std::size_t i = it == ts.begin() ? 0 : static_cast<std::size_t>(it - ts.begin()) - 1;
-        return vs[i];
-    };
 }
 
 CurrentSource::CurrentSource(std::string name, int p, int n, Waveform w)

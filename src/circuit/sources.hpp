@@ -2,9 +2,9 @@
 // Independent sources and their waveforms.
 //
 // Sinusoidal current sources implement the paper's SYNC (eq. following
-// Fig. 3: I_SYNC = A cos(2π·2f1·t)) and logic inputs D/S/R (eq. 10).  The
-// phase-flip of a logic input over time is expressed with a
-// piecewise-constant phase schedule.
+// Fig. 3: I_SYNC = A cos(2π·2f1·t)) and logic inputs D/S/R (eq. 10).  A
+// logic input whose phase flips from bit to bit is a custom waveform built
+// over logic::bitSchedule (logic::dataCurrentWaveform, phlogon/encoding.hpp).
 
 #include <functional>
 #include <vector>
@@ -23,11 +23,6 @@ public:
     /// offset + amp * cos(2π f t − 2π phaseCycles).
     static Waveform cosine(double amp, double freqHz, double phaseCycles = 0.0,
                            double offset = 0.0);
-    /// Cosine whose phase (in cycles) and amplitude follow piecewise-constant
-    /// schedules: value(t) = amp(t) * cos(2π f t − 2π phase(t)) + offset.
-    /// `phaseAt`/`ampAt` receive t and return the scheduled value; this is
-    /// how phase-encoded logic inputs flip between 0 and 0.5 cycles.
-    static Waveform scheduledCosine(Fn ampAt, double freqHz, Fn phaseAt, double offset = 0.0);
     /// Arbitrary user function.
     static Waveform custom(Fn fn);
     /// Piecewise-linear (t, v) pairs; constant extrapolation outside.
@@ -37,9 +32,9 @@ public:
 
     /// Canonical textual form of this waveform (parameters in exact bit form,
     /// see canonNum).  Set only by the closed-form factories dc/cosine/pwl;
-    /// empty for custom/scheduledCosine, whose opaque std::functions cannot
-    /// be fingerprinted — sources carrying such waveforms make their netlist
-    /// non-cacheable (Device::canonicalDesc).
+    /// empty for custom, whose opaque std::function cannot be fingerprinted —
+    /// sources carrying such waveforms make their netlist non-cacheable
+    /// (Device::canonicalDesc).
     const std::string& description() const { return desc_; }
 
 private:
@@ -47,14 +42,6 @@ private:
     Fn fn_;
     std::string desc_;
 };
-
-/// Step function helper: returns a schedule that is `before` for t < tStep
-/// and `after` afterwards.
-Waveform::Fn stepSchedule(double before, double after, double tStep);
-/// Piecewise-constant schedule from breakpoints: value is values[i] on
-/// [times[i], times[i+1]); values.size() == times.size(), times ascending,
-/// values[0] also used for t < times[0].
-Waveform::Fn piecewiseConstant(std::vector<double> times, std::vector<double> values);
 
 /// Independent current source.  SPICE convention: a positive value drives
 /// current from node `p` through the source into node `n` — i.e. it is

@@ -17,8 +17,6 @@ Injection Injection::tone(std::size_t unknownIndex, double amplitude, int harmon
         return amplitude *
                std::cos(2.0 * std::numbers::pi * (static_cast<double>(harmonic) * psi - phaseCycles));
     };
-    inj.canonicalDesc = "tone " + std::to_string(unknownIndex) + " " + num::canonNum(amplitude) +
-                        " " + std::to_string(harmonic) + " " + num::canonNum(phaseCycles);
     return inj;
 }
 
@@ -26,8 +24,6 @@ Injection Injection::sampled(std::size_t unknownIndex, Vec samples, std::string 
     Injection inj;
     inj.unknownIndex = unknownIndex;
     inj.label = std::move(label);
-    inj.canonicalDesc = "sampled " + std::to_string(unknownIndex);
-    for (double v : samples) inj.canonicalDesc += " " + num::canonNum(v);
     inj.currentAtPsi = [interp = num::PeriodicLinear(std::move(samples))](double psi) {
         return interp(psi);
     };
@@ -47,8 +43,6 @@ Injection Injection::scaled(double s) const {
     Injection inj;
     inj.unknownIndex = unknownIndex;
     inj.label = label;
-    if (!canonicalDesc.empty())
-        inj.canonicalDesc = canonicalDesc + " scaled " + num::canonNum(s);
     if (isPhaseDependent()) {
         inj.currentAtPsiDphi = [fn = currentAtPsiDphi, s](double psi, double dphi) {
             return s * fn(psi, dphi);

@@ -10,7 +10,6 @@
 #include <functional>
 #include <string>
 
-#include "numeric/canon.hpp"
 #include "numeric/matrix.hpp"
 
 namespace phlogon::core {
@@ -30,11 +29,6 @@ struct Injection {
     /// takes precedence over currentAtPsi.
     std::function<double(double, double)> currentAtPsiDphi;
     std::string label;
-    /// Canonical textual form (parameters as exact bit patterns, num::canonNum)
-    /// set by the tone/sampled factories and maintained by scaled().  Empty
-    /// for phaseDependent injections — they hold opaque std::functions, which
-    /// makes sweeps over them non-cacheable (the artifact cache recomputes).
-    std::string canonicalDesc;
 
     bool isPhaseDependent() const { return static_cast<bool>(currentAtPsiDphi); }
 

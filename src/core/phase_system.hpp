@@ -78,7 +78,6 @@ public:
 
     std::size_t latchCount() const { return latches_.size(); }
     const PpvModel& latchModel(LatchId latch) const { return *latches_.at(latch).model; }
-    const std::string& latchLabel(LatchId latch) const { return latches_.at(latch).label; }
     std::size_t signalCount() const { return signals_.size(); }
 
     struct Result {

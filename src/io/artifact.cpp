@@ -133,34 +133,4 @@ std::optional<Characterization> decodeCharacterization(const std::vector<std::ui
     return c;
 }
 
-// ---- GAE locking-range sweep table ----------------------------------------
-
-std::vector<std::uint8_t> encodeLockingRangeTable(
-    const std::vector<core::LockingRangePoint>& pts) {
-    BinaryWriter w;
-    w.u64(pts.size());
-    for (const core::LockingRangePoint& p : pts) {
-        w.f64(p.amplitude);
-        w.u8(p.range.locks ? 1 : 0);
-        w.f64(p.range.fLow);
-        w.f64(p.range.fHigh);
-    }
-    return w.take();
-}
-
-std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
-    const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
-    std::uint64_t n;
-    if (!r.u64(n) || r.remaining() < n) return std::nullopt;
-    std::vector<core::LockingRangePoint> pts(static_cast<std::size_t>(n));
-    for (core::LockingRangePoint& p : pts) {
-        std::uint8_t b;
-        if (!r.f64(p.amplitude) || !r.u8(b) || !r.f64(p.range.fLow) || !r.f64(p.range.fHigh))
-            return std::nullopt;
-        p.range.locks = b != 0;
-    }
-    return pts;
-}
-
 }  // namespace phlogon::io

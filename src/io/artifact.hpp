@@ -8,8 +8,8 @@
 // substitutable for freshly computed ones.
 //
 // Each encode/decode pair works on raw payload bytes; the ArtifactCache
-// stores them under content-hash keys (io/model_cache.hpp): a
-// Characterization (PSS + PPV) as CHAR, the Fig. 7 sweep table as SWLR.
+// stores a Characterization (PSS + PPV) as CHAR under its content-hash key
+// (io/model_cache.hpp), the only type it stores.
 // Decoding is total: any truncation or inconsistent length yields
 // std::nullopt, and callers recompute.
 
@@ -19,7 +19,6 @@
 
 #include "analysis/ppv.hpp"
 #include "analysis/pss.hpp"
-#include "core/gae_sweep.hpp"
 #include "io/serialize.hpp"
 #include "numeric/counters.hpp"
 
@@ -44,10 +43,5 @@ struct Characterization {
 };
 std::vector<std::uint8_t> encodeCharacterization(const Characterization& c);
 std::optional<Characterization> decodeCharacterization(const std::vector<std::uint8_t>& payload);
-
-// ---- GAE locking-range sweep table ----------------------------------------
-std::vector<std::uint8_t> encodeLockingRangeTable(const std::vector<core::LockingRangePoint>& pts);
-std::optional<std::vector<core::LockingRangePoint>> decodeLockingRangeTable(
-    const std::vector<std::uint8_t>& payload);
 
 }  // namespace phlogon::io

@@ -27,12 +27,6 @@ Fnv1a64& Fnv1a64::str(const std::string& s) {
     return bytes(s.data(), s.size());
 }
 
-Fnv1a64& Fnv1a64::vec(const num::Vec& v) {
-    u64(v.size());
-    for (double x : v) f64(x);
-    return *this;
-}
-
 std::string hashHex(std::uint64_t h) {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
@@ -54,25 +48,6 @@ void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt) {
         .f64(opt.kick)
         .u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(opt.phaseUnknown)));
     hashNewtonOptions(h, opt.stepNewton);
-}
-
-std::uint64_t hashPpvModel(const core::PpvModel& model) {
-    Fnv1a64 h;
-    h.str("PpvModel")
-        .u64(model.size())
-        .u64(model.outputUnknown())
-        .f64(model.f0())
-        .f64(model.dphiPeak())
-        .f64(model.waveformPeak())
-        .f64(model.outputMean())
-        .f64(model.outputAmplitude())
-        .f64(model.normalizationSpread());
-    for (const std::string& n : model.unknownNames()) h.str(n);
-    for (std::size_t i = 0; i < model.size(); ++i) {
-        h.vec(model.xsSamples(i));
-        h.vec(model.ppvSamples(i));
-    }
-    return h.digest();
 }
 
 }  // namespace phlogon::io

@@ -6,14 +6,13 @@
 // netlist's canonical form, every analysis option (doubles as their exact
 // IEEE-754 bit patterns, never as formatted text), and the library's
 // artifact format version, so a format bump silently invalidates the whole
-// cache.  The recipe is documented in DESIGN.md §11.
+// cache.  The recipe is documented in DESIGN.md §11.  The daemon's job
+// keys and outcome hashes (service/jobs.cpp) use the same streaming hasher.
 
 #include <cstdint>
 #include <string>
 
 #include "analysis/pss.hpp"
-#include "core/ppv_model.hpp"
-#include "numeric/matrix.hpp"
 
 namespace phlogon::io {
 
@@ -25,7 +24,6 @@ public:
     Fnv1a64& u64(std::uint64_t v);
     Fnv1a64& f64(double v);  ///< exact bit pattern
     Fnv1a64& str(const std::string& s);
-    Fnv1a64& vec(const num::Vec& v);
     std::uint64_t digest() const { return h_; }
 
 private:
@@ -38,10 +36,5 @@ std::string hashHex(std::uint64_t h);
 /// Fold analysis options into a hasher (every field, bit-exact).
 void hashPssOptions(Fnv1a64& h, const an::PssOptions& opt);
 void hashNewtonOptions(Fnv1a64& h, const num::NewtonOptions& opt);
-
-/// Content hash of a built PpvModel (samples, names, scalars) — the key
-/// ingredient for caching downstream GAE sweep tables against a macromodel
-/// regardless of where the model came from.
-std::uint64_t hashPpvModel(const core::PpvModel& model);
 
 }  // namespace phlogon::io

@@ -58,41 +58,4 @@ CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlis
     return out;
 }
 
-std::vector<core::LockingRangePoint> cachedLockingRangeVsAmplitude(
-    const core::PpvModel& model, const core::Injection& unitInjection, const num::Vec& amplitudes,
-    std::size_t gridSize, const ArtifactCache& cache, CachedSweepInfo* info) {
-    CachedSweepInfo local;
-    if (!info) info = &local;
-    std::optional<std::uint64_t> key;
-    if (!unitInjection.canonicalDesc.empty()) {
-        Fnv1a64 h;
-        h.str("phlogon-sweep-locking-range");
-        h.u64(kFormatVersion);
-        h.u64(hashPpvModel(model));
-        h.str(unitInjection.canonicalDesc);
-        h.vec(amplitudes);
-        h.u64(gridSize);
-        key = h.digest();
-        info->key = *key;
-    }
-    if (!key) {
-        info->outcome = CacheOutcome::NotCacheable;
-    } else if (!cache.enabled()) {
-        info->outcome = CacheOutcome::Disabled;
-    } else if (auto payload = cache.fetch(*key, kTypeSweepLockingRange)) {
-        if (auto table = decodeLockingRangeTable(*payload)) {
-            info->outcome = CacheOutcome::Hit;
-            return std::move(*table);
-        }
-        info->outcome = CacheOutcome::Miss;  // undecodable payload: recompute
-    } else {
-        info->outcome = CacheOutcome::Miss;
-    }
-    std::vector<core::LockingRangePoint> table =
-        core::lockingRangeVsAmplitude(model, unitInjection, amplitudes, gridSize);
-    if (info->outcome == CacheOutcome::Miss)
-        cache.store(*key, kTypeSweepLockingRange, encodeLockingRangeTable(table));
-    return table;
-}
-
 }  // namespace phlogon::io

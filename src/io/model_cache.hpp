@@ -1,13 +1,14 @@
 #pragma once
-// Cache-aware wrappers around the expensive extraction and sweep flows.
+// Cache-aware PSS+PPV characterization, the one expensive flow worth
+// caching (DESIGN.md §11 gives the measured costs).
 //
-// Each wrapper derives a content key (io/hash.hpp) from everything that
-// determines its result, consults an ArtifactCache and either substitutes the
-// stored bytes or computes, stores and returns.  Three outcomes besides a hit
-// are possible and all degrade to plain computation:
+// characterizeCached derives a content key (io/hash.hpp) from everything
+// that determines its result, consults an ArtifactCache and either
+// substitutes the stored bytes or computes, stores and returns.  Three
+// outcomes besides a hit are possible and all degrade to plain computation:
 //   * Disabled     — the cache has no directory (PHLOGON_CACHE_DIR unset);
-//   * NotCacheable — an input holds an opaque std::function (netlist device
-//     or injection without a canonical description), so no sound key exists;
+//   * NotCacheable — a netlist device holds an opaque std::function (no
+//     canonical description), so no sound key exists;
 //   * Miss         — no valid entry yet (or a corrupt one was discarded).
 //
 // On a hit the embedded SolverCounters are zeroed: counters report work done
@@ -17,13 +18,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "analysis/ppv.hpp"
 #include "analysis/pss.hpp"
 #include "circuit/dae.hpp"
 #include "circuit/netlist.hpp"
-#include "core/gae_sweep.hpp"
 #include "io/artifact.hpp"
 #include "io/cache.hpp"
 
@@ -49,20 +48,5 @@ struct CachedCharacterization {
 CachedCharacterization characterizeCached(const ckt::Dae& dae, const ckt::Netlist& nl,
                                           const an::PssOptions& pssOpt,
                                           const ArtifactCache& cache = ArtifactCache::global());
-
-/// Key + outcome reporting for the cached sweep wrapper.
-struct CachedSweepInfo {
-    CacheOutcome outcome = CacheOutcome::Disabled;
-    std::uint64_t key = 0;
-};
-
-/// Cached core::lockingRangeVsAmplitude (Fig. 7 table).  Key folds the model
-/// content hash, the unit injection's canonical form, the amplitude grid and
-/// gridSize — everything the table depends on (sweeps are bitwise
-/// thread-invariant, so PHLOGON_THREADS is not part of it).
-std::vector<core::LockingRangePoint> cachedLockingRangeVsAmplitude(
-    const core::PpvModel& model, const core::Injection& unitInjection, const num::Vec& amplitudes,
-    std::size_t gridSize = 1024, const ArtifactCache& cache = ArtifactCache::global(),
-    CachedSweepInfo* info = nullptr);
 
 }  // namespace phlogon::io

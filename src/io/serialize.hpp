@@ -1,8 +1,8 @@
 #pragma once
 // Versioned, endian-explicit binary artifact format.
 //
-// Every persistent artifact (cached characterizations and GAE sweep tables,
-// the daemon's job checkpoints) is a single file with a fixed header:
+// Every persistent artifact (cached characterizations, the daemon's job
+// checkpoints) is a single file with a fixed header:
 //
 //   offset  size  field
 //        0     4  magic "PHLG"
@@ -51,10 +51,9 @@ inline constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
            static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-/// Payload type tags: the cache's entries (io/artifact.hpp) and the
-/// daemon's job checkpoints (io/checkpoint.hpp).
+/// Payload type tags: the cache's characterizations (io/artifact.hpp) and
+/// the daemon's job checkpoints (io/checkpoint.hpp).
 inline constexpr std::uint32_t kTypeCharacterization = fourcc('C', 'H', 'A', 'R');
-inline constexpr std::uint32_t kTypeSweepLockingRange = fourcc('S', 'W', 'L', 'R');
 inline constexpr std::uint32_t kTypeMcCheckpoint = fourcc('M', 'C', 'K', 'P');
 inline constexpr std::uint32_t kTypeFsmCheckpoint = fourcc('F', 'C', 'K', 'P');
 

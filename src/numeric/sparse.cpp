@@ -95,16 +95,6 @@ double SparseMatrix::at(std::size_t r, std::size_t c) const {
     return slot == npos ? 0.0 : val_[slot];
 }
 
-void SparseMatrix::mulVec(const Vec& x, Vec& y) const {
-    assert(frozen_ && x.size() == cols_);
-    y.assign(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double s = 0.0;
-        for (std::size_t p = rowPtr_[r]; p < rowPtr_[r + 1]; ++p) s += val_[p] * x[colIdx_[p]];
-        y[r] = s;
-    }
-}
-
 Matrix SparseMatrix::toDense() const {
     Matrix a(rows_, cols_);
     for (std::size_t r = 0; r + 1 < rowPtr_.size(); ++r)

@@ -67,9 +67,6 @@ public:
     /// Entry lookup; 0.0 when (r, c) is outside the pattern.
     double at(std::size_t r, std::size_t c) const;
 
-    /// y = A x (y resized).
-    void mulVec(const Vec& x, Vec& y) const;
-
     Matrix toDense() const;
     /// Build a frozen SparseMatrix from a dense one, keeping entries with
     /// |a(r,c)| > dropTol (0.0 keeps exact nonzeros only).

@@ -357,10 +357,4 @@ void SparseLu::solveInto(const Vec& b, Vec& x) const {
     for (std::size_t k = 0; k < n; ++k) x[q_[k]] = w[k];
 }
 
-Vec SparseLu::solve(const Vec& b) const {
-    Vec x;
-    solveInto(b, x);
-    return x;
-}
-
 }  // namespace phlogon::num

@@ -60,7 +60,6 @@ public:
 
     /// Solve A x = b into caller-owned storage (resized; must not alias b).
     void solveInto(const Vec& b, Vec& x) const;
-    Vec solve(const Vec& b) const;
 
 private:
     bool fullFactor(const SparseMatrix& a, double pivotRel);

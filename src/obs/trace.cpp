@@ -8,6 +8,8 @@
 #include <mutex>
 #include <vector>
 
+#include "io/json.hpp"
+
 namespace phlogon::obs {
 
 namespace {
@@ -43,28 +45,6 @@ std::int64_t steadyNs() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/// JSON string escaping for names/paths (control chars, quotes, backslash).
-void appendEscaped(std::string& out, const char* s) {
-    for (; *s; ++s) {
-        const unsigned char c = static_cast<unsigned char>(*s);
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += static_cast<char>(c);
-                }
-        }
-    }
 }
 
 /// Ambient context of the calling thread; stamped onto every recorded event.
@@ -245,11 +225,11 @@ bool Tracer::write() {
             first = false;
             std::snprintf(line, sizeof line,
                           "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":%u,"
-                          "\"args\":{\"name\":\"",
+                          "\"args\":{\"name\":",
                           b.tid);
             out += line;
-            appendEscaped(out, names[bi].c_str());
-            out += "\"}}";
+            out += io::json::quote(names[bi]);
+            out += "}}";
         }
         const std::uint32_t n = b.count.load(std::memory_order_acquire);
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -260,24 +240,24 @@ bool Tracer::write() {
             // Category = name prefix before the first dot (span taxonomy).
             const char* dot = e.name;
             while (*dot && *dot != '.') ++dot;
-            out += "{\"name\":\"";
-            appendEscaped(out, e.name);
-            out += "\",\"cat\":\"";
-            out.append(e.name, static_cast<std::size_t>(dot - e.name));
+            out += "{\"name\":";
+            out += io::json::quote(e.name);
+            out += ",\"cat\":";
+            out += io::json::quote(std::string(e.name, static_cast<std::size_t>(dot - e.name)));
             if (e.flowPhase != 0) {
                 // Chrome flow event: "s" starts on the producer thread, "f"
                 // with bp:"e" binds to the enclosing slice on the consumer.
                 std::snprintf(line, sizeof line,
-                              "\",\"ph\":\"%c\",%s\"id\":%llu,\"ts\":%.3f,\"pid\":1,\"tid\":%u",
+                              ",\"ph\":\"%c\",%s\"id\":%llu,\"ts\":%.3f,\"pid\":1,\"tid\":%u",
                               e.flowPhase, e.flowPhase == 'f' ? "\"bp\":\"e\"," : "",
                               static_cast<unsigned long long>(e.flowId), tsUs, b.tid);
             } else if (e.durNs < 0) {
                 std::snprintf(line, sizeof line,
-                              "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%u",
+                              ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%u",
                               tsUs, b.tid);
             } else {
                 std::snprintf(line, sizeof line,
-                              "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
+                              ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
                               tsUs, static_cast<double>(e.durNs) / 1e3, b.tid);
             }
             out += line;
@@ -285,9 +265,8 @@ bool Tracer::write() {
                 out += ",\"args\":{";
                 bool firstArg = true;
                 if (e.traceRef != 0 && e.traceRef <= traceIds.size()) {
-                    out += "\"traceId\":\"";
-                    appendEscaped(out, traceIds[e.traceRef - 1].c_str());
-                    out += '"';
+                    out += "\"traceId\":";
+                    out += io::json::quote(traceIds[e.traceRef - 1]);
                     firstArg = false;
                 }
                 if (e.jobId != 0) {

@@ -117,29 +117,6 @@ std::vector<std::int64_t> ParsedTrace::spanThreadIds() const {
     return tids;
 }
 
-namespace {
-
-void appendEscapedMerge(std::string& out, const std::string& s) {
-    for (char ch : s) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-}
-
-}  // namespace
-
 std::string mergeChromeTraces(const std::vector<std::filesystem::path>& inputs,
                               std::string* error) {
     std::string json = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -172,22 +149,20 @@ std::string mergeChromeTraces(const std::vector<std::filesystem::path>& inputs,
             json += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":";
             std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(mapped(tid)));
             json += buf;
-            json += ",\"args\":{\"name\":\"";
-            appendEscapedMerge(json, name);
-            json += " [";
-            appendEscapedMerge(json, file.filename().string());
-            json += "]\"}}";
+            json += ",\"args\":{\"name\":";
+            json += io::json::quote(name + " [" + file.filename().string() + "]");
+            json += "}}";
         }
         for (const ParsedEvent& e : trace.events) {
             if (!first) json += ",";
             first = false;
-            json += "{\"ph\":\"";
-            appendEscapedMerge(json, e.ph);
-            json += "\",\"name\":\"";
-            appendEscapedMerge(json, e.name);
-            json += "\",\"cat\":\"";
-            appendEscapedMerge(json, e.cat.empty() ? std::string("trace") : e.cat);
-            json += "\",\"pid\":1,\"tid\":";
+            json += "{\"ph\":";
+            json += io::json::quote(e.ph);
+            json += ",\"name\":";
+            json += io::json::quote(e.name);
+            json += ",\"cat\":";
+            json += io::json::quote(e.cat.empty() ? std::string("trace") : e.cat);
+            json += ",\"pid\":1,\"tid\":";
             std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(mapped(e.tid)));
             json += buf;
             std::snprintf(buf, sizeof buf, ",\"ts\":%.3f", e.tsUs);
@@ -208,17 +183,15 @@ std::string mergeChromeTraces(const std::vector<std::filesystem::path>& inputs,
                 json += buf;
             }
             if (!e.bindingPoint.empty()) {
-                json += ",\"bp\":\"";
-                appendEscapedMerge(json, e.bindingPoint);
-                json += "\"";
+                json += ",\"bp\":";
+                json += io::json::quote(e.bindingPoint);
             }
             if (!e.traceId.empty() || e.jobId != 0) {
                 json += ",\"args\":{";
                 bool firstArg = true;
                 if (!e.traceId.empty()) {
-                    json += "\"traceId\":\"";
-                    appendEscapedMerge(json, e.traceId);
-                    json += "\"";
+                    json += "\"traceId\":";
+                    json += io::json::quote(e.traceId);
                     firstArg = false;
                 }
                 if (e.jobId != 0) {

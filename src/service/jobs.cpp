@@ -5,6 +5,7 @@
 
 #include "circuit/subckt.hpp"
 #include "core/gae.hpp"
+#include "core/gae_sweep.hpp"
 #include "core/gae_transient.hpp"
 #include "core/noise.hpp"
 #include "io/checkpoint.hpp"
@@ -130,9 +131,8 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
             amps[i] = ampMin + (ampMax - ampMin) * static_cast<double>(i) /
                                    static_cast<double>(ampCount - 1);
         const core::Injection unit = core::Injection::tone(ch.outputUnknown(), 1.0, 2, 0.0, "sync");
-        io::CachedSweepInfo info;
-        const std::vector<core::LockingRangePoint> pts = io::cachedLockingRangeVsAmplitude(
-            ch.model(), unit, amps, lp.gridSize, *cache, &info);
+        const std::vector<core::LockingRangePoint> pts =
+            core::lockingRangeVsAmplitude(ch.model(), unit, amps, lp.gridSize);
         json::Value rows = json::Value::array();
         for (const core::LockingRangePoint& pt : pts) {
             json::Value row = json::Value::object();
@@ -147,7 +147,6 @@ JobBody makeLockingRangeSweep(const json::Value& p, const JobEnv& env) {
         r.set("f0", json::Value::number(ch.model().f0()));
         r.set("points", rows);
         r.set("cache", cacheJson(ch.cacheOutcome(), ch.cacheKey()));
-        r.set("sweepCache", cacheJson(info.outcome, info.key));
         return r;
     };
 }

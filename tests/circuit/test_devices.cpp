@@ -49,14 +49,6 @@ TEST(Resistor, RejectsNonPositive) {
     EXPECT_THROW(nl.addResistor("r", "a", "b", -5.0), std::invalid_argument);
 }
 
-TEST(Resistor, SetResistanceUpdatesConductance) {
-    Netlist nl;
-    Resistor& r = nl.addResistor("r1", "a", "0", 100.0);
-    r.setResistance(200.0);
-    Dae dae(nl);
-    EXPECT_NEAR(dae.evalF(0.0, Vec{2.0})[0], 0.01, 1e-15);
-}
-
 TEST(Capacitor, ChargeStamp) {
     Netlist nl;
     nl.addCapacitor("c1", "a", "0", 1e-6);
@@ -142,26 +134,6 @@ TEST(Waveform, PwlInterpolatesAndClamps) {
     EXPECT_DOUBLE_EQ(w(0.5), 5.0);
     EXPECT_DOUBLE_EQ(w(1.5), 10.0);
     EXPECT_DOUBLE_EQ(w(3.0), 10.0);
-}
-
-TEST(Waveform, ScheduledCosineFlipsPhase) {
-    const auto sched = stepSchedule(0.0, 0.5, 1.0);
-    const Waveform w = Waveform::scheduledCosine([](double) { return 1.0; }, 1.0, sched);
-    EXPECT_NEAR(w(0.0), 1.0, 1e-12);
-    EXPECT_NEAR(w(2.0), -1.0, 1e-12);  // phase 0.5 cycles after t=1
-}
-
-TEST(Waveform, PiecewiseConstantSchedule) {
-    const auto f = piecewiseConstant({0.0, 1.0, 2.0}, {10.0, 20.0, 30.0});
-    EXPECT_DOUBLE_EQ(f(-0.5), 10.0);
-    EXPECT_DOUBLE_EQ(f(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(f(1.5), 20.0);
-    EXPECT_DOUBLE_EQ(f(5.0), 30.0);
-}
-
-TEST(Waveform, PiecewiseConstantValidation) {
-    EXPECT_THROW(piecewiseConstant({0.0}, {1.0, 2.0}), std::invalid_argument);
-    EXPECT_THROW(piecewiseConstant({}, {}), std::invalid_argument);
 }
 
 TEST(Dae, ParallelDevicesSumStamps) {

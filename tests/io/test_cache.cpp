@@ -42,8 +42,8 @@ std::vector<std::uint8_t> bytesOf(std::initializer_list<int> v) {
 TEST_F(CacheTest, DisabledCacheMissesAndDropsStores) {
     const ArtifactCache cache;  // no directory
     EXPECT_FALSE(cache.enabled());
-    EXPECT_FALSE(cache.store(1, kTypeSweepLockingRange, bytesOf({1, 2})));
-    EXPECT_FALSE(cache.fetch(1, kTypeSweepLockingRange).has_value());
+    EXPECT_FALSE(cache.store(1, kTypeMcCheckpoint, bytesOf({1, 2})));
+    EXPECT_FALSE(cache.fetch(1, kTypeMcCheckpoint).has_value());
     EXPECT_TRUE(cache.entries().empty());
     EXPECT_EQ(cache.evictToFit(), 0u);
 }
@@ -51,43 +51,43 @@ TEST_F(CacheTest, DisabledCacheMissesAndDropsStores) {
 TEST_F(CacheTest, StoreThenFetchRoundTrips) {
     const ArtifactCache cache(dir_);
     const auto payload = bytesOf({10, 20, 30, 40});
-    ASSERT_TRUE(cache.store(0xABCDEF0123456789ull, kTypeSweepLockingRange, payload));
+    ASSERT_TRUE(cache.store(0xABCDEF0123456789ull, kTypeMcCheckpoint, payload));
     EXPECT_TRUE(fs::exists(dir_ / "abcdef0123456789.phlg"));
-    const auto hit = cache.fetch(0xABCDEF0123456789ull, kTypeSweepLockingRange);
+    const auto hit = cache.fetch(0xABCDEF0123456789ull, kTypeMcCheckpoint);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, payload);
     // A different key misses without touching the stored entry.
-    EXPECT_FALSE(cache.fetch(0x1111, kTypeSweepLockingRange).has_value());
+    EXPECT_FALSE(cache.fetch(0x1111, kTypeMcCheckpoint).has_value());
     EXPECT_TRUE(fs::exists(dir_ / "abcdef0123456789.phlg"));
 }
 
 TEST_F(CacheTest, WrongTypeFetchRemovesEntry) {
     const ArtifactCache cache(dir_);
     ASSERT_TRUE(cache.store(7, kTypeCharacterization, bytesOf({1})));
-    EXPECT_FALSE(cache.fetch(7, kTypeSweepLockingRange).has_value());
+    EXPECT_FALSE(cache.fetch(7, kTypeMcCheckpoint).has_value());
     EXPECT_FALSE(fs::exists(cache.entryPath(7)));  // mistyped entry dropped
 }
 
 TEST_F(CacheTest, CorruptEntryIsRemovedAndReportsMiss) {
     const ArtifactCache cache(dir_);
-    ASSERT_TRUE(cache.store(42, kTypeSweepLockingRange, bytesOf({5, 6, 7, 8})));
+    ASSERT_TRUE(cache.store(42, kTypeMcCheckpoint, bytesOf({5, 6, 7, 8})));
     // Flip a payload byte in place.
     const fs::path p = cache.entryPath(42);
     std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(static_cast<std::streamoff>(kHeaderSize + 2));
     f.put(static_cast<char>(0x7F));
     f.close();
-    EXPECT_FALSE(cache.fetch(42, kTypeSweepLockingRange).has_value());
+    EXPECT_FALSE(cache.fetch(42, kTypeMcCheckpoint).has_value());
     EXPECT_FALSE(fs::exists(p));  // corrupt entry dropped
     // The slot is clean: a re-store works and fetches again.
-    ASSERT_TRUE(cache.store(42, kTypeSweepLockingRange, bytesOf({5, 6, 7, 8})));
-    EXPECT_TRUE(cache.fetch(42, kTypeSweepLockingRange).has_value());
+    ASSERT_TRUE(cache.store(42, kTypeMcCheckpoint, bytesOf({5, 6, 7, 8})));
+    EXPECT_TRUE(cache.fetch(42, kTypeMcCheckpoint).has_value());
 
     // An entry whose header claims 2^50 payload bytes is truncated, not an
     // allocation: the probe says so, fetch drops it as a miss, and a store
     // into the same cache (whose eviction pass scans every entry) succeeds.
     const fs::path huge = cache.entryPath(43);
-    ASSERT_TRUE(cache.store(43, kTypeSweepLockingRange, bytesOf({1, 2, 3})));
+    ASSERT_TRUE(cache.store(43, kTypeMcCheckpoint, bytesOf({1, 2, 3})));
     {
         std::fstream h(huge, std::ios::in | std::ios::out | std::ios::binary);
         h.seekp(12);  // payload size field, u64 little-endian
@@ -95,10 +95,10 @@ TEST_F(CacheTest, CorruptEntryIsRemovedAndReportsMiss) {
         for (int i = 0; i < 8; ++i) h.put(static_cast<char>(claimed >> (8 * i)));
     }
     EXPECT_EQ(probeArtifactFile(huge).status, ArtifactStatus::Truncated);
-    ASSERT_TRUE(cache.store(44, kTypeSweepLockingRange, bytesOf({4})));
-    EXPECT_FALSE(cache.fetch(43, kTypeSweepLockingRange).has_value());
+    ASSERT_TRUE(cache.store(44, kTypeMcCheckpoint, bytesOf({4})));
+    EXPECT_FALSE(cache.fetch(43, kTypeMcCheckpoint).has_value());
     EXPECT_FALSE(fs::exists(huge));
-    EXPECT_TRUE(cache.fetch(44, kTypeSweepLockingRange).has_value());
+    EXPECT_TRUE(cache.fetch(44, kTypeMcCheckpoint).has_value());
 }
 
 TEST_F(CacheTest, StoreDoesNotReadEntries) {
@@ -107,11 +107,11 @@ TEST_F(CacheTest, StoreDoesNotReadEntries) {
     const ArtifactCache cache(dir_);
     const std::vector<std::uint8_t> payload(256, 0x3C);
     for (std::uint64_t k = 0; k < 200; ++k)
-        ASSERT_TRUE(cache.store(k, kTypeSweepLockingRange, payload));
+        ASSERT_TRUE(cache.store(k, kTypeMcCheckpoint, payload));
     obs::setMetricsEnabled(true);
     const obs::Counter& reads = obs::MetricsRegistry::instance().counter("artifact.reads");
     const std::uint64_t before = reads.value();
-    ASSERT_TRUE(cache.store(200, kTypeSweepLockingRange, payload));
+    ASSERT_TRUE(cache.store(200, kTypeMcCheckpoint, payload));
     const std::uint64_t after = reads.value();
     obs::setMetricsEnabled(false);
     EXPECT_EQ(after - before, 0u);
@@ -120,7 +120,7 @@ TEST_F(CacheTest, StoreDoesNotReadEntries) {
 
 TEST_F(CacheTest, EntriesListValidityAndOrder) {
     const ArtifactCache cache(dir_);
-    ASSERT_TRUE(cache.store(1, kTypeSweepLockingRange, bytesOf({1})));
+    ASSERT_TRUE(cache.store(1, kTypeMcCheckpoint, bytesOf({1})));
     ASSERT_TRUE(cache.store(2, kTypeCharacterization, bytesOf({2, 2})));
     const auto entries = cache.entries();
     ASSERT_EQ(entries.size(), 2u);
@@ -132,14 +132,14 @@ TEST_F(CacheTest, LruEvictionDropsOldestFirst) {
     // Cap small enough that three ~1 KiB entries cannot coexist.
     const std::vector<std::uint8_t> big(1024, 0x5A);
     const ArtifactCache cache(dir_, 2 * (kHeaderSize + big.size()));
-    ASSERT_TRUE(cache.store(1, kTypeSweepLockingRange, big));
+    ASSERT_TRUE(cache.store(1, kTypeMcCheckpoint, big));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(cache.store(2, kTypeSweepLockingRange, big));
+    ASSERT_TRUE(cache.store(2, kTypeMcCheckpoint, big));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     // Touch entry 1 (fetch refreshes mtime), then overflow: 2 is now oldest.
-    ASSERT_TRUE(cache.fetch(1, kTypeSweepLockingRange).has_value());
+    ASSERT_TRUE(cache.fetch(1, kTypeMcCheckpoint).has_value());
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(cache.store(3, kTypeSweepLockingRange, big));
+    ASSERT_TRUE(cache.store(3, kTypeMcCheckpoint, big));
     EXPECT_TRUE(fs::exists(cache.entryPath(1)));
     EXPECT_FALSE(fs::exists(cache.entryPath(2)));
     EXPECT_TRUE(fs::exists(cache.entryPath(3)));
@@ -151,16 +151,16 @@ TEST_F(CacheTest, StatsCountOutcomesAndAreSharedAcrossCopies) {
     CacheStats s = cache.stats();
     EXPECT_EQ(s.hits + s.misses + s.stores + s.evictions + s.corruptions + s.foreign, 0u);
 
-    ASSERT_TRUE(cache.store(1, kTypeSweepLockingRange, bytesOf({1, 2, 3})));
-    EXPECT_TRUE(copy.fetch(1, kTypeSweepLockingRange).has_value());      // hit
-    EXPECT_FALSE(cache.fetch(2, kTypeSweepLockingRange).has_value());    // miss
+    ASSERT_TRUE(cache.store(1, kTypeMcCheckpoint, bytesOf({1, 2, 3})));
+    EXPECT_TRUE(copy.fetch(1, kTypeMcCheckpoint).has_value());   // hit
+    EXPECT_FALSE(cache.fetch(2, kTypeMcCheckpoint).has_value());  // miss
     // Corrupt the entry: the next fetch counts a corruption AND a miss.
     const fs::path p = cache.entryPath(1);
     std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(static_cast<std::streamoff>(kHeaderSize + 1));
     f.put(static_cast<char>(0x7F));
     f.close();
-    EXPECT_FALSE(cache.fetch(1, kTypeSweepLockingRange).has_value());
+    EXPECT_FALSE(cache.fetch(1, kTypeMcCheckpoint).has_value());
 
     s = copy.stats();  // the copy observes the same counters
     EXPECT_EQ(s.stores, 1u);
@@ -176,7 +176,7 @@ TEST_F(CacheTest, ForeignPhlgFilesAreSkippedNotKeyedAsZero) {
     // listed as a (corrupt) entry, and entered the LRU eviction pool — a
     // cache scan could delete a user's file it never created.
     const ArtifactCache cache(dir_);
-    ASSERT_TRUE(cache.store(1, kTypeSweepLockingRange, bytesOf({1, 2, 3})));
+    ASSERT_TRUE(cache.store(1, kTypeMcCheckpoint, bytesOf({1, 2, 3})));
     const fs::path garbage = dir_ / "garbage.phlg";
     const fs::path shortHex = dir_ / "abc.phlg";        // hex but not 16 digits
     const fs::path mixed = dir_ / "0123456789abcdeg.phlg";  // 16 chars, non-hex 'g'
@@ -210,7 +210,7 @@ TEST_F(CacheTest, StatsCountEvictions) {
     // 1 KiB budget with ~40-byte entries: storing many forces LRU pruning.
     const ArtifactCache cache(dir_, 1024);
     for (std::uint64_t k = 0; k < 64; ++k)
-        ASSERT_TRUE(cache.store(k, kTypeSweepLockingRange, bytesOf({1, 2, 3, 4})));
+        ASSERT_TRUE(cache.store(k, kTypeMcCheckpoint, bytesOf({1, 2, 3, 4})));
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.stores, 64u);
     EXPECT_GE(s.evictions, 1u);

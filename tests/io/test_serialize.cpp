@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/temp_path.hpp"
+#include "core/ppv_model.hpp"
 #include "io/artifact.hpp"
 
 namespace phlogon::io {
@@ -146,7 +147,7 @@ TEST_F(SerializeTest, MissingFileIsIoError) {
 }
 
 TEST_F(SerializeTest, TruncatedFileDetected) {
-    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeSweepLockingRange, {9, 8, 7, 6, 5, 4, 3, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("t.phlg"), kTypeMcCheckpoint, {9, 8, 7, 6, 5, 4, 3, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("t.phlg"));
     bytes.resize(bytes.size() - 3);  // cut into the payload
     dump(file("t.phlg"), bytes);
@@ -158,7 +159,7 @@ TEST_F(SerializeTest, TruncatedFileDetected) {
 }
 
 TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeSweepLockingRange, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c.phlg"), kTypeMcCheckpoint, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c.phlg"));
     bytes[kHeaderSize + 1] ^= 0x40;
     dump(file("c.phlg"), bytes);
@@ -166,7 +167,7 @@ TEST_F(SerializeTest, FlippedPayloadByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
-    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeSweepLockingRange, {1, 2, 3, 4}));
+    ASSERT_TRUE(writeArtifactFile(file("c2.phlg"), kTypeMcCheckpoint, {1, 2, 3, 4}));
     std::vector<std::uint8_t> bytes = slurp(file("c2.phlg"));
     bytes[20] ^= 0x01;  // CRC field lives at offset 20..23
     dump(file("c2.phlg"), bytes);
@@ -174,7 +175,7 @@ TEST_F(SerializeTest, FlippedCrcByteFailsCrc) {
 }
 
 TEST_F(SerializeTest, WrongVersionRejected) {
-    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeSweepLockingRange, {1, 2}));
+    ASSERT_TRUE(writeArtifactFile(file("v.phlg"), kTypeMcCheckpoint, {1, 2}));
     std::vector<std::uint8_t> bytes = slurp(file("v.phlg"));
     bytes[4] = static_cast<std::uint8_t>(kFormatVersion + 1);  // version field
     dump(file("v.phlg"), bytes);
@@ -189,7 +190,7 @@ TEST_F(SerializeTest, BadMagicAndWrongTypeRejected) {
     EXPECT_EQ(readArtifactFile(file("m.phlg")).status, ArtifactStatus::BadMagic);
 
     ASSERT_TRUE(writeArtifactFile(file("ty.phlg"), kTypeCharacterization, {1}));
-    EXPECT_EQ(readArtifactFile(file("ty.phlg"), kTypeSweepLockingRange).status, ArtifactStatus::WrongType);
+    EXPECT_EQ(readArtifactFile(file("ty.phlg"), kTypeMcCheckpoint).status, ArtifactStatus::WrongType);
     EXPECT_TRUE(readArtifactFile(file("ty.phlg")).ok());  // expectedType 0 = any
 }
 
@@ -348,19 +349,6 @@ TEST_F(SerializeTest, CharacterizationBundleRoundTrips) {
     ASSERT_TRUE(back.has_value());
     expectBitwiseEqual(c.pss, back->pss);
     EXPECT_EQ(back->ppv.floquetMu, c.ppv.floquetMu);
-}
-
-TEST_F(SerializeTest, SweepTablesRoundTrip) {
-    std::vector<core::LockingRangePoint> lr(3);
-    lr[0] = {10e-6, {true, 9.55e3, 9.72e3}};
-    lr[1] = {50e-6, {true, 9.31e3, 9.93e3}};
-    lr[2] = {0.0, {false, 0.0, 0.0}};
-    const auto lrBack = decodeLockingRangeTable(encodeLockingRangeTable(lr));
-    ASSERT_TRUE(lrBack.has_value());
-    ASSERT_EQ(lrBack->size(), 3u);
-    EXPECT_EQ((*lrBack)[1].amplitude, 50e-6);
-    EXPECT_EQ((*lrBack)[1].range.fLow, 9.31e3);
-    EXPECT_FALSE((*lrBack)[2].range.locks);
 }
 
 TEST_F(SerializeTest, OdeSolutionAndTransientResultRoundTrip) {

@@ -157,7 +157,9 @@ TEST_F(MetricsOn, RegistryHammerFromParallelWorkers) {
     EXPECT_EQ(modSum, n);
     const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     for (const auto& h : snap.histograms) {
-        if (h.name == "test.hammer.hist") EXPECT_EQ(h.count, n);
+        if (h.name == "test.hammer.hist") {
+            EXPECT_EQ(h.count, n);
+        }
     }
 }
 

@@ -339,6 +339,34 @@ TEST_F(TraceGolden, MergePreservesArgsFlowsAndRemapsTids) {
     fs::remove(pathB);
 }
 
+TEST_F(TraceGolden, EscapedNamesSurviveWriteAndMerge) {
+    // Quotes, backslashes and control characters in span names, their
+    // categories (the prefix before the first dot) and trace ids are
+    // JSON-escaped on write and on merge, and parse back to the same text.
+    static constexpr const char* kName = "te\"st.q\"uote\\slash\b\t\n\x01";
+    const std::string traceId = "id\"\\\f\r\x1f";
+    const std::uint32_t ref = Tracer::instance().internTraceId(traceId);
+    {
+        TraceContextScope scope(ref, 5);
+        OBS_SPAN(kName);
+    }
+    Tracer::instance().stop();
+    ASSERT_TRUE(Tracer::instance().write());
+
+    const ParsedTrace written = readChromeTraceFile(path_);
+    ASSERT_TRUE(written.ok) << written.error;
+    std::string error;
+    const ParsedTrace merged = parseChromeTrace(mergeChromeTraces({path_}, &error));
+    ASSERT_TRUE(merged.ok) << merged.error << error;
+    for (const ParsedTrace* t : {&written, &merged}) {
+        const auto spans = t->spansForTraceId(traceId);
+        ASSERT_EQ(spans.size(), 1u);
+        EXPECT_EQ(spans[0].name, kName);
+        EXPECT_EQ(spans[0].cat, "te\"st");
+        EXPECT_EQ(spans[0].jobId, 5u);
+    }
+}
+
 #endif  // PHLOGON_NO_OBS
 
 }  // namespace

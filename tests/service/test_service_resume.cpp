@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "common/temp_path.hpp"
+#include "core/gae_sweep.hpp"
 #include "io/cache.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
@@ -135,6 +136,46 @@ TEST(ServiceJobs, CharacterizeLatchKeyIsTheLibraryRunKey) {
         spec, logic::RingOscCharacterization::defaultPssOptions(), sharedCache());
     EXPECT_EQ(cache->fieldString("key", ""), io::hashHex(osc.cacheKey()));
     EXPECT_TRUE(osc.fromCache());  // the job stored it
+}
+
+TEST(ServiceJobs, LockingRangeSweepRowsAreTheLibrarySweep) {
+    // The sweep job computes its table with core::lockingRangeVsAmplitude on
+    // the library characterization: same tone, grid and amplitudes, so every
+    // row matches bit for bit, and nothing but the characterization is cached.
+    const svc::JobSnapshot snap = runJob(
+        "locking-range-sweep",
+        R"({"cap": 4.6e-9, "gridSize": 256, "ampMin": 3e-5, "ampMax": 1.5e-4, "ampCount": 5})",
+        fs::path());
+    ASSERT_EQ(snap.state, svc::JobState::Done) << snap.error;
+    EXPECT_EQ(snap.result.field("sweepCache"), nullptr);
+    const json::Value* points = snap.result.field("points");
+    ASSERT_NE(points, nullptr);
+    ASSERT_TRUE(points->isArray());
+
+    ckt::RingOscSpec spec;
+    spec.capFarads = 4.6e-9;
+    const auto osc = logic::RingOscCharacterization::run(
+        spec, logic::RingOscCharacterization::defaultPssOptions(), sharedCache());
+    const double ampMin = 3e-5, ampMax = 1.5e-4;
+    const std::size_t ampCount = 5;
+    core::Vec amps(ampCount);
+    for (std::size_t i = 0; i < ampCount; ++i)
+        amps[i] = ampMin + (ampMax - ampMin) * static_cast<double>(i) /
+                               static_cast<double>(ampCount - 1);
+    const core::Injection unit = core::Injection::tone(osc.outputUnknown(), 1.0, 2, 0.0, "sync");
+    const std::vector<core::LockingRangePoint> expected =
+        core::lockingRangeVsAmplitude(osc.model(), unit, amps, 256);
+
+    ASSERT_EQ(points->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const json::Value& row = (*points->arr)[i];
+        const json::Value* locks = row.field("locks");
+        ASSERT_TRUE(locks && locks->isBool()) << "row " << i;
+        EXPECT_EQ(locks->b, expected[i].range.locks) << "row " << i;
+        EXPECT_EQ(row.fieldNumber("amplitude", -1.0), expected[i].amplitude) << "row " << i;
+        EXPECT_EQ(row.fieldNumber("fLow", -1.0), expected[i].range.fLow) << "row " << i;
+        EXPECT_EQ(row.fieldNumber("fHigh", -1.0), expected[i].range.fHigh) << "row " << i;
+    }
 }
 
 TEST(ServiceResume, McCancelResumeBitwiseIdentical) {
