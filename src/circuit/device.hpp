@@ -117,7 +117,6 @@ public:
     Resistor(std::string name, int a, int b, double ohms);
     void eval(double t, const Vec& x, Stamps& s) const override;
     std::string canonicalDesc() const override;
-    double resistance() const { return r_; }
 
 private:
     int a_, b_;

@@ -12,6 +12,7 @@ Gae::Gae(const PpvModel& model, double f1, const std::vector<Injection>& injecti
          std::size_t gridSize) {
     if (!model.valid()) throw std::invalid_argument("Gae: invalid PpvModel");
     if (!(f1 > 0)) throw std::invalid_argument("Gae: f1 must be positive");
+    if (gridSize < 3) throw std::invalid_argument("Gae: gridSize must be >= 3");
     f0_ = model.f0();
     f1_ = f1;
 
@@ -21,14 +22,14 @@ Gae::Gae(const PpvModel& model, double f1, const std::vector<Injection>& injecti
     // (evaluated via FFT); phase-dependent ones (latch-output feedback
     // through gates) need the direct double loop.
     gGrid_.assign(gridSize, 0.0);
-    Vec vSamples(gridSize);
+    Vec theta(gridSize), vSamples(gridSize);
+    for (std::size_t i = 0; i < gridSize; ++i)
+        theta[i] = static_cast<double>(i) / static_cast<double>(gridSize);
     const double invN = 1.0 / static_cast<double>(gridSize);
     for (const Injection& inj : injections) {
         if (inj.unknownIndex >= model.size())
             throw std::invalid_argument("Gae: injection index out of range");
-        for (std::size_t i = 0; i < gridSize; ++i)
-            vSamples[i] = model.ppvAt(inj.unknownIndex,
-                                      static_cast<double>(i) / static_cast<double>(gridSize));
+        model.ppvMany(inj.unknownIndex, theta.data(), vSamples.data(), gridSize);
         if (inj.isPhaseDependent()) {
             for (std::size_t m = 0; m < gridSize; ++m) {
                 const double dphi = static_cast<double>(m) * invN;

@@ -31,7 +31,8 @@ class Gae {
 public:
     Gae() = default;
     /// Derive the GAE from a PPV macromodel, reference frequency f1 and a
-    /// set of injections.  `gridSize` controls the correlation grid.
+    /// set of injections.  `gridSize` is the number of points of the
+    /// correlation grid; fewer than 3 throw std::invalid_argument.
     Gae(const PpvModel& model, double f1, const std::vector<Injection>& injections,
         std::size_t gridSize = 1024);
 

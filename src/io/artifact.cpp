@@ -52,8 +52,9 @@ std::vector<std::uint8_t> encodePssResult(const an::PssResult& pss) {
     return w.take();
 }
 
-std::optional<an::PssResult> decodePssResult(const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
+namespace {
+
+std::optional<an::PssResult> readPssResult(BinaryReader& r) {
     an::PssResult pss;
     std::uint8_t b;
     std::uint64_t v;
@@ -68,6 +69,13 @@ std::optional<an::PssResult> decodePssResult(const std::vector<std::uint8_t>& pa
     if (!r.vecList(pss.xs) || !r.vecList(pss.xFine) || !r.vec(pss.tFine)) return std::nullopt;
     if (!decodeCounters(r, pss.counters)) return std::nullopt;
     return pss;
+}
+
+}  // namespace
+
+std::optional<an::PssResult> decodePssResult(const std::vector<std::uint8_t>& payload) {
+    BinaryReader r(payload);
+    return readPssResult(r);
 }
 
 // ---- PpvResult ------------------------------------------------------------
@@ -85,8 +93,9 @@ std::vector<std::uint8_t> encodePpvResult(const an::PpvResult& ppv) {
     return w.take();
 }
 
-std::optional<an::PpvResult> decodePpvResult(const std::vector<std::uint8_t>& payload) {
-    BinaryReader r(payload);
+namespace {
+
+std::optional<an::PpvResult> readPpvResult(BinaryReader& r) {
     an::PpvResult ppv;
     std::uint8_t b;
     std::uint64_t v;
@@ -100,32 +109,30 @@ std::optional<an::PpvResult> decodePpvResult(const std::vector<std::uint8_t>& pa
     return ppv;
 }
 
+}  // namespace
+
+std::optional<an::PpvResult> decodePpvResult(const std::vector<std::uint8_t>& payload) {
+    BinaryReader r(payload);
+    return readPpvResult(r);
+}
+
 // ---- characterization bundle ----------------------------------------------
 
 std::vector<std::uint8_t> encodeCharacterization(const Characterization& c) {
     BinaryWriter w;
-    const std::vector<std::uint8_t> pss = encodePssResult(c.pss);
-    const std::vector<std::uint8_t> ppv = encodePpvResult(c.ppv);
-    w.u64(pss.size());
-    for (std::uint8_t b : pss) w.u8(b);
-    w.u64(ppv.size());
-    for (std::uint8_t b : ppv) w.u8(b);
+    w.blob(encodePssResult(c.pss));
+    w.blob(encodePpvResult(c.ppv));
     return w.take();
 }
 
 std::optional<Characterization> decodeCharacterization(const std::vector<std::uint8_t>& payload) {
+    // Both sub-payloads are read in place, each through a reader over its
+    // own bytes of `payload`.
     BinaryReader r(payload);
-    std::uint64_t n;
-    if (!r.u64(n) || r.remaining() < n) return std::nullopt;
-    std::vector<std::uint8_t> pssBytes(static_cast<std::size_t>(n));
-    for (std::uint8_t& b : pssBytes)
-        if (!r.u8(b)) return std::nullopt;
-    if (!r.u64(n) || r.remaining() < n) return std::nullopt;
-    std::vector<std::uint8_t> ppvBytes(static_cast<std::size_t>(n));
-    for (std::uint8_t& b : ppvBytes)
-        if (!r.u8(b)) return std::nullopt;
-    auto pss = decodePssResult(pssBytes);
-    auto ppv = decodePpvResult(ppvBytes);
+    BinaryReader pssBytes, ppvBytes;
+    if (!r.blob(pssBytes) || !r.blob(ppvBytes)) return std::nullopt;
+    auto pss = readPssResult(pssBytes);
+    auto ppv = readPpvResult(ppvBytes);
     if (!pss || !ppv) return std::nullopt;
     Characterization c;
     c.pss = std::move(*pss);

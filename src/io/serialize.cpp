@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -17,17 +18,25 @@ namespace {
 
 constexpr std::array<char, 4> kMagic{'P', 'H', 'L', 'G'};
 
-const std::array<std::uint32_t, 256>& crcTable() {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][b] is
+/// the CRC of byte b followed by k zero bytes, so eight table reads advance
+/// the CRC by eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crcTables() {
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < 8; ++k)
+            for (std::size_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
         return t;
     }();
-    return table;
+    return tables;
 }
 
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -64,9 +73,15 @@ std::string typeName(std::uint32_t type) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-    const auto& t = crcTable();
+    const CrcTables& t = crcTables();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i) c = t[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; data += 8, n -= 8) {
+        const std::uint32_t lo = c ^ getU32(data);
+        const std::uint32_t hi = getU32(data + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++data, --n) c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -82,9 +97,23 @@ void BinaryWriter::str(const std::string& s) {
     buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
+// On a little-endian host a double's bytes in memory are its wire bytes, so
+// vec() moves the whole array at once; the per-element arm is the portable
+// layout every other host writes and reads.
+
 void BinaryWriter::vec(const num::Vec& v) {
     u64(v.size());
-    for (double x : v) f64(x);
+    if constexpr (std::endian::native == std::endian::little) {
+        const auto* b = reinterpret_cast<const std::uint8_t*>(v.data());
+        buf_.insert(buf_.end(), b, b + 8 * v.size());
+    } else {
+        for (double x : v) f64(x);
+    }
+}
+
+void BinaryWriter::blob(const std::vector<std::uint8_t>& b) {
+    u64(b.size());
+    buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 void BinaryWriter::vecList(const std::vector<num::Vec>& vs) {
@@ -142,9 +171,24 @@ bool BinaryReader::vec(num::Vec& v) {
     std::uint64_t n;
     if (!u64(n) || n > remaining() / 8) return false;
     v.resize(static_cast<std::size_t>(n));
-    for (double& x : v) {
-        if (!f64(x)) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+        // std::copy, not memcpy: an empty vector's data() may be null.
+        const std::size_t bytes = 8 * v.size();
+        std::copy(p_, p_ + bytes, reinterpret_cast<std::uint8_t*>(v.data()));
+        p_ += bytes;
+    } else {
+        for (double& x : v) {
+            if (!f64(x)) return false;
+        }
     }
+    return true;
+}
+
+bool BinaryReader::blob(BinaryReader& sub) {
+    std::uint64_t n;
+    if (!u64(n) || remaining() < n) return false;
+    sub = BinaryReader(p_, static_cast<std::size_t>(n));
+    p_ += n;
     return true;
 }
 

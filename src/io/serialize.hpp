@@ -12,10 +12,12 @@
 //       20     4  CRC32 of the payload bytes
 //       24     -  payload
 //
-// All multi-byte integers are little-endian regardless of host, written and
-// read byte-by-byte; doubles travel as the little-endian bytes of their
-// IEEE-754 bit pattern (std::bit_cast), so save→load round-trips are bitwise
-// exact and files are portable across hosts.
+// All multi-byte integers are little-endian regardless of host; doubles
+// travel as the little-endian bytes of their IEEE-754 bit pattern
+// (std::bit_cast), so save→load round-trips are bitwise exact and files are
+// portable across hosts.  Scalars are assembled from their bytes; a double
+// array moves with one bulk copy on a little-endian host, where its bytes in
+// memory are already the wire bytes, and element by element elsewhere.
 //
 // Publication is atomic: writeArtifactFile writes to "<path>.tmp.<pid>.<n>",
 // where n is a process-wide counter so concurrent writers of one path never
@@ -60,7 +62,8 @@ inline constexpr std::uint32_t kTypeFsmCheckpoint = fourcc('F', 'C', 'K', 'P');
 /// Human-readable name of a type tag ("CHAR", or "????" when unknown).
 std::string typeName(std::uint32_t type);
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range.
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range,
+/// eight bytes per step (slicing-by-8).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 
 // ---- payload encoding -----------------------------------------------------
@@ -74,6 +77,8 @@ public:
     void f64(double v);
     void str(const std::string& s);
     void vec(const num::Vec& v);
+    /// A u64 length, then the bytes as they are (a nested payload).
+    void blob(const std::vector<std::uint8_t>& b);
     void vecList(const std::vector<num::Vec>& vs);
     void strList(const std::vector<std::string>& ss);
 
@@ -89,6 +94,7 @@ private:
 /// corrupt instead of reading garbage.
 class BinaryReader {
 public:
+    BinaryReader() = default;
     BinaryReader(const std::uint8_t* data, std::size_t n) : p_(data), end_(data + n) {}
     explicit BinaryReader(const std::vector<std::uint8_t>& b) : BinaryReader(b.data(), b.size()) {}
 
@@ -98,14 +104,16 @@ public:
     bool f64(double& v);
     bool str(std::string& s);
     bool vec(num::Vec& v);
+    /// What BinaryWriter::blob wrote: `sub` reads those bytes in place.
+    bool blob(BinaryReader& sub);
     bool vecList(std::vector<num::Vec>& vs);
     bool strList(std::vector<std::string>& ss);
     bool atEnd() const { return p_ == end_; }
     std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
 
 private:
-    const std::uint8_t* p_;
-    const std::uint8_t* end_;
+    const std::uint8_t* p_ = nullptr;
+    const std::uint8_t* end_ = nullptr;
 };
 
 // ---- artifact container ---------------------------------------------------

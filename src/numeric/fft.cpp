@@ -10,7 +10,12 @@ namespace {
 
 bool isPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-void fftRadix2(CVec& a, bool invert) {
+// Out of line on purpose.  Inlined into transform() beside the O(N^2) DFT,
+// GCC builds each butterfly's `u` on the stack from two 8-byte stores and
+// reloads it with one 16-byte load; the CPU cannot forward those stores to
+// that load, so every butterfly stalls (a 1024-point fft ran about 2x slower).
+// The arithmetic and its order are the same either way, so are the bits.
+[[gnu::noinline]] void fftRadix2(CVec& a, bool invert) {
     const std::size_t n = a.size();
     // Bit-reversal permutation.
     for (std::size_t i = 1, j = 0; i < n; ++i) {

@@ -27,20 +27,28 @@ double PeriodicLinear::operator()(double t) const {
 namespace {
 
 /// Thomas algorithm for a constant-coefficient tridiagonal system with
-/// diagonal `diag` (modified at both ends) and off-diagonal `off`.
-Vec solveTridiag(double diagFirst, double diag, double diagLast, double off, Vec d) {
+/// diagonal `diag` (modified at both ends) and off-diagonal `off`, solved
+/// in place for two right-hand sides at once.  The forward sweep's pivots
+/// depend on the matrix only, so they are computed once; and the two
+/// solutions' recurrences are independent, so one pass runs them side by
+/// side.  Each value takes the same operations as a one-sided solve.
+void solveTridiag2(double diagFirst, double diag, double diagLast, double off, Vec& d, Vec& e) {
     const std::size_t n = d.size();
     Vec c(n, 0.0);
     double b = diagFirst;
     c[0] = off / b;
     d[0] /= b;
+    e[0] /= b;
     for (std::size_t i = 1; i < n; ++i) {
-        const double bi = (i + 1 == n ? diagLast : diag) - off * c[i - 1];
-        c[i] = off / bi;
-        d[i] = (d[i] - off * d[i - 1]) / bi;
+        b = (i + 1 == n ? diagLast : diag) - off * c[i - 1];
+        c[i] = off / b;
+        d[i] = (d[i] - off * d[i - 1]) / b;
+        e[i] = (e[i] - off * e[i - 1]) / b;
     }
-    for (std::size_t i = n - 1; i-- > 0;) d[i] -= c[i] * d[i + 1];
-    return d;
+    for (std::size_t i = n - 1; i-- > 0;) {
+        d[i] -= c[i] * d[i + 1];
+        e[i] -= c[i] * e[i + 1];
+    }
 }
 
 }  // namespace
@@ -56,25 +64,24 @@ PeriodicCubicSpline::PeriodicCubicSpline(const Vec& x) : n_(x.size()) {
     const double h = 1.0 / static_cast<double>(n);
     const double off = h / 6.0;   // sub/super diagonal and both corners
     const double diag = 4.0 * off;  // 2h/3
-    Vec rhs(n);
+    // m holds the right-hand side, then y = A^-1 rhs, then the solution.
+    Vec m(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t im = (i + n - 1) % n;
-        const std::size_t ip = (i + 1) % n;
-        rhs[i] = (x[ip] - 2.0 * x[i] + x[im]) / h;
+        const std::size_t im = i == 0 ? n - 1 : i - 1;
+        const std::size_t ip = i + 1 == n ? 0 : i + 1;
+        m[i] = (x[ip] - 2.0 * x[i] + x[im]) / h;
     }
     // Cyclic correction (Numerical Recipes): gamma = -diag; corners alpha =
     // beta = off.
     const double gamma = -diag;
     const double diagFirst = diag - gamma;
     const double diagLast = diag - off * off / gamma;
-    const Vec y = solveTridiag(diagFirst, diag, diagLast, off, rhs);
-    Vec u(n, 0.0);
-    u[0] = gamma;
-    u[n - 1] = off;
-    const Vec z = solveTridiag(diagFirst, diag, diagLast, off, u);
+    Vec z(n, 0.0);
+    z[0] = gamma;
+    z[n - 1] = off;
+    solveTridiag2(diagFirst, diag, diagLast, off, m, z);
     const double fact =
-        (y[0] + off * y[n - 1] / gamma) / (1.0 + z[0] + off * z[n - 1] / gamma);
-    Vec m = y;
+        (m[0] + off * m[n - 1] / gamma) / (1.0 + z[0] + off * z[n - 1] / gamma);
     for (std::size_t i = 0; i < n; ++i) m[i] -= fact * z[i];
 
     // Rewrite cell i's Hermite form a*x_i + b*x_j + ((a^3-a)m_i + (b^3-b)m_j)h^2/6
@@ -86,7 +93,7 @@ PeriodicCubicSpline::PeriodicCubicSpline(const Vec& x) : n_(x.size()) {
     const double h2over6 = h * h / 6.0;
     c_.resize(4 * n);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t j = (i + 1) % n;
+        const std::size_t j = i + 1 == n ? 0 : i + 1;
         c_[4 * i + 0] = x[i];
         c_[4 * i + 1] = (x[j] - x[i]) - h2over6 * (2.0 * m[i] + m[j]);
         c_[4 * i + 2] = 3.0 * h2over6 * m[i];

@@ -55,6 +55,15 @@ inline __m256d u53ToDouble(__m256i v) {
     return _mm256_add_pd(hiD, _mm256_castsi256_pd(lo));  // hi*2^32 + lo, exact
 }
 
+// base[idx[k]] in lane k: GCC 12's own expansion of _mm256_i32gather_pd
+// (an all-ones mask from comparing zeros), with a zeroed source register in
+// place of its undefined one, which draws -Wmaybe-uninitialized at every
+// call site.  With every mask bit set the source is never read.
+inline __m256d gather4(const double* base, __m128i idx) {
+    const __m256d zero = _mm256_setzero_pd();
+    return _mm256_mask_i32gather_pd(zero, base, idx, _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ), 8);
+}
+
 inline bool allActive4(const unsigned char* active, std::size_t l) {
     return !active || (active[l] && active[l + 1] && active[l + 2] && active[l + 3]);
 }
@@ -84,10 +93,10 @@ void splineAffineAvx2(const double* coeffs, std::size_t nSeg, const double* t, d
         fi = zeroWhere(seam, fi);
         s = zeroWhere(seam, s);
         const __m128i idx = _mm_slli_epi32(_mm256_cvttpd_epi32(fi), 2);  // 4*i
-        const __m256d c0 = _mm256_i32gather_pd(coeffs + 0, idx, 8);
-        const __m256d c1 = _mm256_i32gather_pd(coeffs + 1, idx, 8);
-        const __m256d c2 = _mm256_i32gather_pd(coeffs + 2, idx, 8);
-        const __m256d c3 = _mm256_i32gather_pd(coeffs + 3, idx, 8);
+        const __m256d c0 = gather4(coeffs + 0, idx);
+        const __m256d c1 = gather4(coeffs + 1, idx);
+        const __m256d c2 = gather4(coeffs + 2, idx);
+        const __m256d c3 = gather4(coeffs + 3, idx);
         __m256d p = _mm256_add_pd(c2, _mm256_mul_pd(s, c3));
         p = _mm256_add_pd(c1, _mm256_mul_pd(s, p));
         p = _mm256_add_pd(c0, _mm256_mul_pd(s, p));
@@ -245,8 +254,8 @@ void normalFillAvx2(const ZigguratNormal& zig, SplitMix64* rngs, double* out,
         // Layer index i = u & 0xff, compacted to i32 gather indices.
         const __m128i idx = _mm256_castsi256_si128(
             _mm256_permutevar8x32_epi32(_mm256_and_si256(u, layerMask), dwords0246));
-        const __m256d xi = _mm256_i32gather_pd(xs, idx, 8);
-        const __m256d xi1 = _mm256_i32gather_pd(xs + 1, idx, 8);
+        const __m256d xi = gather4(xs, idx);
+        const __m256d xi1 = gather4(xs + 1, idx);
         // u01 = (double)(u >> 11) * 2^-53; x = u01 * x_[i].
         const __m256d u01 = _mm256_mul_pd(u53ToDouble(_mm256_srli_epi64(u, 11)), p53);
         const __m256d x = _mm256_mul_pd(u01, xi);

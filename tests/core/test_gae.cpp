@@ -84,6 +84,17 @@ TEST(Gae, RejectsBadInputs) {
     EXPECT_THROW(Gae(model(), 1.0, {Injection::tone(999, 1.0, 1)}), std::invalid_argument);
 }
 
+TEST(Gae, RejectsGridSmallerThanThree) {
+    // A grid of 0 points used to dereference the extrema of an empty grid;
+    // the sweep entry points forward their gridSize to the same check.
+    const std::vector<Injection> sync{Injection::tone(injNode(), 100e-6, 2)};
+    for (std::size_t n : {std::size_t{0}, std::size_t{2}}) {
+        EXPECT_THROW(Gae(model(), model().f0(), sync, n), std::invalid_argument) << n;
+        EXPECT_THROW(lockingRange(model(), sync, n), std::invalid_argument) << n;
+    }
+    EXPECT_EQ(Gae(model(), model().f0(), sync, 3).gridSize(), 3u);
+}
+
 TEST(Gae, SyncPhaseShiftsLockPhasesByHalf) {
     // Shifting SYNC by half its own cycle (0.5 of the 2f1 tone) shifts the
     // lock phases by 0.25 of the reference cycle.

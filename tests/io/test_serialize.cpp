@@ -118,6 +118,27 @@ TEST_F(SerializeTest, Crc32MatchesKnownVector) {
     EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+TEST_F(SerializeTest, Crc32MatchesByteAtATimeReferenceAtEveryLengthAndOffset) {
+    // The bitwise definition, one byte per step, against the table-driven
+    // crc32 on every length 0-64 at every start offset 0-7 (every tail
+    // length and every alignment of the eight-byte steps).
+    const auto reference = [](const std::uint8_t* p, std::size_t n) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        return c ^ 0xFFFFFFFFu;
+    };
+    std::vector<std::uint8_t> buf(72);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 151 + 7 * (i >> 3) + 0xA5);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t n = 0; n <= 64; ++n)
+            EXPECT_EQ(crc32(buf.data() + off, n), reference(buf.data() + off, n))
+                << "offset " << off << " length " << n;
+}
+
 // ---- artifact container ----------------------------------------------------
 
 TEST_F(SerializeTest, ArtifactFileRoundTrips) {
@@ -349,6 +370,42 @@ TEST_F(SerializeTest, CharacterizationBundleRoundTrips) {
     ASSERT_TRUE(back.has_value());
     expectBitwiseEqual(c.pss, back->pss);
     EXPECT_EQ(back->ppv.floquetMu, c.ppv.floquetMu);
+}
+
+TEST_F(SerializeTest, CharacterizationBytesKeepTheirCrc) {
+    // The CHAR payload's bytes, and so a cache entry's CRC, are part of the
+    // on-disk format: a cache directory filled by one build serves another.
+    const std::vector<std::uint8_t> bytes = encodeCharacterization({fakePss(), fakePpv()});
+    EXPECT_EQ(bytes.size(), 475u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x7F1FE1D8u);
+}
+
+TEST_F(SerializeTest, CharacterizationSubPayloadLengthsAreChecked) {
+    // CHAR = u64 PSS length, the PSS payload, u64 PPV length, the PPV
+    // payload; each payload decodes from its own bytes only.
+    const std::vector<std::uint8_t> good = encodeCharacterization({fakePss(), fakePpv()});
+    const std::size_t pssLen = encodePssResult(fakePss()).size();
+    const std::size_t ppvLen = encodePpvResult(fakePpv()).size();
+    ASSERT_EQ(good.size(), 8 + pssLen + 8 + ppvLen);
+    ASSERT_TRUE(decodeCharacterization(good).has_value());
+    const auto withLength = [&](std::size_t at, std::uint64_t n) {
+        std::vector<std::uint8_t> bad = good;
+        for (int i = 0; i < 8; ++i)
+            bad[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(n >> (8 * i));
+        return bad;
+    };
+    // The PSS length runs past the end of the payload.
+    for (std::uint64_t n : {std::uint64_t{good.size() - 8 + 1}, std::uint64_t{1} << 63})
+        EXPECT_FALSE(decodeCharacterization(withLength(0, n)).has_value()) << "PSS length " << n;
+    // The PPV length is cut short (its last field then ends early), or runs
+    // past the end.
+    const std::size_t ppvAt = 8 + pssLen;
+    for (std::uint64_t n : {std::uint64_t{ppvLen - 1}, std::uint64_t{ppvLen + 1}})
+        EXPECT_FALSE(decodeCharacterization(withLength(ppvAt, n)).has_value())
+            << "PPV length " << n;
+    std::vector<std::uint8_t> cut = good;
+    cut.pop_back();
+    EXPECT_FALSE(decodeCharacterization(cut).has_value());
 }
 
 TEST_F(SerializeTest, OdeSolutionAndTransientResultRoundTrip) {
